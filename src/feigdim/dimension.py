@@ -13,6 +13,7 @@ bound (the dimension and the bracket property are metric-independent).
 """
 import csv
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -603,8 +604,10 @@ def _cached_solve(ell, degree, tol, cache_dir, prev_fp, precision):
         if os.path.exists(path):
             try:
                 return load_fixed_point(path)
-            except FeigdimError:
-                pass
+            except FeigdimError as exc:
+                warnings.warn(f"cache entry {path} rejected "
+                              f"({type(exc).__name__}: {exc}); re-solving",
+                              stacklevel=3)
     if prev_fp is not None and ell == prev_fp.ell + 2 and \
             degree == prev_fp.degree:
         fp = continue_in_ell(prev_fp, ell, tol=tol, precision=precision)

@@ -13,6 +13,7 @@ E(0) = 1 closing the square Newton system in (coeffs, alpha).
 """
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -337,7 +338,9 @@ def save_fixed_point(fp, path=None):
 
     If path is a directory (or None, meaning cwd) the canonical filename is
     used. Serialization is canonical so save -> load -> save is
-    byte-identical.
+    byte-identical. The record goes to a temporary file in the same
+    directory and is then renamed onto path, so a reader sees either the
+    previous record or the complete new one, never a torn file.
     """
     record = {
         "schema": SCHEMA,
@@ -356,9 +359,17 @@ def save_fixed_point(fp, path=None):
         path = cache_filename(fp)
     elif os.path.isdir(path):
         path = os.path.join(path, cache_filename(fp))
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

@@ -9,6 +9,7 @@ where the inversion is still well conditioned.
 """
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .errors import (
 from .unimodal import DEFAULT_ORBIT_MAX, _G_jets, _H_jets, critical_orbit, eval_H
 
 _X_SLACK = 1e-9
+_TAIL_NX = 64
+_NBIS = 8
+_NNEWT = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +68,19 @@ class PresentationSystem:
     def tail_bound(self, K, t):
         return tail_bound(self, K, t)
 
+    @cached_property
+    def tail_levels(self):
+        """sup_I |Dpsi_{k,1}| on a 64-point grid of I, entry k-1 for k <= Kmax.
+
+        The frozen dataclass has no slots, so the table is stored on the
+        instance at first use and shared by every later tail_bound call.
+        """
+        x = np.linspace(*self.I, _TAIL_NX)
+        levels = np.array([float(np.max(np.abs(jets[1])))
+                           for _, jets in iter_letter_jets(self, self.Kmax, x)])
+        levels.flags.writeable = False
+        return levels
+
     def orbit_index(self, j):
         if j >= len(self.orbit):
             raise OrbitIndexOverflow(
@@ -77,20 +94,26 @@ def _check_letter(ps, k, m):
         raise IndexOutOfAlphabet(f"letter (k={k}, m={m}) outside the alphabet")
 
 
-def _solve_E_decreasing(fp, targets, lo, hi, nbis=52, nnewt=3):
-    """Solve E(z) = target on [lo, hi] where E is strictly decreasing."""
+def _solve_E_decreasing(fp, targets, lo, hi):
+    """Solve E(z) = target on [lo, hi] where E is strictly decreasing.
+
+    A few bisection steps shrink [lo, hi] to a bracket [a, b] that holds
+    the root, then Newton polishes the midpoint. Every Newton iterate is
+    clipped to its own bracket [a, b], so it never leaves the interval
+    bisection certified even where E' is small.
+    """
     targets = np.asarray(targets, dtype=float)
     a = np.full(targets.shape, lo)
     b = np.full(targets.shape, hi)
-    for _ in range(nbis):
+    for _ in range(_NBIS):
         mid = 0.5 * (a + b)
         high = fp.E(mid) > targets
         a = np.where(high, mid, a)
         b = np.where(high, b, mid)
     z = 0.5 * (a + b)
-    for _ in range(nnewt):
+    for _ in range(_NNEWT):
         step = (fp.E(z) - targets) / fp.E(z, 1)
-        z = np.clip(z - step, lo, hi)
+        z = np.clip(z - step, a, b)
     return z
 
 
@@ -382,27 +405,22 @@ def decay_profile(ps, m, x, k_window=None):
     return DecayProfile(table, loglog, loglin)
 
 
-def tail_bound(ps, K, t, nx=64):
+def tail_bound(ps, K, t):
     """Upper bound on sum_{k>K,m} sup_I |Dpsi_{k,m}|^t.
 
     Geometric-series bound with the ratio read off the last two computed
     levels and inflated by 10 percent; raises RatioNotContracting when the
     levels are not yet decaying geometrically (e.g. t near 0, where the
-    full-alphabet sum diverges).
+    full-alphabet sum diverges). The levels sup_I |Dpsi_k|^t come from
+    ps.tail_levels, computed once per presentation on a 64-point grid of
+    I; sup_I |Dpsi_k| does not depend on t, and raising it to t > 0
+    commutes with the sup.
     """
     if t <= 0.0:
         raise DomainError(f"tail_bound needs t > 0, got {t}")
     if not 2 <= K <= ps.Kmax:
         raise DomainError(f"tail_bound needs 2 <= K <= Kmax={ps.Kmax}")
-    lo, hi = ps.I
-    x = np.linspace(lo, hi, nx)
-    levels = []
-    for kk in (K - 1, K):
-        total = 0.0
-        for m in range(1, ps.p):
-            der = _psi_jets(ps, kk, m, x, 1)[1]
-            total += float(np.max(np.abs(der))) ** t
-        levels.append(total)
+    levels = [float(ps.tail_levels[kk - 1]) ** t for kk in (K - 1, K)]
     ratio = 1.1 * levels[1] / levels[0]
     if ratio >= 1.0:
         raise RatioNotContracting(

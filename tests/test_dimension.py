@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from feigdim.dimension import (
     _bowen_root,
 )
 from feigdim.errors import DomainError
+from feigdim.fixedpoint import cache_filename, load_fixed_point
 
 from oracles import HD_2
 
@@ -186,3 +188,19 @@ def test_sweep_records_failures():
     ell, msg = report.failures[0]
     assert ell == 2
     assert "DomainError" in msg
+
+
+def test_sweep_warns_on_rejected_cache_and_resolves(tmp_path):
+    path = os.path.join(str(tmp_path), cache_filename((2, 2, 40)))
+    with open(path, "w") as fh:
+        fh.write("{ torn")
+    with pytest.warns(UserWarning) as caught:
+        report = sweep([2], cache_dir=str(tmp_path))
+    rejects = [w for w in caught if "rejected" in str(w.message)]
+    assert len(rejects) == 1
+    assert path in str(rejects[0].message)
+    assert "CorruptFile" in str(rejects[0].message)
+    assert not report.failures
+    assert [row["ell"] for row in report.rows] == [2]
+    assert abs(report.rows[0]["hd"] - HD_2) < 1e-6
+    assert load_fixed_point(path).ell == 2

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+import feigdim.fixedpoint
 from feigdim.errors import CorruptFile, DomainError, SchemaMismatch
 from feigdim.fixedpoint import (
     BASIS,
@@ -129,3 +131,20 @@ def test_tampered_coefficients_fail_revalidation(tmp_path, fp2):
     # revalidate=False must accept the record as stored
     fp = load_fixed_point(path, revalidate=False)
     assert fp.ell == 2
+
+
+def test_failed_save_keeps_previous_record(tmp_path, fp2, monkeypatch):
+    path = save_fixed_point(fp2, str(tmp_path))
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def torn_dump(record, fh, **kwargs):
+        fh.write('{"schema": "feigdim-fp-1", "coe')
+        raise RuntimeError("interrupted mid-save")
+
+    monkeypatch.setattr(feigdim.fixedpoint.json, "dump", torn_dump)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_fixed_point(fp2, str(tmp_path))
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == [os.path.basename(path)]

@@ -10,6 +10,8 @@ from feigdim.errors import (
     RatioNotContracting,
 )
 from feigdim.presentation import (
+    _psi_jets,
+    _solve_E_decreasing,
     build_presentation,
     contraction_certificate,
     cylinder_of_word,
@@ -21,7 +23,9 @@ from feigdim.presentation import (
     tail_bound,
     word_map,
 )
+from feigdim.unimodal import build_system
 
+from conftest import solve_ell
 from oracles import fd_derivative
 
 I_2 = (0.5759648680838572, 1.0)
@@ -198,3 +202,48 @@ def test_cylinders_csv_round_trip(ps2, tmp_path):
         if k <= 20:
             assert float(row["left"]) < float(row["right"])
         assert float(row["sup_deriv"]) >= float(row["min_deriv"]) > 0.0
+
+
+def test_tail_levels_match_psi_jets(ps2):
+    x = np.linspace(*ps2.interval, 64)
+    assert ps2.tail_levels.shape == (ps2.Kmax,)
+    for k in range(1, ps2.Kmax + 1):
+        want = float(np.max(np.abs(_psi_jets(ps2, k, 1, x, 1)[1])))
+        assert ps2.tail_levels[k - 1] == want
+
+
+def test_tail_bound_matches_two_level_formula(ps2):
+    x = np.linspace(*ps2.interval, 64)
+    for K, t in ((2, 0.9), (12, 0.3), (20, 0.538), (ps2.Kmax, 0.75)):
+        levels = [float(np.max(np.abs(_psi_jets(ps2, kk, 1, x, 1)[1]))) ** t
+                  for kk in (K - 1, K)]
+        ratio = 1.1 * levels[1] / levels[0]
+        assert tail_bound(ps2, K, t) == levels[1] * ratio / (1.0 - ratio)
+
+
+def _bisect_reference(fp, targets, lo, hi):
+    """The plain inversion: 52 bisection steps, then 3 Newton steps."""
+    a = np.full(targets.shape, lo)
+    b = np.full(targets.shape, hi)
+    for _ in range(52):
+        mid = 0.5 * (a + b)
+        high = fp.E(mid) > targets
+        a = np.where(high, mid, a)
+        b = np.where(high, b, mid)
+    z = 0.5 * (a + b)
+    for _ in range(3):
+        z = np.clip(z - (fp.E(z) - targets) / fp.E(z, 1), lo, hi)
+    return z
+
+
+@pytest.mark.parametrize("ell", range(2, 21, 2))
+def test_bracketed_newton_matches_bisection(ell):
+    sys = build_system(solve_ell(ell))
+    fp = sys.fp
+    for lo, hi in ((0.0, sys.x_c), (sys.x_c, 1.0)):
+        targets = np.linspace(float(fp.E(hi)), float(fp.E(lo)), 2001)
+        z = _solve_E_decreasing(fp, targets, lo, hi)
+        ref = _bisect_reference(fp, targets, lo, hi)
+        assert np.all((z >= lo) & (z <= hi))
+        assert float(np.max(np.abs(z - ref))) <= 2e-15
+        assert float(np.max(np.abs(fp.E(z) - targets))) <= 2e-15
