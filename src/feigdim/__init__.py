@@ -16,7 +16,6 @@ from .errors import (
     FeigdimError,
     IndexOutOfAlphabet,
     InvariantViolation,
-    IterateEscaped,
     LambdaDegenerate,
     NoContraction,
     NoConvergence,
@@ -38,6 +37,7 @@ from .fixedpoint import (
     CombinatoricsType,
     FixedPointMap,
     cache_filename,
+    cached_solve,
     continue_in_ell,
     evaluate_g,
     load_fixed_point,
@@ -54,9 +54,7 @@ from .unimodal import (
     eval_H,
     involution,
     jet_compose,
-    nonsymmetry,
     second_derivative_identity,
-    taylor_at_fixed_point,
 )
 from .presentation import (
     DecayProfile,
@@ -66,7 +64,7 @@ from .presentation import (
     cylinder_of_word,
     cylinders_csv,
     decay_profile,
-    letter_tables,
+    iter_letter_jets,
     psi,
     psi_alt,
     tail_bound,
@@ -95,7 +93,6 @@ from .poincare import (
     alpha_decay_check,
     claim2_csv,
     claim2_scan,
-    compose_series3,
     dominance_table,
     poincare_tail,
     quadratic_normalization,

@@ -19,13 +19,7 @@ import scipy
 from . import __version__
 from .dimension import CSV_HEADER, DimensionReport, hausdorff_dimension, sweep
 from .errors import FeigdimError
-from .fixedpoint import (
-    CombinatoricsType,
-    cache_filename,
-    load_fixed_point,
-    save_fixed_point,
-    solve_fixed_point,
-)
+from .fixedpoint import cached_solve, load_fixed_point
 from .poincare import claim2_csv, claim2_scan, dominance_table
 from .unimodal import build_system
 
@@ -44,7 +38,6 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     command: str
     ells: list
-    p: int
     degree: int
     K: object
     nc: int
@@ -52,7 +45,6 @@ class RunConfig:
     cache_dir: str
     out: object
     seed_file: object
-    precision: str
 
 
 def _parse_ells(spec, parser):
@@ -85,8 +77,6 @@ def build_parser():
         cmd = sub.add_parser(name, help=text, description=text)
         cmd.add_argument("--ell", type=int, help="criticality order (even)")
         cmd.add_argument("--ells", help="range a:step:b of even ells")
-        cmd.add_argument("--p", type=int, default=2,
-                         help="renormalization period (period doubling: 2)")
         cmd.add_argument("--degree", type=int, default=40)
         cmd.add_argument("--K", type=int, default=None,
                          help="alphabet truncation (default: auto-escalated)")
@@ -100,8 +90,6 @@ def build_parser():
         cmd.add_argument("--out", default=None, help="output path")
         cmd.add_argument("--seed-file", default=None,
                          help="fixed-point JSON used as the Newton seed")
-        cmd.add_argument("--precision", choices=("double", "extended"),
-                         default="double")
         parsers[name] = cmd
     return parser, parsers
 
@@ -124,9 +112,8 @@ def _config_from(args, parser):
     if args.command in ("sweep", "diagnose") and len(ells) < 2:
         parser.error(f"{args.command} needs at least two ells")
     cache_dir = os.environ.get("FEIGDIM_CACHE") or args.cache or DEFAULT_CACHE
-    return RunConfig(args.command, ells, args.p, args.degree, args.K,
-                     args.nc, args.tol, cache_dir, args.out, args.seed_file,
-                     args.precision)
+    return RunConfig(args.command, ells, args.degree, args.K, args.nc,
+                     args.tol, cache_dir, args.out, args.seed_file)
 
 
 def _write_manifest(cfg, path):
@@ -138,10 +125,9 @@ def _write_manifest(cfg, path):
         "command": cfg.command,
         "argv": sys.argv[1:],
         "config": {
-            "ells": cfg.ells, "p": cfg.p, "degree": cfg.degree,
+            "ells": cfg.ells, "degree": cfg.degree,
             "K": cfg.K, "nc": cfg.nc, "tol": cfg.tol,
-            "cache_dir": cfg.cache_dir, "precision": cfg.precision,
-            "seed_file": cfg.seed_file,
+            "cache_dir": cfg.cache_dir, "seed_file": cfg.seed_file,
         },
         "versions": {
             "feigdim": __version__,
@@ -163,43 +149,21 @@ def _write_manifest(cfg, path):
     return mpath
 
 
-def _seed_guess(cfg):
-    if cfg.seed_file is None:
-        return None
-    fp = load_fixed_point(cfg.seed_file, revalidate=False)
-    return fp.e_coeffs, fp.alpha
-
-
-def _resolve_fp(cfg, ell):
-    os.makedirs(cfg.cache_dir, exist_ok=True)
-    path = os.path.join(cfg.cache_dir, cache_filename((cfg.p, ell,
-                                                       cfg.degree)))
-    if os.path.exists(path):
-        try:
-            return load_fixed_point(path), path, True
-        except FeigdimError as exc:
-            print(f"cache entry {path} rejected ({type(exc).__name__}: "
-                  f"{exc}); re-solving", file=sys.stderr)
-    combi = CombinatoricsType(cfg.p, "reversing")
-    fp = solve_fixed_point(combi, ell, degree=cfg.degree, tol=cfg.tol,
-                           initial_guess=_seed_guess(cfg),
-                           precision=cfg.precision)
-    save_fixed_point(fp, path)
-    return fp, path, False
-
-
-def _row_csv(row):
-    cells = [str(row["ell"])]
-    cells += [f"{row[key]:.12g}" for key in ("hd", "hd_lo", "hd_hi",
-                                             "alpha", "tau")]
-    cells += [str(row["K"]), str(row["Nc"])]
-    cells += [f"{row['tail_bound']:.12g}", f"{row['runtime_s']:.12g}"]
-    return ",".join(cells)
+def _fixed_points(cfg):
+    """(ell, fp, path, hit) for each ell, each continued from the previous."""
+    guess = None
+    if cfg.seed_file is not None:
+        seed = load_fixed_point(cfg.seed_file, revalidate=False)
+        guess = seed.e_coeffs, seed.alpha
+    fp = None
+    for ell in cfg.ells:
+        fp, path, hit = cached_solve(ell, cfg.degree, cfg.tol, cfg.cache_dir,
+                                     prev=fp, initial_guess=guess)
+        yield ell, fp, path, hit
 
 
 def cmd_solve(cfg):
-    for ell in cfg.ells:
-        fp, path, hit = _resolve_fp(cfg, ell)
+    for ell, fp, path, hit in _fixed_points(cfg):
         _write_manifest(cfg, path)
         state = "cached" if hit else "solved"
         print(f"ell={ell} alpha={fp.alpha:.12g} residual={fp.residual:.3g} "
@@ -208,17 +172,13 @@ def cmd_solve(cfg):
 
 
 def cmd_dim(cfg):
-    ell = cfg.ells[0]
-    fp, _, _ = _resolve_fp(cfg, ell)
+    _, fp, _, _ = next(_fixed_points(cfg))
     sys_ = build_system(fp)
-    res = hausdorff_dimension(sys_, K=cfg.K, Nc=cfg.nc)
-    row = {"ell": ell, "hd": res.hd, "hd_lo": res.hd_lo, "hd_hi": res.hd_hi,
-           "alpha": fp.alpha, "tau": sys_.tau, "K": res.K, "Nc": res.Nc,
-           "tail_bound": res.tail_t, "runtime_s": res.runtime_s}
+    report = DimensionReport()
+    row = report.add(sys_, hausdorff_dimension(sys_, K=cfg.K, Nc=cfg.nc))
     print(",".join(CSV_HEADER))
-    print(_row_csv(row))
+    print(",".join(report.cells(row)))
     if cfg.out is not None:
-        report = DimensionReport(rows=[row])
         report.to_csv(cfg.out)
         _write_manifest(cfg, cfg.out)
     return 0
@@ -227,8 +187,7 @@ def cmd_dim(cfg):
 def cmd_sweep(cfg):
     out = cfg.out or "sweep.csv"
     report = sweep(cfg.ells, degree=cfg.degree, K=cfg.K, Nc=cfg.nc,
-                   tol=cfg.tol, cache_dir=cfg.cache_dir,
-                   precision=cfg.precision)
+                   tol=cfg.tol, cache_dir=cfg.cache_dir)
     report.to_csv(out)
     _write_manifest(cfg, out)
     for ell, message in report.failures:
@@ -240,10 +199,7 @@ def cmd_sweep(cfg):
 def cmd_diagnose(cfg):
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    systems = []
-    for ell in cfg.ells:
-        fp, _, _ = _resolve_fp(cfg, ell)
-        systems.append(build_system(fp))
+    systems = [build_system(fp) for _, fp, _, _ in _fixed_points(cfg)]
     table = dominance_table(systems)
     dom_path = table.to_csv(os.path.join(out_dir, "dominance.csv"))
     _write_manifest(cfg, dom_path)

@@ -10,13 +10,18 @@ Brackets are computed in an adapted conformal metric: a least-squares
 coboundary flattens the per-branch derivative variation, which shrinks the
 sup/inf gap by more than an order of magnitude while every bound stays a
 bound (the dimension and the bracket property are metric-independent).
+
+The engine consumes any object with the IFS protocol: `interval` (lo, hi),
+`Kmax` (alphabet size), `letters(K)` (the first K letters), `map_eval(letter,
+x, nder)` (jets of one map) and `tail_bound(K, t)` (bound on the letters
+beyond K). PresentationSystem streams its jets through iter_letter_jets.
 """
 import csv
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lstsq
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
@@ -31,13 +36,8 @@ from .errors import (
     RootNotBracketed,
     TailTooFat,
 )
-from .fixedpoint import PERIOD_DOUBLING, continue_in_ell, solve_fixed_point
-from .presentation import (
-    PresentationSystem,
-    build_presentation,
-    iter_letter_jets,
-    letter_tables,
-)
+from .fixedpoint import cached_solve
+from .presentation import PresentationSystem, build_presentation, iter_letter_jets
 from .unimodal import UnimodalSystem, build_system
 
 _PROBE_GRID = np.linspace(0.1, 1.0, 10)
@@ -67,38 +67,27 @@ class PressureModel:
         return float(self.ifs.tail_bound(self.K, t))
 
 
-def _letters_of(ifs, K):
-    try:
-        return ifs.letters(K)
-    except TypeError:
-        return ifs.letters()
-
-
-def _tables(ifs, letters, x, nder):
+def _letter_jets(ifs, K, x, nder):
+    """Stream (letter, jets) over ifs.letters(K) without storing them all."""
     if isinstance(ifs, PresentationSystem):
-        K = max(k for k, _ in letters)
-        return letter_tables(ifs, K, x, nder)
-    return [ifs.map_eval(a, np.asarray(x, dtype=float), nder) for a in letters]
-
-
-def _iter_tables(ifs, letters, x, nder):
-    """Stream (letter, jets) across the alphabet without storing them all."""
-    if isinstance(ifs, PresentationSystem):
-        K = max(k for k, _ in letters)
         yield from iter_letter_jets(ifs, K, x, nder)
     else:
-        for a in letters:
-            yield a, ifs.map_eval(a, np.asarray(x, dtype=float), nder)
+        x = np.asarray(x, dtype=float)
+        for a in ifs.letters(K):
+            yield a, ifs.map_eval(a, x, nder)
+
+
+def _jet_list(ifs, K, x, nder):
+    return [jets for _, jets in _letter_jets(ifs, K, x, nder)]
 
 
 def build_pressure_model(ifs, K=None, Nc=32):
     if K is None:
-        K = min(32, getattr(ifs, "Kmax", 32))
-    letters = _letters_of(ifs, K)
+        K = min(32, ifs.Kmax)
     lo, hi = ifs.interval
     nodes = cheb_points(lo, hi, Nc)
     weights = bary_weights(Nc)
-    tables = _tables(ifs, letters, nodes, 1)
+    tables = _jet_list(ifs, K, nodes, 1)
     imgs = np.stack([tab[0] for tab in tables])
     ders = np.abs(np.stack([tab[1] for tab in tables]))
     if not np.all(ders > 0.0):
@@ -188,17 +177,16 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
 
     Accepts a built UnimodalSystem (a presentation is constructed with
     enough alphabet headroom) or any object exposing the IFS protocol
-    (interval, letters, map_eval, tail_bound). With K unset the truncation
-    auto-escalates until the alphabet tail at the root is below tail_budget;
-    an explicitly pinned K is honored as given.
+    (interval, Kmax, letters, map_eval, tail_bound). With K unset the
+    truncation starts at min(32, Kmax) and auto-escalates until the alphabet
+    tail at the root is below tail_budget; an explicitly pinned K is honored
+    as given.
     """
     t_start = time.perf_counter()
     ifs = _as_ifs(obj)
     pinned = K is not None
-    kmax = getattr(ifs, "Kmax", None)
     if K is None:
-        K = min(32, kmax) if kmax is not None else \
-            max(k for k, _ in _letters_of(ifs, None))
+        K = min(32, ifs.Kmax)
 
     hd = tail = None
     for _ in range(4):
@@ -207,8 +195,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
         tail = pm.tail_t(hd)
         if pinned or tail < tail_budget:
             break
-        ceiling = kmax if kmax is not None else K
-        if K >= ceiling:
+        if K >= ifs.Kmax:
             raise TailTooFat(
                 f"tail {tail:.3e} > {tail_budget:.1e} with the alphabet "
                 f"exhausted at K={K}"
@@ -217,7 +204,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
         r = ifs.tail_bound(K, hd) / ifs.tail_bound(K - 1, hd)
         r = min(max(r, 1e-6), 0.999)
         need = int(np.ceil(np.log(0.2 * tail_budget / tail) / np.log(r)))
-        K = min(ceiling, K + max(10, need))
+        K = min(ifs.Kmax, K + max(10, need))
     else:
         raise TailTooFat(
             f"tail {tail:.3e} > {tail_budget:.1e} after escalation to K={K}"
@@ -227,10 +214,8 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
         raise InvariantViolation(f"Bowen root {hd} outside (0, 1)")
 
     if with_bracket:
-        kb = min(K, 64 // max(1, _alphabet_p(ifs) - 1))
-        if kmax is not None:
-            kb = min(kb, kmax)
-        br = moran_oracle(ifs, n=bracket_depth, K=kb, root_tol=root_tol)
+        br = moran_oracle(ifs, n=bracket_depth, K=min(K, 64, ifs.Kmax),
+                          root_tol=root_tol)
         hd_lo, hd_hi = br.t_lo, br.t_hi
         if not (hd_lo - 1e-9 <= hd <= hd_hi + 1e-9):
             raise InvariantViolation(
@@ -242,10 +227,6 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
 
     return DimensionResult(hd, hd_lo, hd_hi, K, Nc, tail,
                            time.perf_counter() - t_start)
-
-
-def _alphabet_p(ifs):
-    return getattr(ifs, "p", 2)
 
 
 def _sample_points(interval, nsamp):
@@ -292,24 +273,26 @@ def _fit_adapted_metric(interval, xs, vals, lds, nq=16):
         rows[block, nq + a] = -1.0
         rhs[block] = -lds[a]
     rows[-1, :nq] = 1.0 / nq
-    sol = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    # gelsy (QR with column pivoting) agrees with the SVD driver to roundoff
+    # on this full-rank system and stays cheap under multithreaded OpenBLAS
+    sol = lstsq(rows, rhs, lapack_driver="gelsy")[0]
     return _AdaptedMetric(interval, qnodes, qw, sol[:nq])
 
 
-def _word_tables(ifs, letters, n, nsamp, metric):
+def _word_tables(ifs, K, n, nsamp, metric):
     """Per-word sup/inf of the (metric-weighted) log derivative at depth n.
 
     Words are extended by prepending letters, so position arrays track
     phi_w(x) at the sample points and the coboundary telescopes to
     log|Dphi_w(x)| + q(phi_w x) - q(x).
     """
-    na = len(letters)
+    na = len(ifs.letters(K))
     if na ** n > _WORD_BUDGET:
         raise DomainError(
             f"{na}^{n} words exceed the {_WORD_BUDGET} word budget"
         )
     xs = _sample_points(ifs.interval, nsamp)
-    tabs = _tables(ifs, letters, xs, 1)
+    tabs = _jet_list(ifs, K, xs, 1)
     vals = np.stack([tab[0] for tab in tabs])
     lds = np.log(np.abs(np.stack([tab[1] for tab in tabs])))
 
@@ -325,8 +308,7 @@ def _word_tables(ifs, letters, n, nsamp, metric):
         new_pos = np.empty((na * nw, nsamp))
         new_ld = np.empty_like(new_pos)
         q_pos = qfun(pos) if qfun is not None else None
-        for a, (_, jets) in enumerate(_iter_tables(ifs, letters, pos, 1)):
-            val_a, der_a = jets
+        for a, (_, (val_a, der_a)) in enumerate(_letter_jets(ifs, K, pos, 1)):
             step = np.log(np.abs(der_a))
             if qfun is not None:
                 step = step + qfun(val_a) - q_pos
@@ -378,19 +360,16 @@ def moran_oracle(ifs, n, K=None, metric="adapted", nsamp=9, root_tol=1e-10,
     metric)^t = 1. The truncated alphabet's missing letters inflate the
     sup-side sum by (p_1 + T)^n - p_1^n with T the tail bound carried into
     the adapted metric, so the upper root bounds the full-alphabet root.
+    K defaults to min(24, Kmax).
     """
     if not 1 <= n <= 5:
         raise DomainError(f"moran_oracle needs 1 <= n <= 5, got {n}")
     ifs = _as_ifs(ifs)
-    p = _alphabet_p(ifs)
-    kmax = getattr(ifs, "Kmax", None)
     if K is None:
-        K = min(24, kmax) if kmax is not None else \
-            max(k for k, _ in _letters_of(ifs, None))
-    if K * (p - 1) > 64:
-        raise DomainError(f"K(p-1) = {K * (p - 1)} exceeds the budget 64")
-    letters = _letters_of(ifs, K)
-    s_sup, s_inf, s1_sup, qfun = _word_tables(ifs, letters, n, nsamp, metric)
+        K = min(24, ifs.Kmax)
+    if K > 64:
+        raise DomainError(f"K = {K} exceeds the budget 64")
+    s_sup, s_inf, s1_sup, qfun = _word_tables(ifs, K, n, nsamp, metric)
     delta_q = qfun.delta_q if qfun is not None else 0.0
 
     def p_inf(t):
@@ -423,8 +402,7 @@ def pressure_sums(pm, t, n, nsamp=9):
     """
     if not 1 <= n <= 6:
         raise DomainError(f"pressure_sums needs 1 <= n <= 6, got {n}")
-    letters = _letters_of(pm.ifs, pm.K)
-    s_sup, s_inf, _, _ = _word_tables(pm.ifs, letters, n, nsamp, "euclid")
+    s_sup, s_inf, _, _ = _word_tables(pm.ifs, pm.K, n, nsamp, "euclid")
     lower = float(logsumexp(t * s_inf)) / n
     upper = float(logsumexp(t * s_sup)) / n
     return lower, upper
@@ -468,7 +446,7 @@ def cylinder_measure(pm, t_star, depth=3):
     """
     if not 1 <= depth <= 4:
         raise DomainError(f"cylinder_measure needs 1 <= depth <= 4")
-    letters = _letters_of(pm.ifs, pm.K)
+    letters = pm.ifs.letters(pm.K)
     na = len(letters)
     if na ** depth * pm.Nc > 8_000_000:
         raise DomainError(
@@ -487,8 +465,8 @@ def cylinder_measure(pm, t_star, depth=3):
         new_words = []
         new_pos = np.empty((na * nw, pm.Nc))
         new_der = np.empty_like(new_pos)
-        for a, (_, jets) in enumerate(_iter_tables(pm.ifs, letters, pos, 1)):
-            val_a, der_a = jets
+        for a, (_, (val_a, der_a)) in enumerate(
+                _letter_jets(pm.ifs, pm.K, pos, 1)):
             block = slice(a * nw, (a + 1) * nw)
             new_pos[block] = val_a
             new_der[block] = np.abs(der_a) * der
@@ -520,15 +498,14 @@ def conformality_residual(pm, t_star, depth=3):
     if depth < 2:
         raise DomainError("conformality check needs depth >= 2")
     fine = cylinder_measure(pm, t_star, depth)
-    letters = _letters_of(pm.ifs, pm.K)
+    letters = pm.ifs.letters(pm.K)
     na = len(letters)
     index = {w: n for n, w in enumerate(fine.words)}
     prefixes = [w[1:] for w in fine.words[: na ** (depth - 1)]]
     idx_app = np.array([[index[u + (j,)] for j in letters] for u in prefixes])
     raw = fine.mu * fine.raw_mass
     worst = 0.0
-    for i, jets in _iter_tables(pm.ifs, letters, fine.xbar, 3):
-        _, d1, d2, d3 = jets
+    for i, (_, d1, d2, d3) in _letter_jets(pm.ifs, pm.K, fine.xbar, 3):
         F = np.abs(d1) ** t_star
         F2 = F * t_star * ((t_star - 1.0) * (d2 / d1) ** 2 + d3 / d1)
         term = (F + 0.5 * F2 * fine.m2) * raw
@@ -540,22 +517,31 @@ def conformality_residual(pm, t_star, depth=3):
 
 @dataclass
 class DimensionReport:
+    """Dimension rows, dicts keyed by CSV_HEADER, and (ell, message) failures."""
+
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+
+    def add(self, sys, res):
+        """Append and return the row of the DimensionResult res for sys."""
+        row = {"ell": sys.ell, "hd": res.hd, "hd_lo": res.hd_lo,
+               "hd_hi": res.hd_hi, "alpha": sys.fp.alpha, "tau": sys.tau,
+               "K": res.K, "Nc": res.Nc, "tail_bound": res.tail_t,
+               "runtime_s": res.runtime_s}
+        self.rows.append(row)
+        return row
+
+    @staticmethod
+    def cells(row):
+        """CSV cells of one row: counts as integers, reals to 12 digits."""
+        return [str(row[key]) if key in ("ell", "K", "Nc")
+                else f"{row[key]:.12g}" for key in CSV_HEADER]
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for row in self.rows:
-                writer.writerow([
-                    row["ell"],
-                    *(f"{row[key]:.12g}" for key in
-                      ("hd", "hd_lo", "hd_hi", "alpha", "tau")),
-                    row["K"], row["Nc"],
-                    f"{row['tail_bound']:.12g}",
-                    f"{row['runtime_s']:.12g}",
-                ])
+            writer.writerows(self.cells(row) for row in self.rows)
         return path
 
     def diagnostics(self):
@@ -567,54 +553,26 @@ class DimensionReport:
 
 
 def sweep(ells, degree=40, K=None, Nc=32, root_tol=1e-8, tol=1e-10,
-          cache_dir=None, precision="double", progress=None):
-    """One dimension row per ell, continuation-seeded; failures recorded."""
+          cache_dir=None, progress=None):
+    """One dimension row per ell, continuation-seeded; failures recorded.
+
+    Fixed points come from fixedpoint.cached_solve, each continued from the
+    previous ell's on a cache miss.
+    """
     ells = list(ells)
     if any(ell % 2 or ell <= 0 for ell in ells) or \
             sorted(ells) != ells or len(set(ells)) != len(ells):
         raise DomainError("sweep needs strictly ascending even ells")
     report = DimensionReport()
-    prev_fp = None
+    fp = None
     for ell in ells:
         try:
-            fp = _cached_solve(ell, degree, tol, cache_dir, prev_fp, precision)
-            prev_fp = fp
+            fp, _, _ = cached_solve(ell, degree, tol, cache_dir, prev=fp)
             sys = build_system(fp)
-            res = hausdorff_dimension(sys, K=K, Nc=Nc, root_tol=root_tol)
-            report.rows.append({
-                "ell": ell, "hd": res.hd, "hd_lo": res.hd_lo,
-                "hd_hi": res.hd_hi, "alpha": fp.alpha, "tau": sys.tau,
-                "K": res.K, "Nc": res.Nc, "tail_bound": res.tail_t,
-                "runtime_s": res.runtime_s,
-            })
+            report.add(sys, hausdorff_dimension(sys, K=K, Nc=Nc,
+                                                root_tol=root_tol))
         except FeigdimError as exc:
             report.failures.append((ell, f"{type(exc).__name__}: {exc}"))
         if progress is not None:
             progress(ell, report)
     return report
-
-
-def _cached_solve(ell, degree, tol, cache_dir, prev_fp, precision):
-    from .fixedpoint import cache_filename, load_fixed_point, save_fixed_point
-    import os
-
-    path = None
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, cache_filename((2, ell, degree)))
-        if os.path.exists(path):
-            try:
-                return load_fixed_point(path)
-            except FeigdimError as exc:
-                warnings.warn(f"cache entry {path} rejected "
-                              f"({type(exc).__name__}: {exc}); re-solving",
-                              stacklevel=3)
-    if prev_fp is not None and ell == prev_fp.ell + 2 and \
-            degree == prev_fp.degree:
-        fp = continue_in_ell(prev_fp, ell, tol=tol, precision=precision)
-    else:
-        fp = solve_fixed_point(PERIOD_DOUBLING, ell, degree=degree, tol=tol,
-                               precision=precision)
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_fixed_point(fp, path)
-    return fp

@@ -45,10 +45,6 @@ class NoCriticalPoint(FeigdimError):
     """E has no sign change on (0,1); upstream data is corrupt."""
 
 
-class IterateEscaped(FeigdimError):
-    """An intermediate iterate left [0,1] during composition."""
-
-
 class OrbitEscaped(FeigdimError):
     """Critical orbit drifted out of [0,1] beyond the slack."""
 

@@ -10,11 +10,15 @@ collocated at fixed Chebyshev-Gauss nodes: the outer argument is placed at
 nodes u_i in (0,1) via the substitution u = v / tau, so the collocation rows
 read alpha * E(E(v_i/tau)^ell) - E(v_i) = 0 with the normalization row
 E(0) = 1 closing the square Newton system in (coeffs, alpha).
+
+cached_solve is the one cache policy: every command and the sweep get their
+fixed points through it.
 """
 import json
 import os
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +28,7 @@ from .errors import (
     CorruptFile,
     DegenerateJacobian,
     DomainError,
+    FeigdimError,
     InvariantViolation,
     NoConvergence,
     SchemaMismatch,
@@ -131,17 +136,12 @@ def _jacobian(coeffs, alpha, ell, nodes, degree):
     return np.vstack([np.hstack([Jc, Ja[:, None]]), norm_row])
 
 
-def _validation_defect(coeffs, alpha, ell, npts=512, dtype=float):
+def _validation_defect(coeffs, alpha, ell, npts=512):
     """Sup of |alpha g(g(x)) - g(alpha x)| on x in [0, 1/|alpha|]."""
-    x = np.linspace(0.0, 1.0 / abs(alpha), npts, dtype=dtype)
-    u = x ** ell
-
-    def g_of_u(uu):
-        return cheb.eval01(coeffs.astype(dtype), uu)
-
-    gx = g_of_u(u)
-    ggx = g_of_u(np.abs(gx) ** ell)
-    gax = g_of_u(np.abs(alpha * x) ** ell)
+    x = np.linspace(0.0, 1.0 / abs(alpha), npts)
+    gx = cheb.eval01(coeffs, x ** ell)
+    ggx = cheb.eval01(coeffs, np.abs(gx) ** ell)
+    gax = cheb.eval01(coeffs, np.abs(alpha * x) ** ell)
     return float(np.max(np.abs(alpha * ggx - gax)))
 
 
@@ -172,7 +172,7 @@ def _default_seed(degree):
 
 
 def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
-                      initial_guess=None, precision="double"):
+                      initial_guess=None):
     """Solve the fixed-point equation by damped Newton on collocation.
 
     Parameters
@@ -190,8 +190,6 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
     initial_guess : (coeffs, alpha), optional
         Seed; defaults to the built-in ell=2 seed, reached by internal
         continuation for larger ell.
-    precision : {"double", "extended"}
-        "extended" re-certifies the final defect in long-double arithmetic.
 
     Returns
     -------
@@ -204,11 +202,9 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
         raise DomainError(f"degree must be >= 10, got {degree}")
 
     if initial_guess is None and ell > 2:
-        fp = solve_fixed_point(combinatorics, 2, degree, tol, max_iter,
-                               precision=precision)
+        fp = solve_fixed_point(combinatorics, 2, degree, tol, max_iter)
         for next_ell in range(4, ell + 1, 2):
-            fp = continue_in_ell(fp, next_ell, tol=tol, max_iter=max_iter,
-                                 precision=precision)
+            fp = continue_in_ell(fp, next_ell, tol=tol, max_iter=max_iter)
         meta = dict(fp.solver_meta)
         meta["seed"] = "chained-continuation-from-ell-2"
         return FixedPointMap(fp.combinatorics, fp.ell, fp.alpha, fp.e_coeffs,
@@ -253,26 +249,20 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
             best,
         )
 
-    if precision == "extended":
-        residual = _validation_defect(coeffs, alpha, ell, dtype=np.longdouble)
-    elif precision == "double":
-        residual = _validation_defect(coeffs, alpha, ell)
-    else:
-        raise DomainError(f"precision must be double or extended: {precision}")
+    residual = _validation_defect(coeffs, alpha, ell)
     _check_invariants(coeffs, alpha, ell, residual, tol)
 
     meta = {
         "iterations": iterations,
         "tol": tol,
         "seed": seed_name,
-        "precision": precision,
         "timestamp": time.time(),
     }
     return FixedPointMap(combinatorics, ell, float(alpha), coeffs, degree,
                          residual, meta)
 
 
-def continue_in_ell(prev, next_ell, tol=1e-10, max_iter=40, precision="double"):
+def continue_in_ell(prev, next_ell, tol=1e-10, max_iter=40):
     """One continuation step prev.ell -> prev.ell + 2, seeded by prev.
 
     The alpha seed keeps tau continuous across the step; on NoConvergence
@@ -287,12 +277,10 @@ def continue_in_ell(prev, next_ell, tol=1e-10, max_iter=40, precision="double"):
     guess = (prev.e_coeffs, alpha_seed)
     try:
         fp = solve_fixed_point(prev.combinatorics, next_ell, prev.degree, tol,
-                               max_iter, initial_guess=guess,
-                               precision=precision)
+                               max_iter, initial_guess=guess)
     except NoConvergence:
         fp = solve_fixed_point(prev.combinatorics, next_ell, 2 * prev.degree,
-                               tol, max_iter, initial_guess=guess,
-                               precision=precision)
+                               tol, max_iter, initial_guess=guess)
     meta = dict(fp.solver_meta)
     meta["seed"] = f"continued-from-ell-{prev.ell}"
     return FixedPointMap(fp.combinatorics, fp.ell, fp.alpha, fp.e_coeffs,
@@ -376,7 +364,8 @@ def save_fixed_point(fp, path=None):
 def load_fixed_point(path, revalidate=True):
     """Read a cache record back into a FixedPointMap.
 
-    Raises SchemaMismatch on a wrong schema tag and CorruptFile on parse
+    Raises SchemaMismatch on a wrong schema tag, UnsupportedCombinatorics
+    on a combinatorics other than period doubling, and CorruptFile on parse
     failures, missing keys, non-finite data, or (with revalidate) a defect
     that no longer meets the stored tolerance.
     """
@@ -405,6 +394,7 @@ def load_fixed_point(path, revalidate=True):
         raise CorruptFile(f"{path} missing or malformed fields: {exc}") from exc
     if basis != BASIS:
         raise SchemaMismatch(f"{path} uses basis {basis!r}, expected {BASIS!r}")
+    combinatorics.validate()
     if len(coeffs) != degree + 1 or not np.all(np.isfinite(coeffs)) \
             or not np.isfinite(alpha):
         raise CorruptFile(f"{path} has inconsistent or non-finite data")
@@ -415,7 +405,39 @@ def load_fixed_point(path, revalidate=True):
                 f"{path} fails residual revalidation: {defect:.3e} >= {tol:.3e}"
             )
         residual = defect
-    meta = {"iterations": iterations, "tol": tol, "seed": f"loaded:{path}",
-            "precision": "double"}
+    meta = {"iterations": iterations, "tol": tol, "seed": f"loaded:{path}"}
     return FixedPointMap(combinatorics, ell, alpha, coeffs, degree, residual,
                          meta)
+
+
+def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
+    """The period-doubling fixed point at (ell, degree), through a cache.
+
+    Returns (fp, path, hit). A record in cache_dir is loaded and
+    revalidated; one that fails to load is reported by a UserWarning
+    naming the path and the error, then re-solved and overwritten. On a
+    miss the Newton seed is initial_guess if given, else one
+    continue_in_ell step when prev is the fixed point at (ell - 2, degree),
+    else the built-in seed. cache_dir None solves without caching (path
+    None).
+    """
+    path = None
+    if cache_dir is not None:
+        path = os.path.join(cache_dir, cache_filename((2, ell, degree)))
+        if os.path.exists(path):
+            try:
+                return load_fixed_point(path), path, True
+            except FeigdimError as exc:
+                warnings.warn(f"cache entry {path} rejected "
+                              f"({type(exc).__name__}: {exc}); re-solving",
+                              stacklevel=2)
+    if initial_guess is None and prev is not None and \
+            ell == prev.ell + 2 and degree == prev.degree:
+        fp = continue_in_ell(prev, ell, tol=tol)
+    else:
+        fp = solve_fixed_point(PERIOD_DOUBLING, ell, degree=degree, tol=tol,
+                               initial_guess=initial_guess)
+    if path is not None:
+        os.makedirs(cache_dir, exist_ok=True)
+        save_fixed_point(fp, path)
+    return fp, path, False

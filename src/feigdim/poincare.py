@@ -19,7 +19,7 @@ from .errors import (
     LambdaDegenerate,
     RatioNotContracting,
 )
-from .unimodal import UnimodalSystem, eval_G
+from .unimodal import UnimodalSystem, eval_G, jet_compose
 
 DEFAULT_R0 = 25.0
 
@@ -67,17 +67,6 @@ def dominance_table(systems, R0=DEFAULT_R0):
     return PoincareDiagnostics(rows, R0)
 
 
-def compose_series3(outer, inner):
-    """Coefficients (through z^3) of outer o inner, both fixing 0."""
-    f1, f2, f3 = outer
-    g1, g2, g3 = inner
-    return (
-        f1 * g1,
-        f1 * g2 + f2 * g1 ** 2,
-        f1 * g3 + 2.0 * f2 * g1 * g2 + f3 * g1 ** 3,
-    )
-
-
 def quadratic_normalization(lam, b, a=0.0):
     """B = b/(lam(lam-1)) and the residual quadratic term after conjugation.
 
@@ -92,7 +81,7 @@ def quadratic_normalization(lam, b, a=0.0):
     h = (1.0, -B, 0.0)
     h_inv = (1.0, B, 2.0 * B ** 2)
     f = (lam, b, -a)
-    conj = compose_series3(h, compose_series3(f, h_inv))
+    conj = jet_compose(h, jet_compose(f, h_inv))
     return B, abs(conj[1])
 
 

@@ -1,14 +1,21 @@
-"""The infinite presentation IFS {psi_{k,m} = G^k o H^{-(p-m)}} on I = [c_p, c_{2p}].
+"""The infinite presentation IFS {psi_k = G^k o H^{-1}} on I = [c_2, c_4].
+
+Only period doubling (p = 2) is supported, so there is one inverse branch
+H^{-1} and the letters are (k, 1) for k = 1..Kmax; the public (k, m) form
+is kept so that a letter still names its branch. PresentationSystem
+implements the IFS protocol of the dimension engine (interval, Kmax,
+letters, map_eval, tail_bound), and iter_letter_jets streams the jets of
+the whole alphabet.
 
 Branch inversions are one-lap solves of E(z) = x^(1/ell) by safeguarded
 bisection-Newton; G^k is applied as k explicit contraction steps, which is
 numerically stable for every k because the cylinders accumulate at the
 attracting fixed point x_c of G. The alternative composition form
-psi_{k,m} = H^{-1} o tau^{-k} is kept for cross-validation on shallow k,
+psi_k = H^{-1} o tau^{-k} is kept for cross-validation on shallow k,
 where the inversion is still well conditioned.
 """
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +45,6 @@ class PresentationSystem:
     I: tuple
     orbit: np.ndarray
     Kmax: int
-    branches: dict
     J: tuple
     lambda_rho: float
     cylinders: np.ndarray
@@ -57,8 +63,7 @@ class PresentationSystem:
         K = self.Kmax if K is None else K
         if K > self.Kmax:
             raise IndexOutOfAlphabet(f"K={K} exceeds Kmax={self.Kmax}")
-        return [(k, m) for k in range(1, K + 1)
-                for m in range(1, self.p)]
+        return [(k, 1) for k in range(1, K + 1)]
 
     def map_eval(self, letter, x, nder=1):
         k, m = letter
@@ -70,7 +75,7 @@ class PresentationSystem:
 
     @cached_property
     def tail_levels(self):
-        """sup_I |Dpsi_{k,1}| on a 64-point grid of I, entry k-1 for k <= Kmax.
+        """sup_I |Dpsi_k| on a 64-point grid of I, entry k-1 for k <= Kmax.
 
         The frozen dataclass has no slots, so the table is stored on the
         instance at first use and shared by every later tail_bound call.
@@ -117,11 +122,11 @@ def _solve_E_decreasing(fp, targets, lo, hi):
     return z
 
 
-def _h_inverse_jets(sys, x, m, nder):
-    """Jets of the branch H^{-(p-m)} on I; p=2 so a single lap inversion.
+def _h_inverse_jets(sys, x, nder):
+    """Jets of the branch H^{-1} on I.
 
-    The branch maps I into [c_m, c_{p+m}] inside the decreasing lap of H
-    left of x_c, where E > 0: solve E(z) = x^(1/ell).
+    The branch maps I into [c_1, c_3] inside the decreasing lap of H left
+    of x_c, where E > 0: solve E(z) = x^(1/ell).
     """
     fp = sys.fp
     targets = x ** (1.0 / fp.ell)
@@ -156,7 +161,8 @@ def _g_step_jets(sys, jets, nder):
 
 
 def _psi_jets(ps, k, m, x, nder):
-    jets = _h_inverse_jets(ps.sys, x, m, nder)
+    """Jets of the single letter psi_{k,m}; m is 1 in the p = 2 alphabet."""
+    jets = _h_inverse_jets(ps.sys, x, nder)
     for _ in range(k):
         jets = _g_step_jets(ps.sys, jets, nder)
     return jets
@@ -165,21 +171,17 @@ def _psi_jets(ps, k, m, x, nder):
 def iter_letter_jets(ps, K, x, nder=1):
     """Yield (letter, jets) in ps.letters(K) order, sharing the G-iteration.
 
-    One branch inversion and K contraction steps cover the whole alphabet;
-    callers that stream the letters keep memory at a single jet tuple.
+    The only whole-alphabet jet path: one branch inversion and K
+    contraction steps cover the alphabet, and callers that stream the
+    letters keep memory at a single jet tuple.
     """
     if K > ps.Kmax:
         raise IndexOutOfAlphabet(f"K={K} exceeds Kmax={ps.Kmax}")
     x = np.asarray(x, dtype=float)
-    jets = _h_inverse_jets(ps.sys, x, 1, nder)
+    jets = _h_inverse_jets(ps.sys, x, nder)
     for k in range(1, K + 1):
         jets = _g_step_jets(ps.sys, jets, nder)
         yield (k, 1), jets
-
-
-def letter_tables(ps, K, x, nder=1):
-    """Jets of psi_{k,m} for all k <= K, indexed like ps.letters(K)."""
-    return [jets for _, jets in iter_letter_jets(ps, K, x, nder)]
 
 
 def psi(ps, k, m, x, deriv=0):
@@ -197,7 +199,7 @@ def psi(ps, k, m, x, deriv=0):
 
 
 def psi_alt(ps, k, m, x, deriv=0):
-    """Cross-validation form psi_{k,m} = H^{-1} o tau^{-k} o H^{-(p-m-1)}.
+    """Cross-validation form psi_k = H^{-1} o tau^{-k}.
 
     The outer inversion happens on the lap that carries the cylinder, so it
     is only well conditioned while the cylinder is far from x_c (small k).
@@ -230,70 +232,55 @@ def build_presentation(sys, Kmax=None, orbit_budget=DEFAULT_ORBIT_MAX,
     the table's measured roundoff floor (strict_orbit=True demands the full
     table instead and raises OrbitIndexOverflow).
     """
-    p = sys.p
-    ell = sys.ell
     if Kmax is None:
-        Kmax = int(40 * max(1.0, ell / 8.0))
+        Kmax = int(40 * max(1.0, sys.ell / 8.0))
     if Kmax < 1:
         raise DomainError(f"Kmax must be >= 1, got {Kmax}")
 
-    need = np.log(2 * p) + Kmax * np.log(p)
-    full_table_len = None if need > np.log(orbit_budget) else p ** Kmax * 2 * p
+    # letter k has cylinder endpoints c_{2^k} and c_{3*2^k}
+    need = np.log(4) + Kmax * np.log(2)
+    full_table_len = None if need > np.log(orbit_budget) else 2 ** Kmax * 4
     if full_table_len is None and strict_orbit:
         raise OrbitIndexOverflow(
-            f"orbit to index p^Kmax*2p = 2^{Kmax}*{2 * p} exceeds the "
+            f"orbit to index 2^Kmax*4 = 2^{Kmax}*4 exceeds the "
             f"budget {orbit_budget}"
         )
     n_orbit = orbit_budget if full_table_len is None else full_table_len
     orbit = critical_orbit(sys, n_orbit)
 
-    lo, hi = sorted((orbit[p], orbit[2 * p]))
+    lo, hi = sorted((orbit[2], orbit[4]))
     I = (float(lo), float(hi))
 
-    branches = {}
-    for m in range(1, p):
-        lap = (float(orbit[m]), float(orbit[p + m]))
-        grid = np.linspace(min(lap), max(lap), 257)
-        dH = eval_H(sys, grid, 1)
-        if dH.max() * dH.min() <= 0.0:
-            raise BranchNotMonotone(
-                f"H not monotone on the branch lap for m={m}"
-            )
-        branches[m] = {"lap": lap, "sign": float(np.sign(dH[0]))}
+    dH = eval_H(sys, np.linspace(*sorted((orbit[1], orbit[3])), 257), 1)
+    if dH.max() * dH.min() <= 0.0:
+        raise BranchNotMonotone("H not monotone on the branch lap [c_1, c_3]")
 
-    k_fit = int(np.floor(np.log(n_orbit / (2.0 * p)) / np.log(p)))
+    k_fit = int(np.floor(np.log(n_orbit / 4.0) / np.log(2)))
     k_fit = max(1, min(Kmax, k_fit))
 
     # Deep orbit entries accumulate roundoff (worse for large ell), so the
     # endpoint identity is only certifiable as far as the table's own noise
-    # floor allows. The doubling defect |G(c_j) - c_{pj}| probes that floor
-    # at index pj; verification depth stops where it nears the tolerance.
-    half = np.arange(1, n_orbit // p)
+    # floor allows. The doubling defect |G(c_j) - c_{2j}| probes that floor
+    # at index 2j; verification depth stops where it nears the tolerance.
+    half = np.arange(1, n_orbit // 2)
     doubled = _G_jets(sys, orbit[half], 0)[0]
-    defect = np.abs(doubled - orbit[half * p])
+    defect = np.abs(doubled - orbit[2 * half])
     k_verify = 0
     for k in range(1, k_fit + 1):
-        top = min(p ** k * 2 * p // p, defect.size)
-        if float(defect[:top].max()) < 0.25e-8:
+        if float(defect[:2 ** (k + 1)].max()) < 0.25e-8:
             k_verify = k
         else:
             break
     if k_verify == 0:
         raise InvariantViolation(
-            f"orbit doubling defect {defect[:2 * p].max():.2e} already "
+            f"orbit doubling defect {defect[:4].max():.2e} already "
             "exceeds the endpoint tolerance at k=1"
         )
 
-    ps = PresentationSystem(sys, I, orbit, Kmax, branches, (0.0, 0.0), 1.0,
-                            np.zeros((0, 2)), np.zeros(0, dtype=int), k_verify)
-
-    ends = np.array(I)
-    mid = np.array([0.5 * (I[0] + I[1])])
     cylinders = np.empty((Kmax, 2))
     sides = np.empty(Kmax, dtype=int)
-    jets_e = _h_inverse_jets(sys, ends, 1, 0)
-    jets_m = _h_inverse_jets(sys, mid, 1, 0)
-    ye, ym = jets_e[0], jets_m[0]
+    ye = _h_inverse_jets(sys, np.array(I), 0)[0]
+    ym = _h_inverse_jets(sys, np.array([0.5 * (I[0] + I[1])]), 0)[0]
     for k in range(1, Kmax + 1):
         ye = _G_jets(sys, ye, 0)[0]
         ym = _G_jets(sys, ym, 0)[0]
@@ -301,14 +288,13 @@ def build_presentation(sys, Kmax=None, orbit_budget=DEFAULT_ORBIT_MAX,
         sides[k - 1] = 1 if ym[0] < sys.x_c else -1
 
     for k in range(1, k_verify + 1):
-        for m in range(1, p):
-            want = sorted((orbit[p ** k * m], orbit[p ** k * (p + m)]))
-            got = cylinders[k - 1]
-            err = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
-            if err >= 1e-8:
-                raise InvariantViolation(
-                    f"cylinder endpoints for k={k} off by {err:.2e}"
-                )
+        want = sorted((orbit[2 ** k], orbit[3 * 2 ** k]))
+        got = cylinders[k - 1]
+        err = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
+        if err >= 1e-8:
+            raise InvariantViolation(
+                f"cylinder endpoints for k={k} off by {err:.2e}"
+            )
 
     if np.any(cylinders[:, 0] < I[0] - 1e-12) or \
             np.any(cylinders[:, 1] > I[1] + 1e-12):
@@ -318,23 +304,16 @@ def build_presentation(sys, Kmax=None, orbit_budget=DEFAULT_ORBIT_MAX,
     if np.any(gaps < -1e-12):
         raise InvariantViolation("cylinders overlap beyond the 1e-12 slack")
 
-    ps = PresentationSystem(sys, I, orbit, Kmax, branches, (0.0, 0.0), 1.0,
-                            cylinders, sides, k_verify)
-
+    ps = PresentationSystem(sys, I, orbit, Kmax, J=(0.0, 0.0), lambda_rho=1.0,
+                            cylinders=cylinders, branch_side=sides,
+                            k_verify=k_verify)
     width = I[1] - I[0]
-    lam_rho = None
-    J = None
     for margin in (j_margin, j_margin + 0.15, j_margin + 0.3):
-        J_try = (I[0] - margin * width, I[1] + margin * width)
-        lam_try = contraction_certificate(ps, J=J_try)
-        if lam_try < 1.0:
-            J, lam_rho = J_try, lam_try
-            break
-    if J is None:
-        raise NoContraction("no J margin up to +0.5 gave lambda_rho < 1")
-
-    return PresentationSystem(sys, I, orbit, Kmax, branches, J, lam_rho,
-                              cylinders, sides, k_verify)
+        J = (I[0] - margin * width, I[1] + margin * width)
+        lam_rho = contraction_certificate(ps, J=J)
+        if lam_rho < 1.0:
+            return replace(ps, J=J, lambda_rho=lam_rho)
+    raise NoContraction("no J margin up to +0.5 gave lambda_rho < 1")
 
 
 def _rho_density(J, x):
@@ -351,7 +330,7 @@ def contraction_certificate(ps, J=None, nx=200):
     x = np.linspace(lo, hi, nx)
     rho_x = _rho_density(J, x)
     worst = 0.0
-    for val, der in letter_tables(ps, ps.Kmax, x, nder=1):
+    for _, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
         ratio = np.abs(der) * _rho_density(J, val) / rho_x
         worst = max(worst, float(ratio.max()))
     return worst
@@ -390,11 +369,9 @@ def decay_profile(ps, m, x, k_window=None):
     geometric tail, one G-step per k, so the slope sits near the log of
     the fixed-point multiplier -(1/ell) log tau).
     """
-    x_arr = np.asarray(float(x))
-    ders = np.empty(ps.Kmax)
-    for i, (_, der) in enumerate(letter_tables(ps, ps.Kmax, x_arr, nder=1)):
-        if i % (ps.p - 1) == m - 1:
-            ders[i // (ps.p - 1)] = abs(float(der))
+    _check_letter(ps, 1, m)
+    ders = np.array([abs(float(der)) for _, (_, der)
+                     in iter_letter_jets(ps, ps.Kmax, float(x))])
     k = np.arange(1, ps.Kmax + 1, dtype=float)
     table = np.column_stack([k, ders, k ** 1.5 * ders])
     if k_window is None:
@@ -406,7 +383,7 @@ def decay_profile(ps, m, x, k_window=None):
 
 
 def tail_bound(ps, K, t):
-    """Upper bound on sum_{k>K,m} sup_I |Dpsi_{k,m}|^t.
+    """Upper bound on sum_{k>K} sup_I |Dpsi_k|^t.
 
     Geometric-series bound with the ratio read off the last two computed
     levels and inflated by 10 percent; raises RatioNotContracting when the
@@ -430,15 +407,14 @@ def tail_bound(ps, K, t):
 
 
 def cylinders_csv(ps, path, nx=64):
-    """Dump the cylinder table with per-branch derivative ranges."""
+    """Dump the cylinder table with per-letter derivative ranges."""
     lo, hi = ps.I
     x = np.linspace(lo, hi, nx)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "m", "left", "right", "sup_deriv", "min_deriv"])
-        tables = letter_tables(ps, ps.Kmax, x, nder=1)
-        for i, (k, m) in enumerate(ps.letters()):
-            der = np.abs(tables[i][1])
+        for (k, m), (_, der) in iter_letter_jets(ps, ps.Kmax, x):
+            der = np.abs(der)
             left, right = ps.cylinders[k - 1]
             writer.writerow([k, m, f"{left:.12g}", f"{right:.12g}",
                              f"{der.max():.12g}", f"{der.min():.12g}"])

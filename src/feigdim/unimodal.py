@@ -1,7 +1,7 @@
 """Dynamics derived from a solved fixed point.
 
 H(x) = |E(x)|^ell on [0,1] (ell even, so H = E^ell with no branch issues),
-tau = |alpha|^ell, and the microscope map G(x) = H^{p-1}(x/tau), which fixes
+tau = |alpha|^ell, and the microscope map G(x) = H(x/tau) (p = 2), which fixes
 the critical point x_c and contracts toward it. Taylor data of G^eps at x_c
 and the folding involution live here too.
 """
@@ -144,17 +144,15 @@ def build_system(fp):
         raise InvariantViolation("reversing combinatorics must give eps = 2")
     res = conjugacy_residual(sys)
     if res >= 1e-9:
-        raise InvariantViolation(f"tau H^p(x) = H(tau x) residual {res:.2e}")
+        raise InvariantViolation(f"tau H^2(x) = H(tau x) residual {res:.2e}")
     return sys
 
 
 def conjugacy_residual(sys, npts=100):
-    """Max of |tau H^p(x) - H(tau x)| over a grid on [0, 1/tau]."""
+    """Max of |tau H^2(x) - H(tau x)| over a grid on [0, 1/tau]."""
     x = np.linspace(0.0, 1.0 / sys.tau, npts)
-    hp = eval_H(sys, x)
-    for _ in range(sys.p - 1):
-        hp = eval_H(sys, np.clip(hp, 0.0, 1.0))
-    return float(np.max(np.abs(sys.tau * hp - eval_H(sys, sys.tau * x))))
+    hh = eval_H(sys, np.clip(eval_H(sys, x), 0.0, 1.0))
+    return float(np.max(np.abs(sys.tau * hh - eval_H(sys, sys.tau * x))))
 
 
 def critical_orbit(sys, n, max_n=DEFAULT_ORBIT_MAX):
@@ -210,16 +208,6 @@ def involution(sys, x, deriv=False):
         return x_hat
     d = -float(fp.E(x, 1)) / float(fp.E(x_hat, 1))
     return x_hat, d
-
-
-def nonsymmetry(sys):
-    """N = |E''(x_c)/E'(x_c)|."""
-    return sys.nonsymmetry
-
-
-def taylor_at_fixed_point(sys):
-    """(lam, b, a) of G^eps at x_c: x_c + lam h + b h^2 - a h^3 + ..."""
-    return sys.taylor
 
 
 def second_derivative_identity(sys):

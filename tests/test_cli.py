@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import feigdim.fixedpoint
 from feigdim.cli import main
 from feigdim.dimension import CSV_HEADER
 from feigdim.fixedpoint import cache_filename, save_fixed_point
@@ -169,3 +170,36 @@ def test_seed_file_accepted(warm_cache, tmp_path, capsys):
                "--seed-file", seed])
     assert rc == 0
     assert "solved" in capsys.readouterr().out
+
+
+def test_solve_range_continues_each_ell_from_the_previous(tmp_path,
+                                                          monkeypatch, capsys):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for ell in (2, 4, 6):
+        save_fixed_point(solve_ell(ell), str(ref))
+    real = feigdim.fixedpoint.solve_fixed_point
+    solved = []
+
+    def counting(combinatorics, ell, *args, **kwargs):
+        solved.append(ell)
+        return real(combinatorics, ell, *args, **kwargs)
+
+    monkeypatch.setattr(feigdim.fixedpoint, "solve_fixed_point", counting)
+    cache = tmp_path / "c"
+    assert main(["solve", "--ells", "2:2:6", "--cache", str(cache)]) == 0
+    assert solved == [2, 4, 6]
+    for ell in (2, 4, 6):
+        name = cache_filename((2, ell, 40))
+        assert (cache / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_dim_over_torn_cache_warns_and_resolves(tmp_path, capsys):
+    cache = tmp_path / "c"
+    cache.mkdir()
+    (cache / cache_filename((2, 2, 40))).write_text("{ torn")
+    with pytest.warns(UserWarning, match="rejected"):
+        rc = main(["dim", "--ell", "2", "--cache", str(cache)])
+    assert rc == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert abs(float(row[1]) - HD_2) < 1e-6

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 
 import numpy as np
@@ -15,9 +16,13 @@ from feigdim.dimension import (
     pressure_sums,
     sweep,
     _bowen_root,
+    _fit_adapted_metric,
+    _sample_points,
 )
+import feigdim.dimension
 from feigdim.errors import DomainError
-from feigdim.fixedpoint import cache_filename, load_fixed_point
+from feigdim.fixedpoint import cache_filename, load_fixed_point, save_fixed_point
+from feigdim.presentation import iter_letter_jets
 
 from oracles import HD_2
 
@@ -204,3 +209,31 @@ def test_sweep_warns_on_rejected_cache_and_resolves(tmp_path):
     assert [row["ell"] for row in report.rows] == [2]
     assert abs(report.rows[0]["hd"] - HD_2) < 1e-6
     assert load_fixed_point(path).ell == 2
+
+
+def test_sweep_resolves_unsupported_combinatorics_record(tmp_path, fp2):
+    path = save_fixed_point(fp2, str(tmp_path))
+    record = json.load(open(path))
+    record["p"] = 3
+    json.dump(record, open(path, "w"))
+    with pytest.warns(UserWarning) as caught:
+        report = sweep([2], cache_dir=str(tmp_path))
+    rejects = [w for w in caught if "rejected" in str(w.message)]
+    assert len(rejects) == 1
+    assert "UnsupportedCombinatorics" in str(rejects[0].message)
+    assert not report.failures
+    assert [row["ell"] for row in report.rows] == [2]
+    assert abs(report.rows[0]["hd"] - HD_2) < 1e-6
+    assert load_fixed_point(path).combinatorics.p == 2
+
+
+def test_adapted_metric_fit_matches_svd_lstsq(ps2, monkeypatch):
+    xs = _sample_points(ps2.interval, 9)
+    jets = [jets for _, jets in iter_letter_jets(ps2, ps2.Kmax, xs)]
+    vals = np.stack([val for val, _ in jets])
+    lds = np.log(np.abs(np.stack([der for _, der in jets])))
+    got = _fit_adapted_metric(ps2.interval, xs, vals, lds).qvals
+    monkeypatch.setattr(feigdim.dimension, "lstsq",
+                        lambda a, b, **kw: np.linalg.lstsq(a, b, rcond=None))
+    want = _fit_adapted_metric(ps2.interval, xs, vals, lds).qvals
+    assert float(np.max(np.abs(got - want))) <= 1e-10

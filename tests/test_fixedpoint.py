@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import feigdim.fixedpoint
-from feigdim.errors import CorruptFile, DomainError, SchemaMismatch
+from feigdim.errors import (
+    CorruptFile,
+    DomainError,
+    SchemaMismatch,
+    UnsupportedCombinatorics,
+)
 from feigdim.fixedpoint import (
     BASIS,
     PERIOD_DOUBLING,
@@ -119,6 +124,17 @@ def test_wrong_schema_rejected(tmp_path, fp2):
     json.dump(record, open(path, "w"))
     with pytest.raises(SchemaMismatch):
         load_fixed_point(path)
+
+
+def test_unsupported_combinatorics_record_rejected(tmp_path, fp2):
+    path = save_fixed_point(fp2, str(tmp_path))
+    record = json.load(open(path))
+    record["p"] = 3
+    json.dump(record, open(path, "w"))
+    with pytest.raises(UnsupportedCombinatorics):
+        load_fixed_point(path)
+    with pytest.raises(UnsupportedCombinatorics):
+        load_fixed_point(path, revalidate=False)
 
 
 def test_tampered_coefficients_fail_revalidation(tmp_path, fp2):

@@ -14,7 +14,6 @@ from feigdim.poincare import (
     alpha_decay_check,
     claim2_csv,
     claim2_scan,
-    compose_series3,
     dominance_table,
     poincare_tail,
     quadratic_normalization,
@@ -26,12 +25,6 @@ from conftest import solve_ell
 
 LAM_2 = 0.15962844038
 A_2 = 0.00254867864
-
-
-def test_compose_series3_hand_expansion():
-    got = compose_series3((2.0, 3.0, -1.0), (0.5, -1.0, 4.0))
-    assert got == (1.0, 2.0 * (-1.0) + 3.0 * 0.25,
-                   8.0 + 2.0 * 3.0 * 0.5 * (-1.0) + (-1.0) * 0.125)
 
 
 def test_quadratic_normalization_kills_the_square_term():

@@ -17,7 +17,7 @@ from feigdim.presentation import (
     cylinder_of_word,
     cylinders_csv,
     decay_profile,
-    letter_tables,
+    iter_letter_jets,
     psi,
     psi_alt,
     tail_bound,
@@ -140,6 +140,12 @@ def test_decay_profile_slopes(ps2, fp2):
     assert np.all(np.diff(prof.table[:, 1]) < 0.0)
 
 
+@pytest.mark.parametrize("m", [0, 2])
+def test_decay_profile_rejects_letters_outside_the_alphabet(ps2, m):
+    with pytest.raises(IndexOutOfAlphabet):
+        decay_profile(ps2, m, 0.75)
+
+
 def test_tail_bound_behaviour(ps2):
     t = 0.538
     b20 = tail_bound(ps2, 20, t)
@@ -165,13 +171,13 @@ def test_tail_bound_guards(ps2):
         tail_bound(ps2, 20, 1e-4)
 
 
-def test_letter_tables_match_psi(ps2):
+def test_letter_jets_match_psi(ps2):
     x = np.linspace(*ps2.interval, 9)
-    tables = letter_tables(ps2, 5, x, nder=1)
-    for i, (k, m) in enumerate(ps2.letters(5)):
-        assert np.allclose(tables[i][0], psi(ps2, k, m, x), atol=1e-13)
-        assert np.allclose(tables[i][1], psi(ps2, k, m, x, deriv=1),
-                           atol=1e-13)
+    stream = list(iter_letter_jets(ps2, 5, x, nder=1))
+    assert [letter for letter, _ in stream] == ps2.letters(5)
+    for (k, m), (val, der) in stream:
+        assert np.allclose(val, psi(ps2, k, m, x), atol=1e-13)
+        assert np.allclose(der, psi(ps2, k, m, x, deriv=1), atol=1e-13)
 
 
 def test_orbit_index_overflow(ps2):

@@ -15,7 +15,6 @@ from feigdim.unimodal import (
     involution,
     jet_compose,
     second_derivative_identity,
-    taylor_at_fixed_point,
 )
 
 from conftest import solve_ell
@@ -148,7 +147,7 @@ def test_jet_compose_against_hand_expansion():
 
 
 def test_taylor_data_matches_finite_differences(sys2):
-    lam, b, a = taylor_at_fixed_point(sys2)
+    lam, b, a = sys2.taylor
 
     def g_eps(h):
         y = float(eval_G(sys2, sys2.x_c + h))
