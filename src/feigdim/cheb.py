@@ -3,7 +3,8 @@
 The fixed-point solver expands E in Chebyshev polynomials of the shifted
 variable s = 2u - 1, u in [0,1]; numpy.polynomial.chebyshev does the work.
 The dimension engine interpolates on Chebyshev-Gauss grids of arbitrary
-intervals with the closed-form barycentric weights.
+intervals with the closed-form barycentric weights, or converts node values
+to the Chebyshev series of the same interpolant when derivatives are needed.
 """
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
@@ -67,5 +68,34 @@ def interp_matrix(nodes, weights, pts):
 
 
 def interp_values(nodes, weights, fvals, pts):
-    """Barycentric interpolation of f at pts given values at nodes."""
-    return interp_matrix(nodes, weights, pts) @ fvals
+    """Barycentric interpolation of f at pts given values at nodes.
+
+    Same values as interp_matrix(nodes, weights, pts) @ fvals without
+    forming the normalized cardinal matrix: the numerator and denominator
+    of the barycentric formula are reduced row by row. Points that hit a
+    node exactly take the node value.
+    """
+    pts = np.atleast_1d(np.asarray(pts, dtype=float))
+    terms = pts[:, None] - nodes[None, :]
+    rows, cols = np.nonzero(terms == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights, terms, out=terms)
+        out = (terms @ fvals) / terms.sum(axis=1)
+    out[rows] = fvals[cols]
+    return out
+
+
+def gauss_series(a, b, fvals):
+    """Chebyshev series on [a,b] of the interpolant through cheb_points.
+
+    fvals[k] is the value at cheb_points(a, b, n)[k] = cos(theta_k) mapped
+    to [a,b]; discrete orthogonality of T_j on the Gauss nodes gives the
+    coefficients in closed form. The series evaluates (and differentiates,
+    via .deriv()) the same polynomial barycentric interpolation does.
+    """
+    fvals = np.asarray(fvals, dtype=float)
+    n = len(fvals)
+    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    coef = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ fvals)
+    coef[0] *= 0.5
+    return _cheb.Chebyshev(coef, domain=[a, b])

@@ -1,15 +1,24 @@
-"""Pressure, Bowen root, Moran brackets, conformal measure, and the ell-sweep.
+"""Pressure, Bowen root, operator and Moran brackets, conformal measure,
+and the ell-sweep.
 
 The pressure of the presentation system is realized as the leading
 eigenvalue of a collocated weighted composition operator on Chebyshev
-nodes; the Hausdorff dimension is its Bowen root. Independent Moran-type
-sup/inf brackets over finite words certify the root, with the truncated
-alphabet's tail folded into the upper bracket as additive inflation.
+nodes; the Hausdorff dimension is its Bowen root. The default bracket
+[hd_lo, hd_hi] is certified on the true, un-collocated operator L_t: for
+any positive test function h on I, min (L_t h / h) <= exp P(t) <=
+max (L_t h / h) (Collatz-Wielandt). h is the interpolated collocation
+eigenvector at the root, the extrema are bounded between grid points by a
+derivative estimate, and the truncated alphabet's tail is added to the
+upper bound; the roots of the two bounds bracket the dimension of the full
+system at O(K * grid) cost.
 
-Brackets are computed in an adapted conformal metric: a least-squares
-coboundary flattens the per-branch derivative variation, which shrinks the
-sup/inf gap by more than an order of magnitude while every bound stays a
-bound (the dimension and the bracket property are metric-independent).
+Independent Moran-type sup/inf brackets over finite words (moran_oracle)
+cross-check the root, with the tail folded into the upper bracket as
+additive inflation. They are computed in an adapted conformal metric: a
+least-squares coboundary flattens the per-branch derivative variation,
+which shrinks the sup/inf gap by more than an order of magnitude while
+every bound stays a bound (the dimension and the bracket property are
+metric-independent).
 
 The engine consumes any object with the IFS protocol: `interval` (lo, hi),
 `Kmax` (alphabet size), `letters(K)` (the first K letters), `map_eval(letter,
@@ -25,7 +34,13 @@ from scipy.linalg import lstsq
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .cheb import bary_weights, cheb_points, interp_matrix, interp_values
+from .cheb import (
+    bary_weights,
+    cheb_points,
+    gauss_series,
+    interp_matrix,
+    interp_values,
+)
 from .errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -37,11 +52,19 @@ from .errors import (
     TailTooFat,
 )
 from .fixedpoint import cached_solve
-from .presentation import PresentationSystem, build_presentation, iter_letter_jets
+from .presentation import (
+    PresentationSystem,
+    build_presentation,
+    default_kmax,
+    iter_letter_jets,
+)
 from .unimodal import UnimodalSystem, build_system
 
 _PROBE_GRID = np.linspace(0.1, 1.0, 10)
 _WORD_BUDGET = 1_500_000
+_BRACKET_NX = 1001          # operator-bracket grid: 1000 cells of I
+_BRACKET_W0 = 1e-8          # first half-width of the bracket root search
+_BRACKET_XTOL = 1e-13       # bracket root tolerance; roots move out by it
 
 CSV_HEADER = ["ell", "hd", "hd_lo", "hd_hi", "alpha", "tau", "K", "Nc",
               "tail_bound", "runtime_s"]
@@ -147,15 +170,107 @@ def _bowen_root(pm, root_tol):
                         xtol=root_tol, rtol=8.9e-16))
 
 
-def _default_kmax(ell):
-    return int(40 * max(1.0, ell / 8.0))
+def _eigenfunction(pm, t):
+    """(h, h') of the collocation eigenvector of pm at t, anywhere in I.
+
+    The interpolant through the Nc Gauss nodes is a polynomial; its
+    Chebyshev series evaluates it and its derivative without a cardinal
+    matrix over the evaluation points.
+    """
+    _, v = _power_pair(pm.operator(t))
+    series = gauss_series(*pm.ifs.interval, v)
+    dseries = series.deriv()
+    return lambda x: (series(x), dseries(x))
+
+
+class _OperatorBounds:
+    """Collatz-Wielandt bounds on exp P(t) of the full transfer operator.
+
+    For L_t h = sum_a |psi_a'|^t h o psi_a and any h > 0 on I,
+    min_I (L_t h / h) <= exp P(t) <= max_I (L_t h / h). The ratio r_t over
+    the first K letters and its derivative are tabulated on _BRACKET_NX
+    points of I from one second-order jet pass. Between grid points r_t
+    moves by at most (dx / 2) sup |r_t'|, taken as dx * max |r_t'| on the
+    grid (twice the half-cell Lipschitz step). The letters beyond K raise
+    the ratio by at most tail_bound(K, t) * max h / min h. h maps points to
+    (h, h').
+    """
+
+    def __init__(self, ifs, K, h):
+        x = np.linspace(*ifs.interval, _BRACKET_NX)
+        hx, dhx = h(x)
+        if not np.all(hx > 0.0):
+            raise EigenvectorSignFailure(
+                "bracket test function not positive on the grid of I"
+            )
+        self.ifs, self.K = ifs, K
+        self.dx = float(np.max(np.diff(x)))
+        self.spread = float(hx.max() / hx.min())
+        self.dlog_h = dhx / hx
+        # per letter: log|psi'|, h(psi x) / h(x), and curv, slope with
+        # d/dx |psi'|^t h(psi x) / h(x) = |psi'|^t (t * curv + slope)
+        logd, hv, curv, slope = [], [], [], []
+        for _, (val, d1, d2) in _letter_jets(ifs, K, x, 2):
+            hval, dhval = h(val)
+            logd.append(np.log(np.abs(d1)))
+            hv.append(hval / hx)
+            curv.append(d2 / d1 * hval / hx)
+            slope.append(d1 * dhval / hx)
+        self.logd, self.hv, self.curv, self.slope = (
+            np.stack(a) for a in (logd, hv, curv, slope))
+
+    def ratio(self, t):
+        """(r_t, r_t') on the grid, over the first K letters."""
+        w = np.exp(t * self.logd)
+        r = np.einsum("ai,ai->i", w, self.hv)
+        dr = (t * np.einsum("ai,ai->i", w, self.curv)
+              + np.einsum("ai,ai->i", w, self.slope) - r * self.dlog_h)
+        return r, dr
+
+    def envelope(self, t):
+        """(min r_t - slack, max r_t + slack): r_t over all of I."""
+        r, dr = self.ratio(t)
+        slack = self.dx * float(np.max(np.abs(dr)))
+        return float(r.min()) - slack, float(r.max()) + slack
+
+    def lower(self, t):
+        return self.envelope(t)[0]
+
+    def upper(self, t):
+        return (self.envelope(t)[1]
+                + self.ifs.tail_bound(self.K, t) * self.spread)
+
+    def bracket(self, t0):
+        """Roots of log lower = 0 and log upper = 0 near t0, rounded out.
+
+        The lower bound's root is at most the dimension of the full system
+        and the upper bound's root at least it; brentq places each within
+        _BRACKET_XTOL, so each moves outward by that much. The roots are
+        located as crossings of 1, which keeps a non-positive lower bound
+        (a poor test function) on the negative side instead of at log 0.
+        """
+        lo = _crossing(lambda t: self.lower(t) - 1.0, t0)
+        hi = _crossing(lambda t: self.upper(t) - 1.0, t0)
+        return lo - _BRACKET_XTOL, hi + _BRACKET_XTOL
+
+
+def _crossing(fn, t0):
+    """Root of the decreasing fn in a window around t0 that widens 8x per
+    step until fn changes sign, staying inside (0, 2 t0)."""
+    w = _BRACKET_W0
+    while w < t0:
+        a, b = t0 - w, t0 + w
+        if fn(a) > 0.0 >= fn(b):
+            return float(brentq(fn, a, b, xtol=_BRACKET_XTOL, rtol=8.9e-16))
+        w *= 8.0
+    raise RootNotBracketed(f"bracket bound never crosses 1 in (0, {2 * t0})")
 
 
 def _as_ifs(obj):
     if isinstance(obj, UnimodalSystem):
         lam_tilde = obj.tau ** (-1.0 / obj.ell)
         k_need = int(np.ceil(44.0 / abs(np.log(lam_tilde)))) + 20
-        kmax = max(_default_kmax(obj.ell), min(400, k_need))
+        kmax = max(default_kmax(obj.ell), min(400, k_need))
         return build_presentation(obj, Kmax=kmax)
     return obj
 
@@ -172,8 +287,8 @@ class DimensionResult:
 
 
 def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
-                        bracket_depth=3, with_bracket=True):
-    """Bowen root of the pressure plus an independent Moran bracket.
+                        with_bracket=True):
+    """Bowen root of the pressure plus a bracket certified on the operator.
 
     Accepts a built UnimodalSystem (a presentation is constructed with
     enough alphabet headroom) or any object exposing the IFS protocol
@@ -181,6 +296,11 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
     truncation starts at min(32, Kmax) and auto-escalates until the alphabet
     tail at the root is below tail_budget; an explicitly pinned K is honored
     as given.
+
+    With with_bracket, [hd_lo, hd_hi] is the hull of hd and the
+    Collatz-Wielandt bracket of the full system, tested with the final
+    model's eigenvector at hd; a root more than root_tol outside that
+    bracket raises InvariantViolation. Without it hd_lo = hd_hi = hd.
     """
     t_start = time.perf_counter()
     ifs = _as_ifs(obj)
@@ -214,14 +334,13 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
         raise InvariantViolation(f"Bowen root {hd} outside (0, 1)")
 
     if with_bracket:
-        br = moran_oracle(ifs, n=bracket_depth, K=min(K, 64, ifs.Kmax),
-                          root_tol=root_tol)
-        hd_lo, hd_hi = br.t_lo, br.t_hi
-        if not (hd_lo - 1e-9 <= hd <= hd_hi + 1e-9):
+        lo, hi = _OperatorBounds(ifs, K, _eigenfunction(pm, hd)).bracket(hd)
+        if not lo - root_tol <= hd <= hi + root_tol:
             raise InvariantViolation(
-                f"Bowen root {hd:.9f} outside the Moran bracket "
-                f"[{hd_lo:.9f}, {hd_hi:.9f}]"
+                f"Bowen root {hd:.12f} outside the operator bracket "
+                f"[{lo:.12f}, {hi:.12f}] by more than {root_tol:.1e}"
             )
+        hd_lo, hd_hi = min(lo, hd), max(hi, hd)
     else:
         hd_lo = hd_hi = hd
 

@@ -222,18 +222,23 @@ def psi_alt(ps, k, m, x, deriv=0):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
+def default_kmax(ell):
+    """Default alphabet size: 40 letters, scaled in proportion for ell > 8."""
+    return int(40 * max(1.0, ell / 8.0))
+
+
 def build_presentation(sys, Kmax=None, orbit_budget=DEFAULT_ORBIT_MAX,
                        j_margin=0.2, strict_orbit=False):
     """Construct the presentation system and verify its invariants.
 
-    Kmax defaults to 40 scaled up proportionally for ell > 8. The critical
-    orbit is stored up to orbit_budget; endpoint identities are checked for
-    every k whose orbit indexes fit the budget and whose entries sit below
-    the table's measured roundoff floor (strict_orbit=True demands the full
-    table instead and raises OrbitIndexOverflow).
+    Kmax defaults to default_kmax(sys.ell). The critical orbit is stored up
+    to orbit_budget; endpoint identities are checked for every k whose orbit
+    indexes fit the budget and whose entries sit below the table's measured
+    roundoff floor (strict_orbit=True demands the full table instead and
+    raises OrbitIndexOverflow).
     """
     if Kmax is None:
-        Kmax = int(40 * max(1.0, sys.ell / 8.0))
+        Kmax = default_kmax(sys.ell)
     if Kmax < 1:
         raise DomainError(f"Kmax must be >= 1, got {Kmax}")
 

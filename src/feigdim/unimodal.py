@@ -162,7 +162,8 @@ def critical_orbit(sys, n, max_n=DEFAULT_ORBIT_MAX):
     larger raises OrbitEscaped. Since H = E^ell with ell even, H >= 0 and
     drift can only go above 1. Whether any drift happens at all depends on
     floating-point roundoff, so the warning is a guard, not an expected
-    event.
+    event. Steps go through _H_jets directly: the loop's own escape check
+    replaces eval_H's domain check.
     """
     if n > max_n:
         raise DomainError(f"orbit length {n} exceeds the configured max {max_n}")
@@ -170,7 +171,7 @@ def critical_orbit(sys, n, max_n=DEFAULT_ORBIT_MAX):
     c[0] = sys.x_c
     drift = 0.0
     for j in range(n):
-        nxt = float(eval_H(sys, c[j]))
+        nxt = float(_H_jets(sys.fp, c[j], 0)[0])
         if nxt < -_SLACK or nxt > 1.0 + _SLACK:
             raise OrbitEscaped(f"c_{j + 1} = {nxt} left [0,1]")
         if nxt < 0.0 or nxt > 1.0:

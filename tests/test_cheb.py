@@ -8,6 +8,7 @@ from feigdim.cheb import (
     eval01,
     fit01,
     gauss_nodes,
+    gauss_series,
     interp_matrix,
     interp_values,
     vander01,
@@ -77,7 +78,21 @@ def test_interp_values_matches_matrix_route():
     nodes = cheb_points(-1.0, 1.0, 14)
     w = bary_weights(14)
     f = np.cos(nodes)
-    pts = np.linspace(-0.9, 0.9, 11)
+    pts = np.concatenate([np.linspace(-0.9, 0.9, 11), nodes[[0, 6, 13]]])
     direct = interp_values(nodes, w, f, pts)
     via_matrix = interp_matrix(nodes, w, pts) @ f
     assert np.allclose(direct, via_matrix, atol=1e-14)
+    assert np.array_equal(direct[-3:], f[[0, 6, 13]])
+
+
+def test_gauss_series_is_the_interpolant():
+    a, b, n = 0.2, 0.7, 12
+    nodes = cheb_points(a, b, n)
+    series = gauss_series(a, b, np.exp(nodes))
+    xs = np.linspace(a, b, 41)
+    bary = interp_values(nodes, bary_weights(n), np.exp(nodes), xs)
+    assert np.max(np.abs(series(xs) - bary)) < 1e-14
+    # a polynomial of degree < n is reproduced with its derivative
+    poly = gauss_series(a, b, nodes ** 3 - 2.0 * nodes)
+    assert np.max(np.abs(poly(xs) - (xs ** 3 - 2.0 * xs))) < 1e-13
+    assert np.max(np.abs(poly.deriv()(xs) - (3.0 * xs ** 2 - 2.0))) < 1e-12

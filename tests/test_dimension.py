@@ -15,15 +15,21 @@ from feigdim.dimension import (
     pressure_eigen,
     pressure_sums,
     sweep,
+    _BRACKET_NX,
+    _OperatorBounds,
+    _as_ifs,
     _bowen_root,
+    _eigenfunction,
     _fit_adapted_metric,
     _sample_points,
 )
 import feigdim.dimension
-from feigdim.errors import DomainError
+from feigdim.errors import DomainError, EigenvectorSignFailure
 from feigdim.fixedpoint import cache_filename, load_fixed_point, save_fixed_point
 from feigdim.presentation import iter_letter_jets
+from feigdim.unimodal import build_system
 
+from conftest import solve_ell
 from oracles import HD_2
 
 T_CANTOR = np.log(2.0) / np.log(3.0)
@@ -237,3 +243,60 @@ def test_adapted_metric_fit_matches_svd_lstsq(ps2, monkeypatch):
                         lambda a, b, **kw: np.linalg.lstsq(a, b, rcond=None))
     want = _fit_adapted_metric(ps2.interval, xs, vals, lds).qvals
     assert float(np.max(np.abs(got - want))) <= 1e-10
+
+
+@pytest.mark.parametrize("ell", range(2, 21, 2))
+def test_operator_bracket_contains_root_and_is_tight(ell):
+    res = hausdorff_dimension(build_system(solve_ell(ell)))
+    assert res.hd_lo <= res.hd <= res.hd_hi
+    assert res.hd_hi - res.hd_lo <= 1e-6
+
+
+def test_operator_bracket_holds_for_any_positive_test_function(pm2, tstar2):
+    # The certificate may not lean on the collocation being right: a flat
+    # h and a wobbled eigenvector give wider brackets that still hold.
+    eigen = _eigenfunction(pm2, tstar2)
+    lo, hi = pm2.ifs.interval
+    k = 2.0 * np.pi / (hi - lo)
+
+    def wobbled(x):
+        h, dh = eigen(x)
+        s = 1.0 + 0.1 * np.sin(k * (x - lo))
+        return h * s, dh * s + h * 0.1 * k * np.cos(k * (x - lo))
+
+    def flat(x):
+        return np.ones_like(x), np.zeros_like(x)
+
+    t_lo, t_hi = _OperatorBounds(pm2.ifs, pm2.K, eigen).bracket(tstar2)
+    assert t_lo <= tstar2 <= t_hi
+    for h in (flat, wobbled):
+        lo_h, hi_h = _OperatorBounds(pm2.ifs, pm2.K, h).bracket(tstar2)
+        assert lo_h <= tstar2 <= hi_h
+        assert hi_h - lo_h > t_hi - t_lo
+
+
+def test_operator_bracket_covers_the_dropped_letters(ps2, tstar2):
+    # At K = 24 the truncated root sits below the K = 40 one; only the
+    # tail term lifts the upper bound over it.
+    res = hausdorff_dimension(ps2, K=24)
+    assert res.hd < tstar2
+    assert res.hd_lo <= tstar2 <= res.hd_hi
+
+
+@pytest.mark.parametrize("ell", [2, 20])
+def test_operator_bracket_slack_covers_a_finer_grid(ell, monkeypatch):
+    ifs = _as_ifs(build_system(solve_ell(ell)))
+    res = hausdorff_dimension(ifs, with_bracket=False)
+    h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
+    low, high = _OperatorBounds(ifs, res.K, h).envelope(res.hd)
+    monkeypatch.setattr(feigdim.dimension, "_BRACKET_NX",
+                        4 * (_BRACKET_NX - 1) + 1)
+    r, _ = _OperatorBounds(ifs, res.K, h).ratio(res.hd)
+    assert len(r) == 4 * (_BRACKET_NX - 1) + 1
+    assert low <= float(r.min()) and float(r.max()) <= high
+
+
+def test_operator_bracket_rejects_sign_changing_test_function(pm2):
+    mid = 0.5 * sum(pm2.ifs.interval)
+    with pytest.raises(EigenvectorSignFailure):
+        _OperatorBounds(pm2.ifs, pm2.K, lambda x: (x - mid, np.ones_like(x)))

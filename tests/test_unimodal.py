@@ -6,6 +6,7 @@ import pytest
 
 from feigdim.errors import DomainError, OrbitEscaped, OutOfNeighborhood
 from feigdim.unimodal import (
+    DEFAULT_ORBIT_MAX,
     UnimodalSystem,
     build_system,
     conjugacy_residual,
@@ -96,6 +97,19 @@ def test_deep_orbit_stays_in_unit_interval(ell):
     for w in caught:
         assert issubclass(w.category, UserWarning)
         assert "critical orbit clamped" in str(w.message)
+
+
+@pytest.mark.parametrize("ell", range(2, 21, 2))
+def test_critical_orbit_matches_eval_H_loop(ell):
+    sys = build_system(solve_ell(ell))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        orbit = critical_orbit(sys, DEFAULT_ORBIT_MAX)
+    want = np.empty(DEFAULT_ORBIT_MAX + 1)
+    want[0] = sys.x_c
+    for j in range(DEFAULT_ORBIT_MAX):
+        want[j + 1] = min(max(float(eval_H(sys, want[j])), 0.0), 1.0)
+    assert np.array_equal(orbit, want)
 
 
 def test_eval_H_matches_finite_differences(sys2):
