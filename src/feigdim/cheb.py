@@ -1,10 +1,12 @@
-"""Chebyshev basis helpers on [0,1] and barycentric interpolation on [a,b].
+"""Chebyshev basis helpers on [0,1] and interpolation on [a,b].
 
 The fixed-point solver expands E in Chebyshev polynomials of the shifted
 variable s = 2u - 1, u in [0,1]; numpy.polynomial.chebyshev does the work.
-The dimension engine interpolates on Chebyshev-Gauss grids of arbitrary
-intervals with the closed-form barycentric weights, or converts node values
-to the Chebyshev series of the same interpolant when derivatives are needed.
+On Chebyshev-Gauss grids of arbitrary intervals there are two routes to
+the same interpolant: interp_matrix, the barycentric cardinal matrix that
+maps node values to values at given points (the collocation matrices of
+the dimension engine), and gauss_series, the Chebyshev series of the
+interpolant, which also differentiates it.
 """
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
@@ -65,24 +67,6 @@ def interp_matrix(nodes, weights, pts):
         M[i] = 0.0
         M[i, np.argmax(hit[i])] = 1.0
     return M
-
-
-def interp_values(nodes, weights, fvals, pts):
-    """Barycentric interpolation of f at pts given values at nodes.
-
-    Same values as interp_matrix(nodes, weights, pts) @ fvals without
-    forming the normalized cardinal matrix: the numerator and denominator
-    of the barycentric formula are reduced row by row. Points that hit a
-    node exactly take the node value.
-    """
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    terms = pts[:, None] - nodes[None, :]
-    rows, cols = np.nonzero(terms == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(weights, terms, out=terms)
-        out = (terms @ fvals) / terms.sum(axis=1)
-    out[rows] = fvals[cols]
-    return out
 
 
 def gauss_series(a, b, fvals):

@@ -60,44 +60,57 @@ def _parse_ells(spec, parser):
     return ells
 
 
+_FLAGS = {
+    "--ell": dict(type=int, help="criticality order (even)"),
+    "--ells": dict(help="range a:step:b of even ells"),
+    "--degree": dict(type=int, default=40),
+    "--K": dict(type=int,
+                help="alphabet truncation (default: auto-escalated)"),
+    "--nc": dict(type=int, default=32, help="collocation nodes on I"),
+    "--tol": dict(type=float, default=1e-10,
+                  help="fixed-point residual tolerance"),
+    "--cache": dict(help=f"cache directory (default {DEFAULT_CACHE}; "
+                         "FEIGDIM_CACHE overrides)"),
+    "--out": dict(help="output path"),
+    "--seed-file": dict(help="fixed-point JSON used as the Newton seed"),
+}
+
+# each subcommand takes only the flags it reads
+_COMMANDS = {
+    "solve": ("solve fixed points and populate the cache",
+              ("--ell", "--ells", "--degree", "--tol", "--cache",
+               "--seed-file")),
+    "dim": ("Hausdorff dimension at one ell", tuple(_FLAGS)),
+    "sweep": ("dimension sweep over an ell range",
+              ("--ells", "--degree", "--K", "--nc", "--tol", "--cache",
+               "--out")),
+    "diagnose": ("dominance table and claim2 constant-scan CSVs",
+                 ("--ells", "--degree", "--tol", "--cache", "--out",
+                  "--seed-file")),
+}
+
+
 def build_parser():
     parser = _Parser(prog="feigdim",
                      description="Renormalization Cantor-attractor toolkit")
     parser.add_argument("--version", action="version",
                         version=f"feigdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "solve": "solve fixed points and populate the cache",
-        "dim": "Hausdorff dimension at one ell",
-        "sweep": "dimension sweep over an ell range",
-        "diagnose": "dominance table and claim2 constant-scan CSVs",
-    }
     parsers = {}
-    for name, text in specs.items():
+    for name, (text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text, description=text)
-        cmd.add_argument("--ell", type=int, help="criticality order (even)")
-        cmd.add_argument("--ells", help="range a:step:b of even ells")
-        cmd.add_argument("--degree", type=int, default=40)
-        cmd.add_argument("--K", type=int, default=None,
-                         help="alphabet truncation (default: auto-escalated)")
-        cmd.add_argument("--nc", type=int, default=32,
-                         help="collocation nodes on I")
-        cmd.add_argument("--tol", type=float, default=1e-10,
-                         help="fixed-point residual tolerance")
-        cmd.add_argument("--cache", default=None,
-                         help=f"cache directory (default {DEFAULT_CACHE}; "
-                              "FEIGDIM_CACHE overrides)")
-        cmd.add_argument("--out", default=None, help="output path")
-        cmd.add_argument("--seed-file", default=None,
-                         help="fixed-point JSON used as the Newton seed")
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
         parsers[name] = cmd
     return parser, parsers
 
 
 def _config_from(args, parser):
-    if args.ells is not None:
+    # flags a subcommand does not take read as None
+    opt = vars(args).get
+    if opt("ells") is not None:
         ells = _parse_ells(args.ells, parser)
-    elif args.ell is not None:
+    elif opt("ell") is not None:
         if args.ell <= 0 or args.ell % 2:
             parser.error(f"--ell must be positive even, got {args.ell}")
         ells = [args.ell]
@@ -112,8 +125,8 @@ def _config_from(args, parser):
     if args.command in ("sweep", "diagnose") and len(ells) < 2:
         parser.error(f"{args.command} needs at least two ells")
     cache_dir = os.environ.get("FEIGDIM_CACHE") or args.cache or DEFAULT_CACHE
-    return RunConfig(args.command, ells, args.degree, args.K, args.nc,
-                     args.tol, cache_dir, args.out, args.seed_file)
+    return RunConfig(args.command, ells, args.degree, opt("K"), opt("nc"),
+                     args.tol, cache_dir, opt("out"), opt("seed_file"))
 
 
 def _write_manifest(cfg, path):

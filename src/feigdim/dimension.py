@@ -15,32 +15,31 @@ system at O(K * grid) cost.
 Independent Moran-type sup/inf brackets over finite words (moran_oracle)
 cross-check the root, with the tail folded into the upper bracket as
 additive inflation. They are computed in an adapted conformal metric: a
-least-squares coboundary flattens the per-branch derivative variation,
-which shrinks the sup/inf gap by more than an order of magnitude while
-every bound stays a bound (the dimension and the bracket property are
-metric-independent).
+least-squares coboundary q, a Chebyshev series on I, flattens the
+per-branch derivative variation, which shrinks the sup/inf gap by more
+than an order of magnitude while every bound stays a bound (the dimension
+and the bracket property are metric-independent). The Moran tables and
+the conformal cylinder measure walk words the same way (_extend_words).
 
 The engine consumes any object with the IFS protocol: `interval` (lo, hi),
-`Kmax` (alphabet size), `letters(K)` (the first K letters), `map_eval(letter,
-x, nder)` (jets of one map) and `tail_bound(K, t)` (bound on the letters
-beyond K). PresentationSystem streams its jets through iter_letter_jets.
+`Kmax` (alphabet size), `letters(K)` (the first K letters),
+`letter_jets(K, x, nder)` (yields (letter, jets) over letters(K), the
+jets being the map's value and nder derivatives at x) and
+`tail_bound(K, t)` (bound on the letters beyond K).
 """
-import csv
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.polyutils import mapdomain
 from scipy.linalg import lstsq
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .cheb import (
-    bary_weights,
-    cheb_points,
-    gauss_series,
-    interp_matrix,
-    interp_values,
-)
+from .cheb import bary_weights, cheb_points, gauss_series, interp_matrix
 from .errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -51,13 +50,8 @@ from .errors import (
     RootNotBracketed,
     TailTooFat,
 )
-from .fixedpoint import cached_solve
-from .presentation import (
-    PresentationSystem,
-    build_presentation,
-    default_kmax,
-    iter_letter_jets,
-)
+from .fixedpoint import cached_solve, csv_cells, write_csv
+from .presentation import build_presentation, default_kmax
 from .unimodal import UnimodalSystem, build_system
 
 _PROBE_GRID = np.linspace(0.1, 1.0, 10)
@@ -65,6 +59,9 @@ _WORD_BUDGET = 1_500_000
 _BRACKET_NX = 1001          # operator-bracket grid: 1000 cells of I
 _BRACKET_W0 = 1e-8          # first half-width of the bracket root search
 _BRACKET_XTOL = 1e-13       # bracket root tolerance; roots move out by it
+_TAIL_BUDGET = 1e-8         # tail at the root that stops K escalation
+_MORAN_NSAMP = 9            # Moran sample points on I per word
+_Q_TERMS = 16               # Chebyshev terms of the adapted metric q
 
 CSV_HEADER = ["ell", "hd", "hd_lo", "hd_hi", "alpha", "tau", "K", "Nc",
               "tail_bound", "runtime_s"]
@@ -90,27 +87,13 @@ class PressureModel:
         return float(self.ifs.tail_bound(self.K, t))
 
 
-def _letter_jets(ifs, K, x, nder):
-    """Stream (letter, jets) over ifs.letters(K) without storing them all."""
-    if isinstance(ifs, PresentationSystem):
-        yield from iter_letter_jets(ifs, K, x, nder)
-    else:
-        x = np.asarray(x, dtype=float)
-        for a in ifs.letters(K):
-            yield a, ifs.map_eval(a, x, nder)
-
-
-def _jet_list(ifs, K, x, nder):
-    return [jets for _, jets in _letter_jets(ifs, K, x, nder)]
-
-
 def build_pressure_model(ifs, K=None, Nc=32):
     if K is None:
         K = min(32, ifs.Kmax)
     lo, hi = ifs.interval
     nodes = cheb_points(lo, hi, Nc)
     weights = bary_weights(Nc)
-    tables = _jet_list(ifs, K, nodes, 1)
+    tables = [jets for _, jets in ifs.letter_jets(K, nodes, 1)]
     imgs = np.stack([tab[0] for tab in tables])
     ders = np.abs(np.stack([tab[1] for tab in tables]))
     if not np.all(ders > 0.0):
@@ -146,11 +129,11 @@ def _power_pair(M, tol=1e-12, max_iter=5000, positive=True):
     raise PowerIterationStall(f"no convergence in {max_iter} iterations")
 
 
-def pressure_eigen(pm, t, tol=1e-12, max_iter=5000):
+def pressure_eigen(pm, t):
     """log of the leading eigenvalue of the collocated operator at t."""
     if not 0.0 < t <= 2.0:
         raise DomainError(f"pressure_eigen needs t in (0, 2], got {t}")
-    lam, _ = _power_pair(pm.operator(t), tol, max_iter)
+    lam, _ = _power_pair(pm.operator(t))
     return float(np.log(lam))
 
 
@@ -210,7 +193,7 @@ class _OperatorBounds:
         # per letter: log|psi'|, h(psi x) / h(x), and curv, slope with
         # d/dx |psi'|^t h(psi x) / h(x) = |psi'|^t (t * curv + slope)
         logd, hv, curv, slope = [], [], [], []
-        for _, (val, d1, d2) in _letter_jets(ifs, K, x, 2):
+        for _, (val, d1, d2) in ifs.letter_jets(K, x, 2):
             hval, dhval = h(val)
             logd.append(np.log(np.abs(d1)))
             hv.append(hval / hx)
@@ -286,16 +269,15 @@ class DimensionResult:
     runtime_s: float
 
 
-def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
-                        with_bracket=True):
+def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     """Bowen root of the pressure plus a bracket certified on the operator.
 
     Accepts a built UnimodalSystem (a presentation is constructed with
     enough alphabet headroom) or any object exposing the IFS protocol
-    (interval, Kmax, letters, map_eval, tail_bound). With K unset the
+    (interval, Kmax, letters, letter_jets, tail_bound). With K unset the
     truncation starts at min(32, Kmax) and auto-escalates until the alphabet
-    tail at the root is below tail_budget; an explicitly pinned K is honored
-    as given.
+    tail at the root is below 1e-8; an explicitly pinned K is honored as
+    given.
 
     With with_bracket, [hd_lo, hd_hi] is the hull of hd and the
     Collatz-Wielandt bracket of the full system, tested with the final
@@ -313,21 +295,21 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, tail_budget=1e-8,
         pm = build_pressure_model(ifs, K=K, Nc=Nc)
         hd = _bowen_root(pm, root_tol)
         tail = pm.tail_t(hd)
-        if pinned or tail < tail_budget:
+        if pinned or tail < _TAIL_BUDGET:
             break
         if K >= ifs.Kmax:
             raise TailTooFat(
-                f"tail {tail:.3e} > {tail_budget:.1e} with the alphabet "
+                f"tail {tail:.3e} > {_TAIL_BUDGET:.1e} with the alphabet "
                 f"exhausted at K={K}"
             )
         # predictive jump: per-letter level ratio from two adjacent tails
         r = ifs.tail_bound(K, hd) / ifs.tail_bound(K - 1, hd)
         r = min(max(r, 1e-6), 0.999)
-        need = int(np.ceil(np.log(0.2 * tail_budget / tail) / np.log(r)))
+        need = int(np.ceil(np.log(0.2 * _TAIL_BUDGET / tail) / np.log(r)))
         K = min(ifs.Kmax, K + max(10, need))
     else:
         raise TailTooFat(
-            f"tail {tail:.3e} > {tail_budget:.1e} after escalation to K={K}"
+            f"tail {tail:.3e} > {_TAIL_BUDGET:.1e} after escalation to K={K}"
         )
 
     if not 0.0 < hd < 1.0:
@@ -354,51 +336,53 @@ def _sample_points(interval, nsamp):
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
 
 
-class _AdaptedMetric:
+def _fit_adapted_metric(interval, xs, vals, lds):
     """Least-squares coboundary q with sigma = exp(q) flattening distortion.
 
     Solves min over (q, per-letter constants c_a) of the squared residuals
-    log|psi_a'(x)| + q(psi_a x) - q(x) - c_a over letters and samples, with
-    mean(q) pinned to zero; q lives on a small Chebyshev grid on I and is
-    evaluated anywhere by barycentric interpolation.
+    log|psi_a'(x)| + q(psi_a x) - q(x) - c_a over letters and samples. q is
+    a _Q_TERMS-term Chebyshev series on I; its constant coefficient, the
+    mean of q over as many Chebyshev-Gauss nodes, is pinned to zero. q
+    comes back carrying delta_q, its oscillation on 512 points of I.
     """
-
-    def __init__(self, interval, qnodes, qw, qvals):
-        self.interval = interval
-        self.qnodes = qnodes
-        self.qw = qw
-        self.qvals = qvals
-        grid = np.linspace(interval[0], interval[1], 512)
-        g = self(grid)
-        self.delta_q = float(g.max() - g.min())
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        flat = interp_values(self.qnodes, self.qw, self.qvals, x.ravel())
-        return flat.reshape(x.shape)
-
-
-def _fit_adapted_metric(interval, xs, vals, lds, nq=16):
-    qnodes = cheb_points(interval[0], interval[1], nq)
-    qw = bary_weights(nq)
     na, ns = lds.shape
-    im_xs = interp_matrix(qnodes, qw, xs)
-    rows = np.zeros((na * ns + 1, nq + na))
-    rhs = np.zeros(na * ns + 1)
-    for a in range(na):
-        im_val = interp_matrix(qnodes, qw, vals[a])
-        block = slice(a * ns, (a + 1) * ns)
-        rows[block, :nq] = im_val - im_xs
-        rows[block, nq + a] = -1.0
-        rhs[block] = -lds[a]
-    rows[-1, :nq] = 1.0 / nq
+    deg = _Q_TERMS - 1
+    rows = np.zeros((na * ns + 1, _Q_TERMS + na))
+    rows[:-1, :_Q_TERMS] = (
+        chebvander(mapdomain(vals, interval, (-1.0, 1.0)), deg)
+        - chebvander(mapdomain(xs, interval, (-1.0, 1.0)), deg)
+    ).reshape(na * ns, _Q_TERMS)
+    rows[np.arange(na * ns), _Q_TERMS + np.repeat(np.arange(na), ns)] = -1.0
+    rows[-1, 0] = 1.0
+    rhs = np.append(-lds.ravel(), 0.0)
     # gelsy (QR with column pivoting) agrees with the SVD driver to roundoff
     # on this full-rank system and stays cheap under multithreaded OpenBLAS
-    sol = lstsq(rows, rhs, lapack_driver="gelsy")[0]
-    return _AdaptedMetric(interval, qnodes, qw, sol[:nq])
+    q = Chebyshev(lstsq(rows, rhs, lapack_driver="gelsy")[0][:_Q_TERMS],
+                  domain=interval)
+    g = q(np.linspace(interval[0], interval[1], 512))
+    q.delta_q = float(g.max() - g.min())
+    return q
 
 
-def _word_tables(ifs, K, n, nsamp, metric):
+def _extend_words(ifs, K, pos, acc, step):
+    """Prepend every letter of ifs.letters(K) to every word, letter-major.
+
+    Row w of pos holds phi_w at the sample points and row w of acc a
+    per-word quantity. Word a w lands in row a * len(pos) + w, so rows stay
+    in lexicographic order; its row of pos is psi_a(pos[w]) and its row of
+    acc is step(psi_a(pos), psi_a'(pos), acc)[w].
+    """
+    nw = pos.shape[0]
+    new_pos = np.empty((len(ifs.letters(K)) * nw, pos.shape[1]))
+    new_acc = np.empty_like(new_pos)
+    for a, (_, (val, der)) in enumerate(ifs.letter_jets(K, pos, 1)):
+        block = slice(a * nw, (a + 1) * nw)
+        new_pos[block] = val
+        new_acc[block] = step(val, der, acc)
+    return new_pos, new_acc
+
+
+def _word_tables(ifs, K, n, metric):
     """Per-word sup/inf of the (metric-weighted) log derivative at depth n.
 
     Words are extended by prepending letters, so position arrays track
@@ -410,33 +394,27 @@ def _word_tables(ifs, K, n, nsamp, metric):
         raise DomainError(
             f"{na}^{n} words exceed the {_WORD_BUDGET} word budget"
         )
-    xs = _sample_points(ifs.interval, nsamp)
-    tabs = _jet_list(ifs, K, xs, 1)
+    xs = _sample_points(ifs.interval, _MORAN_NSAMP)
+    tabs = [jets for _, jets in ifs.letter_jets(K, xs, 1)]
     vals = np.stack([tab[0] for tab in tabs])
     lds = np.log(np.abs(np.stack([tab[1] for tab in tabs])))
 
-    qfun = None
+    q = None
     if metric == "adapted":
-        qfun = _fit_adapted_metric(ifs.interval, xs, vals, lds)
-        lds = lds + qfun(vals) - qfun(xs)[None, :]
+        q = _fit_adapted_metric(ifs.interval, xs, vals, lds)
+        lds = lds + q(vals) - q(xs)[None, :]
 
-    pos = vals.copy()
-    ld = lds.copy()
+    pos, ld = vals, lds
     for _ in range(n - 1):
-        nw = pos.shape[0]
-        new_pos = np.empty((na * nw, nsamp))
-        new_ld = np.empty_like(new_pos)
-        q_pos = qfun(pos) if qfun is not None else None
-        for a, (_, (val_a, der_a)) in enumerate(_letter_jets(ifs, K, pos, 1)):
-            step = np.log(np.abs(der_a))
-            if qfun is not None:
-                step = step + qfun(val_a) - q_pos
-            block = slice(a * nw, (a + 1) * nw)
-            new_pos[block] = val_a
-            new_ld[block] = step + ld
-        pos, ld = new_pos, new_ld
-    s1_sup = lds.max(axis=1)
-    return ld.max(axis=1), ld.min(axis=1), s1_sup, qfun
+        q_pos = q(pos) if q is not None else None
+
+        def step(val, der, ld):
+            out = np.log(np.abs(der))
+            if q is not None:
+                out = out + q(val) - q_pos
+            return out + ld
+        pos, ld = _extend_words(ifs, K, pos, ld, step)
+    return ld.max(axis=1), ld.min(axis=1), lds.max(axis=1), q
 
 
 @dataclass(frozen=True)
@@ -471,8 +449,7 @@ def _log_root(fn, lo=0.02, hi=1.4, xtol=1e-12):
     raise RootNotBracketed("Moran sum never crosses 1 on the scan range")
 
 
-def moran_oracle(ifs, n, K=None, metric="adapted", nsamp=9, root_tol=1e-10,
-                 include_tail=True):
+def moran_oracle(ifs, n, K=None, metric="adapted", root_tol=1e-10):
     """Independent dimension bracket from depth-n sup/inf Moran sums.
 
     Roots t of sum over words of (sup resp. inf of |Dphi_w| in the chosen
@@ -488,16 +465,14 @@ def moran_oracle(ifs, n, K=None, metric="adapted", nsamp=9, root_tol=1e-10,
         K = min(24, ifs.Kmax)
     if K > 64:
         raise DomainError(f"K = {K} exceeds the budget 64")
-    s_sup, s_inf, s1_sup, qfun = _word_tables(ifs, K, n, nsamp, metric)
-    delta_q = qfun.delta_q if qfun is not None else 0.0
+    s_sup, s_inf, s1_sup, q = _word_tables(ifs, K, n, metric)
+    delta_q = q.delta_q if q is not None else 0.0
 
     def p_inf(t):
         return float(logsumexp(t * s_inf))
 
     def p_sup(t):
         base = float(logsumexp(t * s_sup))
-        if not include_tail:
-            return base
         tail = ifs.tail_bound(K, t) * np.exp(t * delta_q)
         if tail == 0.0:
             return base
@@ -513,7 +488,7 @@ def moran_oracle(ifs, n, K=None, metric="adapted", nsamp=9, root_tol=1e-10,
     return MoranBracket(t_lo, t_hi, n, K, metric, delta_q)
 
 
-def pressure_sums(pm, t, n, nsamp=9):
+def pressure_sums(pm, t, n):
     """(lower, upper) bracket of (1/n) log p_n(t) over the truncated system.
 
     Upper uses per-word sup-norms of |Dphi_w| (submultiplicative, so the
@@ -521,7 +496,7 @@ def pressure_sums(pm, t, n, nsamp=9):
     """
     if not 1 <= n <= 6:
         raise DomainError(f"pressure_sums needs 1 <= n <= 6, got {n}")
-    s_sup, s_inf, _, _ = _word_tables(pm.ifs, pm.K, n, nsamp, "euclid")
+    s_sup, s_inf, _, _ = _word_tables(pm.ifs, pm.K, n, "euclid")
     lower = float(logsumexp(t * s_inf)) / n
     upper = float(logsumexp(t * s_sup)) / n
     return lower, upper
@@ -576,21 +551,10 @@ def cylinder_measure(pm, t_star, depth=3):
     if Z <= 0.0:
         raise EigenvectorSignFailure("left functional has non-positive mass")
 
-    words = [(a,) for a in range(na)]
-    pos = pm.imgs.copy()
-    der = pm.ders.copy()
+    pos, der = pm.imgs, pm.ders
     for _ in range(depth - 1):
-        nw = pos.shape[0]
-        new_words = []
-        new_pos = np.empty((na * nw, pm.Nc))
-        new_der = np.empty_like(new_pos)
-        for a, (_, (val_a, der_a)) in enumerate(
-                _letter_jets(pm.ifs, pm.K, pos, 1)):
-            block = slice(a * nw, (a + 1) * nw)
-            new_pos[block] = val_a
-            new_der[block] = np.abs(der_a) * der
-            new_words.extend((a,) + w for w in words)
-        words, pos, der = new_words, new_pos, new_der
+        pos, der = _extend_words(pm.ifs, pm.K, pos, der,
+                                 lambda val, d, acc: np.abs(d) * acc)
 
     core = der ** t_star
     weight = core @ nu
@@ -601,8 +565,8 @@ def cylinder_measure(pm, t_star, depth=3):
     mu = raw / raw_mass
     xbar = (core * pos) @ nu / weight
     m2 = (core * (pos - xbar[:, None]) ** 2) @ nu / weight
-    out_words = [tuple(letters[a] for a in w) for w in words]
-    return CylinderMeasure(out_words, mu, xbar, m2, lam, raw_mass)
+    words = list(itertools.product(letters, repeat=depth))
+    return CylinderMeasure(words, mu, xbar, m2, lam, raw_mass)
 
 
 def conformality_residual(pm, t_star, depth=3):
@@ -617,19 +581,18 @@ def conformality_residual(pm, t_star, depth=3):
     if depth < 2:
         raise DomainError("conformality check needs depth >= 2")
     fine = cylinder_measure(pm, t_star, depth)
-    letters = pm.ifs.letters(pm.K)
-    na = len(letters)
-    index = {w: n for n, w in enumerate(fine.words)}
-    prefixes = [w[1:] for w in fine.words[: na ** (depth - 1)]]
-    idx_app = np.array([[index[u + (j,)] for j in letters] for u in prefixes])
+    na = len(pm.ifs.letters(pm.K))
+    # words are lexicographic: row u of raw.reshape(-1, na) holds the
+    # children u j of u, and row i of raw.reshape(na, -1) the words i u
     raw = fine.mu * fine.raw_mass
     worst = 0.0
-    for i, (_, d1, d2, d3) in _letter_jets(pm.ifs, pm.K, fine.xbar, 3):
+    for i, (_, (_, d1, d2, d3)) in enumerate(
+            pm.ifs.letter_jets(pm.K, fine.xbar, 3)):
         F = np.abs(d1) ** t_star
         F2 = F * t_star * ((t_star - 1.0) * (d2 / d1) ** 2 + d3 / d1)
         term = (F + 0.5 * F2 * fine.m2) * raw
-        rhs = term[idx_app].sum(axis=1)
-        lhs = fine.lam * raw[[index[(i,) + u] for u in prefixes]]
+        rhs = term.reshape(-1, na).sum(axis=1)
+        lhs = fine.lam * raw.reshape(na, -1)[i]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -653,15 +616,11 @@ class DimensionReport:
     @staticmethod
     def cells(row):
         """CSV cells of one row: counts as integers, reals to 12 digits."""
-        return [str(row[key]) if key in ("ell", "K", "Nc")
-                else f"{row[key]:.12g}" for key in CSV_HEADER]
+        return csv_cells(row[key] for key in CSV_HEADER)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(self.cells(row) for row in self.rows)
-        return path
+        return write_csv(path, CSV_HEADER, ([row[key] for key in CSV_HEADER]
+                                            for row in self.rows))
 
     def diagnostics(self):
         out = {"delta_tau": [], "delta_hd": []}

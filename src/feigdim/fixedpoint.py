@@ -12,8 +12,9 @@ read alpha * E(E(v_i/tau)^ell) - E(v_i) = 0 with the normalization row
 E(0) = 1 closing the square Newton system in (coeffs, alpha).
 
 cached_solve is the one cache policy: every command and the sweep get their
-fixed points through it.
+fixed points through it. write_csv is the one CSV writer of the package.
 """
+import csv
 import json
 import os
 import tempfile
@@ -408,6 +409,21 @@ def load_fixed_point(path, revalidate=True):
     meta = {"iterations": iterations, "tol": tol, "seed": f"loaded:{path}"}
     return FixedPointMap(combinatorics, ell, alpha, coeffs, degree, residual,
                          meta)
+
+
+def csv_cells(values):
+    """CSV cells: integers as str, reals to 12 significant digits."""
+    return [str(v) if isinstance(v, (int, np.integer)) else f"{v:.12g}"
+            for v in values]
+
+
+def write_csv(path, header, rows):
+    """Write the header and the rows' csv_cells to path; returns path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(csv_cells(row) for row in rows)
+    return path
 
 
 def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):

@@ -8,7 +8,6 @@ half-plane, the empirical boundedness constant of the affine model
 family (the claim2 table), and truncated Poincare series with a
 geometric tail estimate.
 """
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     LambdaDegenerate,
     RatioNotContracting,
 )
+from .fixedpoint import write_csv
 from .unimodal import UnimodalSystem, eval_G, jet_compose
 
 DEFAULT_R0 = 25.0
@@ -30,17 +30,9 @@ class PoincareDiagnostics:
     R0: float
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ell", "lambda", "b", "a", "N",
-                             "dominance_ratio"])
-            for row in self.rows:
-                writer.writerow([
-                    row["ell"],
-                    *(f"{row[key]:.12g}" for key in
-                      ("lambda", "b", "a", "N", "dominance_ratio")),
-                ])
-        return path
+        header = ["ell", "lambda", "b", "a", "N", "dominance_ratio"]
+        return write_csv(path, header,
+                         ([row[key] for key in header] for row in self.rows))
 
 
 def dominance_table(systems, R0=DEFAULT_R0):
@@ -105,14 +97,15 @@ def to_parabolic_coords(lam, a, w, R0=DEFAULT_R0):
     return g if g.ndim else complex(g)
 
 
-def alpha_decay_check(lam, a, R0=DEFAULT_R0, factor=100.0, nre=40, nim=9):
+def alpha_decay_check(lam, a, R0=DEFAULT_R0, nre=40, nim=9):
     """sup over the half-plane grid of |alpha(w)| |w|^{1/2}.
 
     alpha(w) = g(w) - sigma w - 1 with sigma = lam^{-2}; for the cubic
-    model it decays like 1/w, so the sup is finite and grid-stable.
+    model it decays like 1/w, so the sup is finite and grid-stable. The
+    grid runs over R0 < Re w <= 100 R0 and |Im w| <= 2 R0.
     """
     sigma = lam ** -2.0
-    re = np.geomspace(R0 * (1.0 + 1e-9), factor * R0, nre)
+    re = np.geomspace(R0 * (1.0 + 1e-9), 100.0 * R0, nre)
     im = np.linspace(-2.0 * R0, 2.0 * R0, nim)
     w = re[:, None] + 1j * im[None, :]
     g = to_parabolic_coords(lam, a, w, R0=R0)
@@ -152,15 +145,9 @@ def claim2_scan(p, w0, sigma_grid, i_max=100_000):
 
 
 def claim2_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "sigma", "w0", "i_max", "M"])
-        for row in rows:
-            writer.writerow([
-                f"{row['p']:.12g}", f"{row['sigma']:.12g}",
-                f"{row['w0']:.12g}", row["i_max"], f"{row['M']:.12g}",
-            ])
-    return path
+    header = ["p", "sigma", "w0", "i_max", "M"]
+    return write_csv(path, header, ([row[key] for key in header]
+                                    for row in rows))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Only period doubling (p = 2) is supported, so there is one inverse branch
 H^{-1} and the letters are (k, 1) for k = 1..Kmax; the public (k, m) form
 is kept so that a letter still names its branch. PresentationSystem
 implements the IFS protocol of the dimension engine (interval, Kmax,
-letters, map_eval, tail_bound), and iter_letter_jets streams the jets of
-the whole alphabet.
+letters, letter_jets, tail_bound); its letter_jets is iter_letter_jets,
+the one stream of jets over the alphabet.
 
 Branch inversions are one-lap solves of E(z) = x^(1/ell) by safeguarded
 bisection-Newton; G^k is applied as k explicit contraction steps, which is
@@ -14,7 +14,6 @@ attracting fixed point x_c of G. The alternative composition form
 psi_k = H^{-1} o tau^{-k} is kept for cross-validation on shallow k,
 where the inversion is still well conditioned.
 """
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -29,10 +28,12 @@ from .errors import (
     OrbitIndexOverflow,
     RatioNotContracting,
 )
+from .fixedpoint import write_csv
 from .unimodal import DEFAULT_ORBIT_MAX, _G_jets, _H_jets, critical_orbit, eval_H
 
 _X_SLACK = 1e-9
 _TAIL_NX = 64
+_CERT_NX = 200
 _NBIS = 8
 _NNEWT = 4
 
@@ -65,10 +66,8 @@ class PresentationSystem:
             raise IndexOutOfAlphabet(f"K={K} exceeds Kmax={self.Kmax}")
         return [(k, 1) for k in range(1, K + 1)]
 
-    def map_eval(self, letter, x, nder=1):
-        k, m = letter
-        _check_letter(self, k, m)
-        return _psi_jets(self, k, m, np.asarray(x, dtype=float), nder)
+    def letter_jets(self, K, x, nder=1):
+        return iter_letter_jets(self, K, x, nder)
 
     def tail_bound(self, K, t):
         return tail_bound(self, K, t)
@@ -227,15 +226,14 @@ def default_kmax(ell):
     return int(40 * max(1.0, ell / 8.0))
 
 
-def build_presentation(sys, Kmax=None, orbit_budget=DEFAULT_ORBIT_MAX,
-                       j_margin=0.2, strict_orbit=False):
+def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
     """Construct the presentation system and verify its invariants.
 
     Kmax defaults to default_kmax(sys.ell). The critical orbit is stored up
-    to orbit_budget; endpoint identities are checked for every k whose orbit
-    indexes fit the budget and whose entries sit below the table's measured
-    roundoff floor (strict_orbit=True demands the full table instead and
-    raises OrbitIndexOverflow).
+    to DEFAULT_ORBIT_MAX; endpoint identities are checked for every k whose
+    orbit indexes fit that budget and whose entries sit below the table's
+    measured roundoff floor (strict_orbit=True demands the full table
+    instead and raises OrbitIndexOverflow).
     """
     if Kmax is None:
         Kmax = default_kmax(sys.ell)
@@ -244,13 +242,14 @@ def build_presentation(sys, Kmax=None, orbit_budget=DEFAULT_ORBIT_MAX,
 
     # letter k has cylinder endpoints c_{2^k} and c_{3*2^k}
     need = np.log(4) + Kmax * np.log(2)
-    full_table_len = None if need > np.log(orbit_budget) else 2 ** Kmax * 4
+    full_table_len = (None if need > np.log(DEFAULT_ORBIT_MAX)
+                      else 2 ** Kmax * 4)
     if full_table_len is None and strict_orbit:
         raise OrbitIndexOverflow(
             f"orbit to index 2^Kmax*4 = 2^{Kmax}*4 exceeds the "
-            f"budget {orbit_budget}"
+            f"budget {DEFAULT_ORBIT_MAX}"
         )
-    n_orbit = orbit_budget if full_table_len is None else full_table_len
+    n_orbit = DEFAULT_ORBIT_MAX if full_table_len is None else full_table_len
     orbit = critical_orbit(sys, n_orbit)
 
     lo, hi = sorted((orbit[2], orbit[4]))
@@ -327,12 +326,11 @@ def _rho_density(J, x):
     return 1.0 / ((x - A) * (B - x))
 
 
-def contraction_certificate(ps, J=None, nx=200):
+def contraction_certificate(ps, J=None):
     """sup over the alphabet and x in I of |psi'(x)| rho(psi x)/rho(x)."""
     if J is None:
         J = ps.J
-    lo, hi = ps.I
-    x = np.linspace(lo, hi, nx)
+    x = np.linspace(*ps.I, _CERT_NX)
     rho_x = _rho_density(J, x)
     worst = 0.0
     for _, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
@@ -411,16 +409,13 @@ def tail_bound(ps, K, t):
     return levels[1] * ratio / (1.0 - ratio)
 
 
-def cylinders_csv(ps, path, nx=64):
-    """Dump the cylinder table with per-letter derivative ranges."""
-    lo, hi = ps.I
-    x = np.linspace(lo, hi, nx)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "m", "left", "right", "sup_deriv", "min_deriv"])
-        for (k, m), (_, der) in iter_letter_jets(ps, ps.Kmax, x):
-            der = np.abs(der)
-            left, right = ps.cylinders[k - 1]
-            writer.writerow([k, m, f"{left:.12g}", f"{right:.12g}",
-                             f"{der.max():.12g}", f"{der.min():.12g}"])
-    return path
+def cylinders_csv(ps, path):
+    """Dump the cylinder table with per-letter derivative ranges on the
+    64-point tail grid of I."""
+    x = np.linspace(*ps.I, _TAIL_NX)
+    rows = []
+    for (k, m), (_, der) in iter_letter_jets(ps, ps.Kmax, x):
+        der = np.abs(der)
+        rows.append([k, m, *ps.cylinders[k - 1], der.max(), der.min()])
+    return write_csv(path, ["k", "m", "left", "right", "sup_deriv",
+                            "min_deriv"], rows)

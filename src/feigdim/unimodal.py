@@ -148,14 +148,14 @@ def build_system(fp):
     return sys
 
 
-def conjugacy_residual(sys, npts=100):
-    """Max of |tau H^2(x) - H(tau x)| over a grid on [0, 1/tau]."""
-    x = np.linspace(0.0, 1.0 / sys.tau, npts)
+def conjugacy_residual(sys):
+    """Max of |tau H^2(x) - H(tau x)| over 100 points of [0, 1/tau]."""
+    x = np.linspace(0.0, 1.0 / sys.tau, 100)
     hh = eval_H(sys, np.clip(eval_H(sys, x), 0.0, 1.0))
     return float(np.max(np.abs(sys.tau * hh - eval_H(sys, sys.tau * x))))
 
 
-def critical_orbit(sys, n, max_n=DEFAULT_ORBIT_MAX):
+def critical_orbit(sys, n):
     """Orbit [c_0 ... c_n] with c_0 = x_c and c_{j+1} = H(c_j).
 
     Drift out of [0,1] up to 1e-12 is clamped (with a warning); anything
@@ -165,8 +165,9 @@ def critical_orbit(sys, n, max_n=DEFAULT_ORBIT_MAX):
     event. Steps go through _H_jets directly: the loop's own escape check
     replaces eval_H's domain check.
     """
-    if n > max_n:
-        raise DomainError(f"orbit length {n} exceeds the configured max {max_n}")
+    if n > DEFAULT_ORBIT_MAX:
+        raise DomainError(
+            f"orbit length {n} exceeds the configured max {DEFAULT_ORBIT_MAX}")
     c = np.empty(n + 1)
     c[0] = sys.x_c
     drift = 0.0

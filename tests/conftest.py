@@ -57,13 +57,14 @@ class ToyIFS:
     def letters(self, K=None):
         return [0, 1]
 
-    def map_eval(self, letter, x, nder=1):
+    def letter_jets(self, K, x, nder=1):
         x = np.asarray(x, dtype=float)
-        val = x / 3.0 if letter == 0 else x / 3.0 + 2.0 / 3.0
-        jets = [val, np.full_like(x, 1.0 / 3.0)]
-        while len(jets) < nder + 1:
-            jets.append(np.zeros_like(x))
-        return tuple(jets)
+        for letter in self.letters(K):
+            val = x / 3.0 if letter == 0 else x / 3.0 + 2.0 / 3.0
+            jets = [val, np.full_like(x, 1.0 / 3.0)]
+            while len(jets) < nder + 1:
+                jets.append(np.zeros_like(x))
+            yield letter, tuple(jets)
 
     def tail_bound(self, K, t):
         return 0.0

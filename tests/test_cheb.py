@@ -10,7 +10,6 @@ from feigdim.cheb import (
     gauss_nodes,
     gauss_series,
     interp_matrix,
-    interp_values,
     vander01,
 )
 
@@ -58,7 +57,7 @@ def test_barycentric_interpolation_is_spectral():
     w = bary_weights(n)
     fvals = np.sin(nodes)
     xs = np.linspace(0.1, 3.0, 50)
-    got = interp_values(nodes, w, fvals, xs)
+    got = interp_matrix(nodes, w, xs) @ fvals
     assert np.max(np.abs(got - np.sin(xs))) < 1e-12
 
 
@@ -74,23 +73,12 @@ def test_interp_matrix_exact_hit_gives_unit_row():
     assert abs(M[1] @ f - 0.25) < 1e-13
 
 
-def test_interp_values_matches_matrix_route():
-    nodes = cheb_points(-1.0, 1.0, 14)
-    w = bary_weights(14)
-    f = np.cos(nodes)
-    pts = np.concatenate([np.linspace(-0.9, 0.9, 11), nodes[[0, 6, 13]]])
-    direct = interp_values(nodes, w, f, pts)
-    via_matrix = interp_matrix(nodes, w, pts) @ f
-    assert np.allclose(direct, via_matrix, atol=1e-14)
-    assert np.array_equal(direct[-3:], f[[0, 6, 13]])
-
-
 def test_gauss_series_is_the_interpolant():
     a, b, n = 0.2, 0.7, 12
     nodes = cheb_points(a, b, n)
     series = gauss_series(a, b, np.exp(nodes))
     xs = np.linspace(a, b, 41)
-    bary = interp_values(nodes, bary_weights(n), np.exp(nodes), xs)
+    bary = interp_matrix(nodes, bary_weights(n), xs) @ np.exp(nodes)
     assert np.max(np.abs(series(xs) - bary)) < 1e-14
     # a polynomial of degree < n is reproduced with its derivative
     poly = gauss_series(a, b, nodes ** 3 - 2.0 * nodes)

@@ -122,6 +122,10 @@ def test_default_cache_dir(tmp_path, capsys):
     ["sweep", "--ells", "3:2:7"],
     ["diagnose", "--ells", "2:2:2"],
     ["frobnicate"],
+    # flags a subcommand would ignore are refused
+    ["solve", "--ell", "2", "--K", "5"],
+    ["diagnose", "--ells", "2:2:4", "--nc", "8"],
+    ["sweep", "--ells", "2:2:4", "--seed-file", "x"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -24,9 +24,9 @@ from feigdim.dimension import (
     _sample_points,
 )
 import feigdim.dimension
+from feigdim.cheb import bary_weights, cheb_points, interp_matrix
 from feigdim.errors import DomainError, EigenvectorSignFailure
 from feigdim.fixedpoint import cache_filename, load_fixed_point, save_fixed_point
-from feigdim.presentation import iter_letter_jets
 from feigdim.unimodal import build_system
 
 from conftest import solve_ell
@@ -235,14 +235,80 @@ def test_sweep_resolves_unsupported_combinatorics_record(tmp_path, fp2):
 
 def test_adapted_metric_fit_matches_svd_lstsq(ps2, monkeypatch):
     xs = _sample_points(ps2.interval, 9)
-    jets = [jets for _, jets in iter_letter_jets(ps2, ps2.Kmax, xs)]
-    vals = np.stack([val for val, _ in jets])
-    lds = np.log(np.abs(np.stack([der for _, der in jets])))
-    got = _fit_adapted_metric(ps2.interval, xs, vals, lds).qvals
+    vals, lds = _metric_samples(ps2, xs)
+    got = _fit_adapted_metric(ps2.interval, xs, vals, lds).coef
     monkeypatch.setattr(feigdim.dimension, "lstsq",
                         lambda a, b, **kw: np.linalg.lstsq(a, b, rcond=None))
-    want = _fit_adapted_metric(ps2.interval, xs, vals, lds).qvals
+    want = _fit_adapted_metric(ps2.interval, xs, vals, lds).coef
     assert float(np.max(np.abs(got - want))) <= 1e-10
+
+
+def _metric_samples(ps, xs):
+    jets = [jets for _, jets in ps.letter_jets(ps.Kmax, xs, 1)]
+    vals = np.stack([val for val, _ in jets])
+    return vals, np.log(np.abs(np.stack([der for _, der in jets])))
+
+
+def test_adapted_metric_series_matches_node_value_fit(ps2):
+    # The same least-squares problem posed on q's values at 16 Gauss nodes,
+    # evaluated by barycentric interpolation, with their mean pinned.
+    xs = _sample_points(ps2.interval, 9)
+    vals, lds = _metric_samples(ps2, xs)
+    q = _fit_adapted_metric(ps2.interval, xs, vals, lds)
+    nq = 16
+    qnodes, qw = cheb_points(*ps2.interval, nq), bary_weights(nq)
+    na, ns = lds.shape
+    rows = np.zeros((na * ns + 1, nq + na))
+    rhs = np.zeros(na * ns + 1)
+    for a in range(na):
+        block = slice(a * ns, (a + 1) * ns)
+        rows[block, :nq] = (interp_matrix(qnodes, qw, vals[a])
+                            - interp_matrix(qnodes, qw, xs))
+        rows[block, nq + a] = -1.0
+        rhs[block] = -lds[a]
+    rows[-1, :nq] = 1.0 / nq
+    qvals = np.linalg.lstsq(rows, rhs, rcond=None)[0][:nq]
+    grid = np.linspace(*ps2.interval, 512)
+    want = interp_matrix(qnodes, qw, grid) @ qvals
+    assert float(np.max(np.abs(q(grid) - want))) <= 1e-12
+    assert abs(q.delta_q - float(want.max() - want.min())) <= 1e-12
+
+
+def test_moran_bracket_of_the_toy_is_exact(toy):
+    br = moran_oracle(toy, n=3)
+    assert br.t_lo - 1e-12 <= T_CANTOR <= br.t_hi + 1e-12
+    assert br.t_hi - br.t_lo <= 1e-12
+    assert br.K == 2
+
+
+def _conformality_by_word_index(pm, t_star, depth):
+    """conformality_residual as a dict from words to rows, tuple by tuple."""
+    fine = cylinder_measure(pm, t_star, depth)
+    letters = pm.ifs.letters(pm.K)
+    na = len(letters)
+    index = {w: n for n, w in enumerate(fine.words)}
+    prefixes = [w[1:] for w in fine.words[: na ** (depth - 1)]]
+    idx_app = np.array([[index[u + (j,)] for j in letters] for u in prefixes])
+    raw = fine.mu * fine.raw_mass
+    worst = 0.0
+    for i, (_, d1, d2, d3) in pm.ifs.letter_jets(pm.K, fine.xbar, 3):
+        F = np.abs(d1) ** t_star
+        F2 = F * t_star * ((t_star - 1.0) * (d2 / d1) ** 2 + d3 / d1)
+        term = (F + 0.5 * F2 * fine.m2) * raw
+        rhs = term[idx_app].sum(axis=1)
+        lhs = fine.lam * raw[[index[(i,) + u] for u in prefixes]]
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_conformality_residual_matches_word_index_loop(depth, pm2, tstar2,
+                                                       toy):
+    assert (conformality_residual(pm2, tstar2, depth)
+            == _conformality_by_word_index(pm2, tstar2, depth))
+    pm = build_pressure_model(toy, K=2, Nc=32)
+    assert (conformality_residual(pm, T_CANTOR, depth)
+            == _conformality_by_word_index(pm, T_CANTOR, depth))
 
 
 @pytest.mark.parametrize("ell", range(2, 21, 2))

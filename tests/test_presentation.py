@@ -88,9 +88,9 @@ def test_psi_derivative_vs_finite_differences(ps2):
         assert abs(d - fd) < 1e-6 * max(abs(d), 1e-12)
 
 
-def test_map_eval_jets(ps2):
+def test_letter_jets_method_matches_psi(ps2):
     x = np.array([0.6, 0.8, 0.97])
-    val, der = ps2.map_eval((2, 1), x, nder=1)
+    val, der = dict(ps2.letter_jets(3, x, nder=1))[(2, 1)]
     assert np.allclose(val, psi(ps2, 2, 1, x))
     assert np.allclose(der, psi(ps2, 2, 1, x, deriv=1))
 
