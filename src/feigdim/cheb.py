@@ -1,7 +1,10 @@
 """Chebyshev basis helpers on [0,1] and interpolation on [a,b].
 
 The fixed-point solver expands E in Chebyshev polynomials of the shifted
-variable s = 2u - 1, u in [0,1]; numpy.polynomial.chebyshev does the work.
+variable s = 2u - 1, u in [0,1]. eval01 is the one evaluation path for E
+and its derivatives, with numpy's chebval(2u - 1, coeffs) as its output
+convention; it takes one of three routes, chosen by its input (see its
+docstring). The other basis operations are numpy.polynomial.chebyshev's.
 On Chebyshev-Gauss grids of arbitrary intervals there are two routes to
 the same interpolant: interp_matrix, the barycentric cardinal matrix that
 maps node values to values at given points (the collocation matrices of
@@ -11,6 +14,8 @@ interpolant, which also differentiates it.
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
+_BLOCK = 4096   # points per T-table block of eval01's stacked route
+
 
 def gauss_nodes(n):
     """Chebyshev-Gauss nodes on (0,1), descending."""
@@ -19,13 +24,75 @@ def gauss_nodes(n):
 
 
 def eval01(coeffs, u):
-    """Evaluate a shifted-Chebyshev series at u in [0,1]."""
-    return _cheb.chebval(2.0 * np.asarray(u) - 1.0, coeffs)
+    """Evaluate shifted-Chebyshev series at u in [0,1]: chebval(2u - 1, coeffs).
+
+    coeffs is one series of shape (m,), giving values of u's shape, or a
+    stack of k series as columns of shape (m, k), giving shape (k, *u.shape).
+    The route follows the input:
+
+    - scalar u: numpy's Clenshaw loop on plain Python floats, per series,
+      in numpy's operation order. The bits are chebval's without its array
+      set-up; one series returns a np.float64, so callers keep numpy's
+      handling of division by zero and overflow.
+    - a stack on an array: one table of T_j(2u - 1) serves every series.
+      It is built in place, _BLOCK points at a time, by the three-term
+      recurrence (two ufunc calls per degree), then coeffs.T @ T. Values
+      agree with chebval to roundoff, not bit for bit.
+    - one series on an array: numpy's chebval, so the solver, its
+      validation defect and the cached records do not move.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if np.ndim(u) == 0:
+        x = 2.0 * float(u) - 1.0
+        if coeffs.ndim == 1:
+            return np.float64(_clenshaw(coeffs.tolist(), x))
+        return np.array([_clenshaw(c, x) for c in coeffs.T.tolist()])
+    if coeffs.ndim == 1:
+        return _cheb.chebval(2.0 * np.asarray(u) - 1.0, coeffs)
+    u = np.asarray(u, dtype=float)
+    m, k = coeffs.shape
+    x = u.reshape(-1)
+    out = np.empty((k, x.size))
+    T = np.empty((m, min(x.size, _BLOCK)))
+    for start in range(0, x.size, _BLOCK):
+        t = T[:, :min(_BLOCK, x.size - start)]
+        t[0] = 1.0
+        if m > 1:
+            np.multiply(x[start:start + t.shape[1]], 2.0, out=t[1])
+            t[1] -= 1.0
+            x2 = 2.0 * t[1]
+            for j in range(2, m):
+                np.multiply(x2, t[j - 1], out=t[j])
+                t[j] -= t[j - 2]
+        np.matmul(coeffs.T, t, out=out[:, start:start + t.shape[1]])
+    return out.reshape((k,) + u.shape)
+
+
+def _clenshaw(c, x):
+    """numpy's chebval(x, c) for a list c and a float x, same operations."""
+    if len(c) < 3:
+        return c[0] + (c[1] if len(c) == 2 else 0) * x
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ci in c[-3::-1]:
+        c0, c1 = ci - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def der01(coeffs):
     """Coefficients of d/du of a shifted-Chebyshev series (chain factor 2)."""
     return 2.0 * _cheb.chebder(coeffs)
+
+
+def jet_table(coeffs, order):
+    """A shifted-Chebyshev series and its first `order` u-derivatives as the
+    zero-padded columns of one (m, order + 1) stack, for eval01."""
+    c = np.asarray(coeffs, dtype=float)
+    table = np.zeros((len(c), order + 1))
+    for j in range(order + 1):
+        table[:len(c), j] = c
+        c = der01(c)
+    return table
 
 
 def vander01(u, degree):

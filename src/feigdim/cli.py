@@ -45,6 +45,7 @@ class RunConfig:
     cache_dir: str
     out: object
     seed_file: object
+    argv: list
 
 
 def _parse_ells(spec, parser):
@@ -105,7 +106,7 @@ def build_parser():
     return parser, parsers
 
 
-def _config_from(args, parser):
+def _config_from(args, parser, argv):
     # flags a subcommand does not take read as None
     opt = vars(args).get
     if opt("ells") is not None:
@@ -126,7 +127,7 @@ def _config_from(args, parser):
         parser.error(f"{args.command} needs at least two ells")
     cache_dir = os.environ.get("FEIGDIM_CACHE") or args.cache or DEFAULT_CACHE
     return RunConfig(args.command, ells, args.degree, opt("K"), opt("nc"),
-                     args.tol, cache_dir, opt("out"), opt("seed_file"))
+                     args.tol, cache_dir, opt("out"), opt("seed_file"), argv)
 
 
 def _write_manifest(cfg, path):
@@ -136,7 +137,7 @@ def _write_manifest(cfg, path):
     manifest = {
         "tool": "feigdim",
         "command": cfg.command,
-        "argv": sys.argv[1:],
+        "argv": cfg.argv,
         "config": {
             "ells": cfg.ells, "degree": cfg.degree,
             "K": cfg.K, "nc": cfg.nc, "tol": cfg.tol,
@@ -224,9 +225,11 @@ def cmd_diagnose(cfg):
 
 
 def main(argv=None):
+    # resolved once: the parser and the manifest see the same list
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, _ = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from(args, parser)
+    cfg = _config_from(args, parser, argv)
     handler = {"solve": cmd_solve, "dim": cmd_dim, "sweep": cmd_sweep,
                "diagnose": cmd_diagnose}[cfg.command]
     try:

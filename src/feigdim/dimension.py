@@ -39,7 +39,14 @@ from scipy.linalg import lstsq
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .cheb import bary_weights, cheb_points, gauss_series, interp_matrix
+from .cheb import (
+    bary_weights,
+    cheb_points,
+    eval01,
+    gauss_series,
+    interp_matrix,
+    jet_table,
+)
 from .errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -157,13 +164,15 @@ def _eigenfunction(pm, t):
     """(h, h') of the collocation eigenvector of pm at t, anywhere in I.
 
     The interpolant through the Nc Gauss nodes is a polynomial; its
-    Chebyshev series evaluates it and its derivative without a cardinal
-    matrix over the evaluation points.
+    Chebyshev series and that of its derivative, stacked as two columns,
+    evaluate both in one eval01 pass without a cardinal matrix over the
+    evaluation points.
     """
     _, v = _power_pair(pm.operator(t))
-    series = gauss_series(*pm.ifs.interval, v)
-    dseries = series.deriv()
-    return lambda x: (series(x), dseries(x))
+    lo, hi = pm.ifs.interval
+    table = jet_table(gauss_series(lo, hi, v).coef, 1)
+    table[:, 1] /= hi - lo      # d/dx = (d/du) / (hi - lo)
+    return lambda x: eval01(table, (x - lo) / (hi - lo))
 
 
 class _OperatorBounds:
@@ -276,7 +285,9 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     enough alphabet headroom) or any object exposing the IFS protocol
     (interval, Kmax, letters, letter_jets, tail_bound). With K unset the
     truncation starts at min(32, Kmax) and auto-escalates until the alphabet
-    tail at the root is below 1e-8; an explicitly pinned K is honored as
+    tail at the root is below 1e-8, doubling K where the tail levels do not
+    decay yet (RatioNotContracting); only at Kmax does escalation fail, with
+    TailTooFat or RatioNotContracting. An explicitly pinned K is honored as
     given.
 
     With with_bracket, [hd_lo, hd_hi] is the hull of hd and the
@@ -290,27 +301,30 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     if K is None:
         K = min(32, ifs.Kmax)
 
-    hd = tail = None
-    for _ in range(4):
+    while True:
         pm = build_pressure_model(ifs, K=K, Nc=Nc)
         hd = _bowen_root(pm, root_tol)
-        tail = pm.tail_t(hd)
-        if pinned or tail < _TAIL_BUDGET:
-            break
-        if K >= ifs.Kmax:
-            raise TailTooFat(
-                f"tail {tail:.3e} > {_TAIL_BUDGET:.1e} with the alphabet "
-                f"exhausted at K={K}"
-            )
-        # predictive jump: per-letter level ratio from two adjacent tails
-        r = ifs.tail_bound(K, hd) / ifs.tail_bound(K - 1, hd)
+        try:
+            tail = pm.tail_t(hd)
+            if pinned or tail < _TAIL_BUDGET:
+                break
+            if K >= ifs.Kmax:
+                raise TailTooFat(
+                    f"tail {tail:.3e} > {_TAIL_BUDGET:.1e} with the alphabet "
+                    f"exhausted at K={K}"
+                )
+            # predictive jump: per-letter level ratio from two adjacent tails
+            r = ifs.tail_bound(K, hd) / ifs.tail_bound(K - 1, hd)
+        except RatioNotContracting:
+            # the levels near K do not decay yet: double K while the
+            # alphabet has room, and give up only at Kmax (or a pinned K)
+            if pinned or K >= ifs.Kmax:
+                raise
+            K = min(ifs.Kmax, 2 * K)
+            continue
         r = min(max(r, 1e-6), 0.999)
         need = int(np.ceil(np.log(0.2 * _TAIL_BUDGET / tail) / np.log(r)))
         K = min(ifs.Kmax, K + max(10, need))
-    else:
-        raise TailTooFat(
-            f"tail {tail:.3e} > {_TAIL_BUDGET:.1e} after escalation to K={K}"
-        )
 
     if not 0.0 < hd < 1.0:
         raise InvariantViolation(f"Bowen root {hd} outside (0, 1)")

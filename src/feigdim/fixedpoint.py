@@ -78,10 +78,11 @@ class FixedPointMap:
     def __post_init__(self):
         coeffs = np.asarray(self.e_coeffs, dtype=float)
         object.__setattr__(self, "e_coeffs", coeffs)
-        dc = [coeffs]
-        for _ in range(3):
-            dc.append(cheb.der01(dc[-1]))
+        table = cheb.jet_table(coeffs, 3)
+        # E(u, j) reads the unpadded columns, for chebval's exact bits
+        dc = [table[:max(1, len(coeffs) - j), j] for j in range(4)]
         object.__setattr__(self, "_dcoeffs", dc)
+        object.__setattr__(self, "_jet_table", table)
 
     @property
     def tau(self):
@@ -92,6 +93,18 @@ class FixedPointMap:
         if not 0 <= deriv <= 3:
             raise DomainError(f"deriv order {deriv} outside 0..3")
         return cheb.eval01(self._dcoeffs[deriv], u)
+
+    def jets(self, u, order):
+        """E, E', ..., E^(order) at u, stacked: shape (order + 1, *u.shape).
+
+        One cheb.eval01 call on the zero-padded derivative table: a shared
+        table of T_j(2u - 1) serves every row on an array u, where row j
+        agrees with E(u, j) to roundoff; for scalar u each row is E(u, j)
+        bit for bit.
+        """
+        if not 0 <= order <= 3:
+            raise DomainError(f"jet order {order} outside 0..3")
+        return cheb.eval01(self._jet_table[:, :order + 1], u)
 
 
 def _abs_pow(x, ell):

@@ -116,8 +116,8 @@ def _solve_E_decreasing(fp, targets, lo, hi):
         b = np.where(high, b, mid)
     z = 0.5 * (a + b)
     for _ in range(_NNEWT):
-        step = (fp.E(z) - targets) / fp.E(z, 1)
-        z = np.clip(z - step, a, b)
+        e, e1 = fp.jets(z, 1)
+        z = np.clip(z - (e - targets) / e1, a, b)
     return z
 
 

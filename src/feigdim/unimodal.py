@@ -48,19 +48,22 @@ class UnimodalSystem:
 
 
 def _H_jets(fp, x, order):
-    """H = E^ell and derivatives up to `order` (<= 3), vectorized."""
+    """H = E^ell and derivatives up to `order` (<= 3), vectorized.
+
+    E and its derivatives come from one fp.jets call; order 0 reads E alone.
+    """
     ell = fp.ell
-    e = fp.E(x)
-    out = [e ** ell]
-    if order >= 1:
-        e1 = fp.E(x, 1)
-        out.append(ell * e ** (ell - 1) * e1)
+    if order == 0:
+        return [fp.E(x) ** ell]
+    ej = fp.jets(x, order)
+    e, e1 = ej[0], ej[1]
+    out = [e ** ell, ell * e ** (ell - 1) * e1]
     if order >= 2:
-        e2 = fp.E(x, 2)
+        e2 = ej[2]
         out.append(ell * (ell - 1) * e ** (ell - 2) * e1 ** 2
                    + ell * e ** (ell - 1) * e2)
     if order >= 3:
-        e3 = fp.E(x, 3)
+        e3 = ej[3]
         c3 = ell * (ell - 1) * (ell - 2)
         lead = c3 * e ** (ell - 3) * e1 ** 3 if c3 else 0.0
         out.append(lead + 3 * ell * (ell - 1) * e ** (ell - 2) * e1 * e2

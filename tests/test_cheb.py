@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from feigdim.cheb import (
     bary_weights,
@@ -84,3 +85,35 @@ def test_gauss_series_is_the_interpolant():
     poly = gauss_series(a, b, nodes ** 3 - 2.0 * nodes)
     assert np.max(np.abs(poly(xs) - (xs ** 3 - 2.0 * xs))) < 1e-13
     assert np.max(np.abs(poly.deriv()(xs) - (3.0 * xs ** 2 - 2.0))) < 1e-12
+
+
+def _decaying_stack(m=41, k=4, seed=0):
+    """k random series with geometrically decaying coefficients, like E's."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, k)) * 0.7 ** np.arange(m)[:, None]
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 5), (10_000,)])
+def test_stacked_eval01_matches_chebval_per_column(shape):
+    # 10,000 points span three T-table blocks of 4,096
+    coeffs = _decaying_stack()
+    u = np.random.default_rng(1).random(shape)
+    got = eval01(coeffs, u)
+    assert got.shape == (coeffs.shape[1],) + shape
+    for j in range(coeffs.shape[1]):
+        tol = 1e-14 * max(1.0, float(np.sum(np.abs(coeffs[:, j]))))
+        want = chebval(2.0 * u - 1.0, coeffs[:, j])
+        assert np.all(np.abs(got[j] - want) <= tol)
+
+
+def test_scalar_eval01_is_chebval_bit_for_bit():
+    coeffs = _decaying_stack(k=1)[:, 0]
+    for u in np.linspace(0.0, 1.0, 2001):
+        got = eval01(coeffs, float(u))
+        assert type(got) is np.float64
+        assert got == chebval(2.0 * np.asarray(u) - 1.0, coeffs)
+    for short in (coeffs[:1], coeffs[:2]):
+        assert eval01(short, 0.3) == chebval(2.0 * np.asarray(0.3) - 1.0, short)
+    stack = _decaying_stack(k=3)
+    assert np.array_equal(eval01(stack, 0.3),
+                          chebval(2.0 * np.asarray(0.3) - 1.0, stack))

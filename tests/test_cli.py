@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -196,6 +197,18 @@ def test_solve_range_continues_each_ell_from_the_previous(tmp_path,
     for ell in (2, 4, 6):
         name = cache_filename((2, ell, 40))
         assert (cache / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_manifest_records_the_argv_given_to_main(warm_cache, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host-program", "--foo"])
+    out_path = str(tmp_path / "dim.csv")
+    argv = ["dim", "--ell", "2", "--cache", warm_cache, "--out", out_path]
+    assert main(argv) == 0
+    assert _read_manifest(out_path)["argv"] == argv
+    monkeypatch.setattr(sys, "argv", ["feigdim", *argv])
+    assert main() == 0
+    assert _read_manifest(out_path)["argv"] == argv
 
 
 def test_dim_over_torn_cache_warns_and_resolves(tmp_path, capsys):

@@ -25,7 +25,11 @@ from feigdim.dimension import (
 )
 import feigdim.dimension
 from feigdim.cheb import bary_weights, cheb_points, interp_matrix
-from feigdim.errors import DomainError, EigenvectorSignFailure
+from feigdim.errors import (
+    DomainError,
+    EigenvectorSignFailure,
+    RatioNotContracting,
+)
 from feigdim.fixedpoint import cache_filename, load_fixed_point, save_fixed_point
 from feigdim.unimodal import build_system
 
@@ -366,3 +370,48 @@ def test_operator_bracket_rejects_sign_changing_test_function(pm2):
     mid = 0.5 * sum(pm2.ifs.interval)
     with pytest.raises(EigenvectorSignFailure):
         _OperatorBounds(pm2.ifs, pm2.K, lambda x: (x - mid, np.ones_like(x)))
+
+
+def test_ell_22_row_escalates_past_undecayed_tail_levels():
+    # At ell 22 the tail levels still grow near letter 31, so the first
+    # models raise RatioNotContracting; escalation doubles K instead of
+    # stopping while the alphabet has room.
+    res = hausdorff_dimension(build_system(solve_ell(22)))
+    assert res.hd_lo <= res.hd <= res.hd_hi
+    assert res.hd_hi - res.hd_lo <= 1e-8
+    assert res.tail_t < 1e-8
+    assert abs(res.hd - 0.76705763) < 1e-8
+
+
+class _UndecayedTail:
+    """A presentation whose tail levels never decay: tail_bound raises."""
+
+    def __init__(self, ps):
+        self.ps, self.interval, self.Kmax = ps, ps.interval, ps.Kmax
+
+    def letters(self, K=None):
+        return self.ps.letters(K)
+
+    def letter_jets(self, K, x, nder=1):
+        return self.ps.letter_jets(K, x, nder)
+
+    def tail_bound(self, K, t):
+        raise RatioNotContracting(f"levels not decaying at K={K}")
+
+
+def test_undecayed_tail_escalates_to_kmax_before_raising(ps2, monkeypatch):
+    built = []
+    build = feigdim.dimension.build_pressure_model
+
+    def counting(ifs, K, Nc):
+        built.append(K)
+        return build(ifs, K=K, Nc=Nc)
+
+    monkeypatch.setattr(feigdim.dimension, "build_pressure_model", counting)
+    with pytest.raises(RatioNotContracting):
+        hausdorff_dimension(_UndecayedTail(ps2))
+    assert built == [32, ps2.Kmax]
+    built.clear()
+    with pytest.raises(RatioNotContracting):
+        hausdorff_dimension(_UndecayedTail(ps2), K=24)
+    assert built == [24]

@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 import feigdim.fixedpoint
+from feigdim.cheb import der01
 from feigdim.errors import (
     CorruptFile,
     DomainError,
@@ -59,6 +61,24 @@ def test_functional_equation_on_grid(fp2):
     gg = np.array([evaluate_g(fp2, float(evaluate_g(fp2, xi))) for xi in x])
     rhs = np.array([evaluate_g(fp2, fp2.alpha * xi) for xi in x])
     assert np.max(np.abs(fp2.alpha * gg - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("ell", [2, 20])
+def test_jets_match_E_per_derivative(ell):
+    fp = solve_ell(ell)
+    u = np.linspace(0.0, 1.0, 1001)
+    jets = fp.jets(u, 3)
+    assert jets.shape == (4, 1001)
+    dcoeffs = fp.e_coeffs
+    for j in range(4):
+        # E(u, j) is numpy's chebval of the j-th derivative series
+        assert np.array_equal(fp.E(u, j), chebval(2.0 * u - 1.0, dcoeffs))
+        tol = 1e-14 * max(1.0, float(np.sum(np.abs(dcoeffs))))
+        assert np.all(np.abs(jets[j] - fp.E(u, j)) <= tol)
+        assert np.array_equal(fp.jets(0.3, j), [fp.E(0.3, i) for i in range(j + 1)])
+        dcoeffs = der01(dcoeffs)
+    with pytest.raises(DomainError):
+        fp.jets(u, 4)
 
 
 def test_continuation_in_ell():

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from feigdim.errors import DomainError, OrbitEscaped, OutOfNeighborhood
 from feigdim.unimodal import (
@@ -109,6 +110,23 @@ def test_critical_orbit_matches_eval_H_loop(ell):
     want[0] = sys.x_c
     for j in range(DEFAULT_ORBIT_MAX):
         want[j + 1] = min(max(float(eval_H(sys, want[j])), 0.0), 1.0)
+    assert np.array_equal(orbit, want)
+
+
+@pytest.mark.parametrize("ell", range(2, 21, 2))
+def test_critical_orbit_matches_chebval_loop(ell):
+    # eval_H now rides eval01's scalar route, as critical_orbit does; this
+    # reference steps with numpy's chebval itself
+    sys = build_system(solve_ell(ell))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        orbit = critical_orbit(sys, DEFAULT_ORBIT_MAX)
+    coeffs = sys.fp.e_coeffs
+    want = np.empty(DEFAULT_ORBIT_MAX + 1)
+    want[0] = sys.x_c
+    for j in range(DEFAULT_ORBIT_MAX):
+        e = chebval(2.0 * np.asarray(want[j]) - 1.0, coeffs)
+        want[j + 1] = min(max(float(e ** ell), 0.0), 1.0)
     assert np.array_equal(orbit, want)
 
 
