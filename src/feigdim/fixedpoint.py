@@ -78,11 +78,7 @@ class FixedPointMap:
     def __post_init__(self):
         coeffs = np.asarray(self.e_coeffs, dtype=float)
         object.__setattr__(self, "e_coeffs", coeffs)
-        table = cheb.jet_table(coeffs, 3)
-        # E(u, j) reads the unpadded columns, for chebval's exact bits
-        dc = [table[:max(1, len(coeffs) - j), j] for j in range(4)]
-        object.__setattr__(self, "_dcoeffs", dc)
-        object.__setattr__(self, "_jet_table", table)
+        object.__setattr__(self, "_jet_table", cheb.jet_table(coeffs, 3))
 
     @property
     def tau(self):
@@ -92,15 +88,15 @@ class FixedPointMap:
         """E and derivatives in u, analytic through the basis."""
         if not 0 <= deriv <= 3:
             raise DomainError(f"deriv order {deriv} outside 0..3")
-        return cheb.eval01(self._dcoeffs[deriv], u)
+        return cheb.eval01(self._jet_table[:, deriv], u)
 
     def jets(self, u, order):
         """E, E', ..., E^(order) at u, stacked: shape (order + 1, *u.shape).
 
-        One cheb.eval01 call on the zero-padded derivative table: a shared
-        table of T_j(2u - 1) serves every row on an array u, where row j
-        agrees with E(u, j) to roundoff; for scalar u each row is E(u, j)
-        bit for bit.
+        One cheb.eval01 call on the zero-padded derivative table. On an
+        array u with order >= 1 a shared table of T_j(2u - 1) serves every
+        row, and row j agrees with E(u, j) to roundoff; otherwise (order 0,
+        or scalar u) each row is E(u, j) bit for bit.
         """
         if not 0 <= order <= 3:
             raise DomainError(f"jet order {order} outside 0..3")

@@ -50,14 +50,15 @@ class UnimodalSystem:
 def _H_jets(fp, x, order):
     """H = E^ell and derivatives up to `order` (<= 3), vectorized.
 
-    E and its derivatives come from one fp.jets call; order 0 reads E alone.
+    E and its derivatives come from one fp.jets call.
     """
     ell = fp.ell
-    if order == 0:
-        return [fp.E(x) ** ell]
     ej = fp.jets(x, order)
-    e, e1 = ej[0], ej[1]
-    out = [e ** ell, ell * e ** (ell - 1) * e1]
+    e = ej[0]
+    out = [e ** ell]
+    if order >= 1:
+        e1 = ej[1]
+        out.append(ell * e ** (ell - 1) * e1)
     if order >= 2:
         e2 = ej[2]
         out.append(ell * (ell - 1) * e ** (ell - 2) * e1 ** 2
@@ -165,8 +166,8 @@ def critical_orbit(sys, n):
     larger raises OrbitEscaped. Since H = E^ell with ell even, H >= 0 and
     drift can only go above 1. Whether any drift happens at all depends on
     floating-point roundoff, so the warning is a guard, not an expected
-    event. Steps go through _H_jets directly: the loop's own escape check
-    replaces eval_H's domain check.
+    event. Each step is H = E^ell from one scalar E call: the loop's own
+    escape check replaces eval_H's domain check.
     """
     if n > DEFAULT_ORBIT_MAX:
         raise DomainError(
@@ -174,8 +175,9 @@ def critical_orbit(sys, n):
     c = np.empty(n + 1)
     c[0] = sys.x_c
     drift = 0.0
+    E, ell = sys.fp.E, sys.fp.ell
     for j in range(n):
-        nxt = float(_H_jets(sys.fp, c[j], 0)[0])
+        nxt = float(E(c[j]) ** ell)
         if nxt < -_SLACK or nxt > 1.0 + _SLACK:
             raise OrbitEscaped(f"c_{j + 1} = {nxt} left [0,1]")
         if nxt < 0.0 or nxt > 1.0:

@@ -106,6 +106,17 @@ def test_stacked_eval01_matches_chebval_per_column(shape):
         assert np.all(np.abs(got[j] - want) <= tol)
 
 
+def test_one_series_on_an_array_is_chebval_bit_for_bit():
+    # a one-column stack and a zero-padded series keep chebval's bits
+    coeffs = _decaying_stack(k=1)
+    u = np.random.default_rng(2).random((3, 5))
+    want = chebval(2.0 * u - 1.0, coeffs[:, 0])
+    assert np.array_equal(eval01(coeffs[:, 0], u), want)
+    assert np.array_equal(eval01(coeffs, u), want[None])
+    padded = np.append(coeffs[:, 0], np.zeros(3))
+    assert np.array_equal(eval01(padded, u), want)
+
+
 def test_scalar_eval01_is_chebval_bit_for_bit():
     coeffs = _decaying_stack(k=1)[:, 0]
     for u in np.linspace(0.0, 1.0, 2001):

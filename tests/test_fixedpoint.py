@@ -77,6 +77,7 @@ def test_jets_match_E_per_derivative(ell):
         assert np.all(np.abs(jets[j] - fp.E(u, j)) <= tol)
         assert np.array_equal(fp.jets(0.3, j), [fp.E(0.3, i) for i in range(j + 1)])
         dcoeffs = der01(dcoeffs)
+    assert np.array_equal(fp.jets(u, 0), [fp.E(u)])
     with pytest.raises(DomainError):
         fp.jets(u, 4)
 
