@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 import numpy
-import scipy
 
 from . import __version__
 from .dimension import CSV_HEADER, DimensionReport, hausdorff_dimension, sweep
@@ -147,7 +146,6 @@ def _write_manifest(cfg, path):
             "feigdim": __version__,
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
         },
         "output": {
             "path": os.path.basename(path),

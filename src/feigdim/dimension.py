@@ -21,6 +21,9 @@ than an order of magnitude while every bound stays a bound (the dimension
 and the bracket property are metric-independent). The Moran tables and
 the conformal cylinder measure walk words the same way (_extend_words).
 
+Every root in t (the Bowen root, the bracket's crossings, the Moran roots)
+is located by Brent's method (roots.brentq) on a sign-changing bracket.
+
 The engine consumes any object with the IFS protocol: `interval` (lo, hi),
 `Kmax` (alphabet size), `letters(K)` (the first K letters),
 `letter_jets(K, x, nder)` (yields (letter, jets) over letters(K), the
@@ -35,9 +38,6 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.polyutils import mapdomain
-from scipy.linalg import lstsq
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .cheb import (
     bary_weights,
@@ -59,6 +59,7 @@ from .errors import (
 )
 from .fixedpoint import cached_solve, csv_cells, write_csv
 from .presentation import build_presentation, default_kmax
+from .roots import brentq
 from .unimodal import UnimodalSystem, build_system
 
 _PROBE_GRID = np.linspace(0.1, 1.0, 10)
@@ -155,9 +156,9 @@ def _bowen_root(pm, root_tol):
             f"{len(changes)} sign changes of log lambda on the probe grid"
         )
     i = changes[0]
-    return float(brentq(lambda t: pressure_eigen(pm, t),
-                        _PROBE_GRID[i], _PROBE_GRID[i + 1],
-                        xtol=root_tol, rtol=8.9e-16))
+    return brentq(lambda t: pressure_eigen(pm, t),
+                  _PROBE_GRID[i], _PROBE_GRID[i + 1],
+                  xtol=root_tol)
 
 
 def _eigenfunction(pm, t):
@@ -253,7 +254,7 @@ def _crossing(fn, t0):
     while w < t0:
         a, b = t0 - w, t0 + w
         if fn(a) > 0.0 >= fn(b):
-            return float(brentq(fn, a, b, xtol=_BRACKET_XTOL, rtol=8.9e-16))
+            return brentq(fn, a, b, xtol=_BRACKET_XTOL)
         w *= 8.0
     raise RootNotBracketed(f"bracket bound never crosses 1 in (0, {2 * t0})")
 
@@ -369,9 +370,7 @@ def _fit_adapted_metric(interval, xs, vals, lds):
     rows[np.arange(na * ns), _Q_TERMS + np.repeat(np.arange(na), ns)] = -1.0
     rows[-1, 0] = 1.0
     rhs = np.append(-lds.ravel(), 0.0)
-    # gelsy (QR with column pivoting) agrees with the SVD driver to roundoff
-    # on this full-rank system and stays cheap under multithreaded OpenBLAS
-    q = Chebyshev(lstsq(rows, rhs, lapack_driver="gelsy")[0][:_Q_TERMS],
+    q = Chebyshev(np.linalg.lstsq(rows, rhs, rcond=None)[0][:_Q_TERMS],
                   domain=interval)
     g = q(np.linspace(interval[0], interval[1], 512))
     q.delta_q = float(g.max() - g.min())
@@ -448,6 +447,19 @@ class MoranBracket:
         return self.t_hi - self.t_lo
 
 
+def _logsumexp(a):
+    """log sum exp(a) over a 1-d array, as scipy.special.logsumexp rounds.
+
+    The m entries equal to the maximum are counted apart from the rest:
+    log1p(sum of the rest's exp(a - a_max) / m) + log m + a_max.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def _log_root(fn, lo=0.02, hi=1.4, xtol=1e-12):
     grid = np.linspace(lo, hi, 29)
     prev_t, prev_v = None, None
@@ -458,7 +470,7 @@ def _log_root(fn, lo=0.02, hi=1.4, xtol=1e-12):
             prev_t, prev_v = None, None
             continue
         if prev_v is not None and prev_v > 0.0 >= v:
-            return float(brentq(fn, prev_t, t, xtol=xtol, rtol=8.9e-16))
+            return brentq(fn, prev_t, t, xtol=xtol)
         prev_t, prev_v = t, v
     raise RootNotBracketed("Moran sum never crosses 1 on the scan range")
 
@@ -483,14 +495,14 @@ def moran_oracle(ifs, n, K=None, metric="adapted", root_tol=1e-10):
     delta_q = q.delta_q if q is not None else 0.0
 
     def p_inf(t):
-        return float(logsumexp(t * s_inf))
+        return _logsumexp(t * s_inf)
 
     def p_sup(t):
-        base = float(logsumexp(t * s_sup))
+        base = _logsumexp(t * s_sup)
         tail = ifs.tail_bound(K, t) * np.exp(t * delta_q)
         if tail == 0.0:
             return base
-        p1 = np.exp(float(logsumexp(t * s1_sup)))
+        p1 = np.exp(_logsumexp(t * s1_sup))
         return float(np.log(np.exp(base) + (p1 + tail) ** n - p1 ** n))
 
     t_lo = _log_root(p_inf, xtol=root_tol)
@@ -511,8 +523,8 @@ def pressure_sums(pm, t, n):
     if not 1 <= n <= 6:
         raise DomainError(f"pressure_sums needs 1 <= n <= 6, got {n}")
     s_sup, s_inf, _, _ = _word_tables(pm.ifs, pm.K, n, "euclid")
-    lower = float(logsumexp(t * s_inf)) / n
-    upper = float(logsumexp(t * s_sup)) / n
+    lower = _logsumexp(t * s_inf) / n
+    upper = _logsumexp(t * s_sup) / n
     return lower, upper
 
 
@@ -553,7 +565,8 @@ def cylinder_measure(pm, t_star, depth=3):
     feed the quadrature in the conformality check.
     """
     if not 1 <= depth <= 4:
-        raise DomainError(f"cylinder_measure needs 1 <= depth <= 4")
+        raise DomainError(
+            f"cylinder_measure needs 1 <= depth <= 4, got {depth}")
     letters = pm.ifs.letters(pm.K)
     na = len(letters)
     if na ** depth * pm.Nc > 8_000_000:

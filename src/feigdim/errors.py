@@ -16,7 +16,8 @@ class UnsupportedCombinatorics(FeigdimError):
 
 
 class NoConvergence(FeigdimError):
-    """Newton iteration stalled; carries the last residual."""
+    """An iteration (fixed-point Newton or brentq) did not converge; carries
+    the last residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -86,7 +87,8 @@ class PowerIterationStall(FeigdimError):
 
 
 class RootNotBracketed(FeigdimError):
-    """Pressure does not change sign on the probe interval."""
+    """A root finder's bracket has no sign change (brentq's ends, the
+    pressure's probe grid, a bracket bound's or Moran sum's scan)."""
 
 
 class TailTooFat(FeigdimError):

@@ -283,13 +283,12 @@ def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
 
     cylinders = np.empty((Kmax, 2))
     sides = np.empty(Kmax, dtype=int)
-    ye = _h_inverse_jets(sys, np.array(I), 0)[0]
-    ym = _h_inverse_jets(sys, np.array([0.5 * (I[0] + I[1])]), 0)[0]
+    # one walk: the ends of I in slots 0-1, its midpoint in slot 2
+    y = _h_inverse_jets(sys, np.array([*I, 0.5 * (I[0] + I[1])]), 0)[0]
     for k in range(1, Kmax + 1):
-        ye = _G_jets(sys, ye, 0)[0]
-        ym = _G_jets(sys, ym, 0)[0]
-        cylinders[k - 1] = sorted(ye)
-        sides[k - 1] = 1 if ym[0] < sys.x_c else -1
+        y = _G_jets(sys, y, 0)[0]
+        cylinders[k - 1] = sorted(y[:2])
+        sides[k - 1] = 1 if y[2] < sys.x_c else -1
 
     for k in range(1, k_verify + 1):
         want = sorted((orbit[2 ** k], orbit[3 * 2 ** k]))

@@ -3,13 +3,13 @@
 H(x) = |E(x)|^ell on [0,1] (ell even, so H = E^ell with no branch issues),
 tau = |alpha|^ell, and the microscope map G(x) = H(x/tau) (p = 2), which fixes
 the critical point x_c and contracts toward it. Taylor data of G^eps at x_c
-and the folding involution live here too.
+and the folding involution live here too. x_c and the involution's mirror
+points are roots of E, located by Brent's method (roots.brentq).
 """
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -18,6 +18,7 @@ from .errors import (
     OrbitEscaped,
     OutOfNeighborhood,
 )
+from .roots import brentq
 
 DEFAULT_ORBIT_MAX = 4096
 _SLACK = 1e-12
@@ -121,7 +122,7 @@ def build_system(fp):
     if e0 * e1 >= 0.0:
         raise NoCriticalPoint("E has no sign change on (0,1)")
     x_c = brentq(lambda z: float(fp.E(z)), 0.0, 1.0, xtol=1e-15,
-                 rtol=8.9e-16, maxiter=200)
+                 maxiter=200)
     tau = abs(fp.alpha) ** fp.ell
 
     sys = UnimodalSystem(fp, tau, x_c, 0, (0.0, 0.0, 0.0), 0.0)
@@ -210,7 +211,7 @@ def involution(sys, x, deriv=False):
         x_hat = sys.x_c
     else:
         x_hat = brentq(lambda z: float(fp.E(z)) - target, 0.0, 1.0,
-                       xtol=1e-15, rtol=8.9e-16, maxiter=200)
+                       xtol=1e-15, maxiter=200)
     if not deriv:
         return x_hat
     d = -float(fp.E(x, 1)) / float(fp.E(x_hat, 1))

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import feigdim
 import feigdim.fixedpoint
 from feigdim.cli import main
 from feigdim.dimension import CSV_HEADER
@@ -58,7 +60,7 @@ def test_solve_populates_cache_and_manifest(tmp_path, capsys):
     digest = hashlib.sha256(fp_path.read_bytes()).hexdigest()
     assert manifest["output"]["sha256"] == digest
     assert manifest["output"]["bytes"] == fp_path.stat().st_size
-    assert set(manifest["versions"]) == {"feigdim", "python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"feigdim", "python", "numpy"}
 
     rc = main(["solve", "--ell", "2", "--cache", str(cache)])
     assert rc == 0
@@ -220,3 +222,31 @@ def test_dim_over_torn_cache_warns_and_resolves(tmp_path, capsys):
     assert rc == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert abs(float(row[1]) - HD_2) < 1e-6
+
+
+_NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None     # any import of scipy or scipy.* now fails
+from feigdim.cli import main
+rc = main(sys.argv[1:])
+leaked = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"rc": rc, "scipy": leaked}))
+"""
+
+
+def test_dim_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feigdim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("FEIGDIM_CACHE", None)
+    out_path = tmp_path / "d.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, "dim", "--ell", "2",
+         "--cache", str(tmp_path / "c"), "--out", str(out_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    assert json.loads(lines[-1]) == {"rc": 0, "scipy": []}
+    assert out_path.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+

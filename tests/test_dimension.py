@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.polyutils import mapdomain
 
 from feigdim.dimension import (
     CSV_HEADER,
@@ -237,13 +239,29 @@ def test_sweep_resolves_unsupported_combinatorics_record(tmp_path, fp2):
     assert load_fixed_point(path).combinatorics.p == 2
 
 
-def test_adapted_metric_fit_matches_svd_lstsq(ps2, monkeypatch):
+def _adapted_metric_system(interval, xs, vals, lds, nq=16):
+    """The fit's least-squares system, row by row: per letter a and sample
+    x, q(psi_a x) - q(x) - c_a = -log|psi_a'(x)|; then q's mean = 0."""
+    na, ns = lds.shape
+    rows = np.zeros((na * ns + 1, nq + na))
+    rhs = np.zeros(na * ns + 1)
+    u = lambda x: mapdomain(x, interval, (-1.0, 1.0))
+    for a in range(na):
+        block = slice(a * ns, (a + 1) * ns)
+        rows[block, :nq] = (chebvander(u(vals[a]), nq - 1)
+                            - chebvander(u(xs), nq - 1))
+        rows[block, nq + a] = -1.0
+        rhs[block] = -lds[a]
+    rows[-1, 0] = 1.0
+    return rows, rhs
+
+
+def test_adapted_metric_fit_matches_svd_lstsq(ps2):
     xs = _sample_points(ps2.interval, 9)
     vals, lds = _metric_samples(ps2, xs)
     got = _fit_adapted_metric(ps2.interval, xs, vals, lds).coef
-    monkeypatch.setattr(feigdim.dimension, "lstsq",
-                        lambda a, b, **kw: np.linalg.lstsq(a, b, rcond=None))
-    want = _fit_adapted_metric(ps2.interval, xs, vals, lds).coef
+    rows, rhs = _adapted_metric_system(ps2.interval, xs, vals, lds)
+    want = np.linalg.lstsq(rows, rhs, rcond=None)[0][:16]
     assert float(np.max(np.abs(got - want))) <= 1e-10
 
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from feigdim.dimension import _as_ifs
 from feigdim.errors import (
     DomainError,
     IndexOutOfAlphabet,
@@ -10,6 +11,7 @@ from feigdim.errors import (
     RatioNotContracting,
 )
 from feigdim.presentation import (
+    _h_inverse_jets,
     _psi_jets,
     _solve_E_decreasing,
     build_presentation,
@@ -23,7 +25,7 @@ from feigdim.presentation import (
     tail_bound,
     word_map,
 )
-from feigdim.unimodal import build_system
+from feigdim.unimodal import _G_jets, build_system
 
 from conftest import solve_ell
 from oracles import fd_derivative
@@ -253,3 +255,26 @@ def test_bracketed_newton_matches_bisection(ell):
         assert np.all((z >= lo) & (z <= hi))
         assert float(np.max(np.abs(z - ref))) <= 2e-15
         assert float(np.max(np.abs(fp.E(z) - targets))) <= 2e-15
+
+
+def _two_walk_cylinders(sys, I, Kmax):
+    """The cylinder loop as two walks: the ends of I, then its midpoint."""
+    cylinders = np.empty((Kmax, 2))
+    sides = np.empty(Kmax, dtype=int)
+    ye = _h_inverse_jets(sys, np.array(I), 0)[0]
+    ym = _h_inverse_jets(sys, np.array([0.5 * (I[0] + I[1])]), 0)[0]
+    for k in range(1, Kmax + 1):
+        ye = _G_jets(sys, ye, 0)[0]
+        ym = _G_jets(sys, ym, 0)[0]
+        cylinders[k - 1] = sorted(ye)
+        sides[k - 1] = 1 if ym[0] < sys.x_c else -1
+    return cylinders, sides
+
+
+@pytest.mark.parametrize("ell", range(2, 21, 2))
+def test_one_walk_cylinders_match_two_walks(ell):
+    # the alphabet a certified row uses (Kmax 40 at ell 2, 328 at ell 20)
+    ps = _as_ifs(build_system(solve_ell(ell)))
+    cylinders, sides = _two_walk_cylinders(ps.sys, ps.interval, ps.Kmax)
+    assert float(np.max(np.abs(ps.cylinders - cylinders))) <= 1e-15
+    assert np.array_equal(ps.branch_side, sides)
