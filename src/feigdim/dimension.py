@@ -95,18 +95,20 @@ class PressureModel:
         return float(self.ifs.tail_bound(self.K, t))
 
 
-def build_pressure_model(ifs, K=None, Nc=32):
+def build_pressure_model(ifs, K=None, Nc=32, _rows=None):
+    """Collocated operator of the first K letters on Nc nodes of I.
+
+    _rows is an escalation's (letter_jets stream on these nodes, row list):
+    each model extends it to its K instead of restarting at letter 1."""
     if K is None:
         K = min(32, ifs.Kmax)
-    lo, hi = ifs.interval
-    nodes = cheb_points(lo, hi, Nc)
-    weights = bary_weights(Nc)
-    tables = [jets for _, jets in ifs.letter_jets(K, nodes, 1)]
-    imgs = np.stack([tab[0] for tab in tables])
-    ders = np.abs(np.stack([tab[1] for tab in tables]))
+    nodes, weights = cheb_points(*ifs.interval, Nc), bary_weights(Nc)
+    stream, rows = _rows or (ifs.letter_jets(K, nodes, 1), [])
+    for _, (val, der) in itertools.islice(stream, K - len(rows)):
+        rows.append((val, np.abs(der), interp_matrix(nodes, weights, val)))
+    imgs, ders, B = (np.stack(col) for col in zip(*rows[:K]))
     if not np.all(ders > 0.0):
         raise DomainError("vanishing branch derivative on the node grid")
-    B = np.stack([interp_matrix(nodes, weights, row) for row in imgs])
     return PressureModel(ifs, K, Nc, nodes, weights, imgs, ders, B)
 
 
@@ -289,7 +291,8 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     tail at the root is below 1e-8, doubling K where the tail levels do not
     decay yet (RatioNotContracting); only at Kmax does escalation fail, with
     TailTooFat or RatioNotContracting. An explicitly pinned K is honored as
-    given.
+    given. Escalation extends one node stream: each model reuses the node
+    jets and interpolation rows of the letters earlier models walked.
 
     With with_bracket, [hd_lo, hd_hi] is the hull of hd and the
     Collatz-Wielandt bracket of the full system, tested with the final
@@ -302,8 +305,11 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     if K is None:
         K = min(32, ifs.Kmax)
 
+    # one node stream, to the last letter any model of the call may take
+    nodes = cheb_points(*ifs.interval, Nc)
+    rows = (ifs.letter_jets(K if pinned else ifs.Kmax, nodes, 1), [])
     while True:
-        pm = build_pressure_model(ifs, K=K, Nc=Nc)
+        pm = build_pressure_model(ifs, K=K, Nc=Nc, _rows=rows)
         hd = _bowen_root(pm, root_tol)
         try:
             tail = pm.tail_t(hd)
@@ -327,6 +333,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
         need = int(np.ceil(np.log(0.2 * _TAIL_BUDGET / tail) / np.log(r)))
         K = min(ifs.Kmax, K + max(10, need))
 
+    del rows    # the final model holds its own tables
     if not 0.0 < hd < 1.0:
         raise InvariantViolation(f"Bowen root {hd} outside (0, 1)")
 

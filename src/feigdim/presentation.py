@@ -15,7 +15,6 @@ psi_k = H^{-1} o tau^{-k} is kept for cross-validation on shallow k,
 where the inversion is still well conditioned.
 """
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +39,10 @@ _NNEWT = 4
 
 @dataclass(frozen=True, eq=False)
 class PresentationSystem:
-    """Built presentation IFS with cylinder table and contraction data."""
+    """Built presentation IFS with cylinder table and contraction data.
+
+    tail_levels[k - 1] is sup |Dpsi_k| on a 64-point grid of I (read-only).
+    """
 
     sys: object
     I: tuple
@@ -51,6 +53,7 @@ class PresentationSystem:
     cylinders: np.ndarray
     branch_side: np.ndarray
     k_verify: int
+    tail_levels: np.ndarray
 
     @property
     def interval(self):
@@ -71,19 +74,6 @@ class PresentationSystem:
 
     def tail_bound(self, K, t):
         return tail_bound(self, K, t)
-
-    @cached_property
-    def tail_levels(self):
-        """sup_I |Dpsi_k| on a 64-point grid of I, entry k-1 for k <= Kmax.
-
-        The frozen dataclass has no slots, so the table is stored on the
-        instance at first use and shared by every later tail_bound call.
-        """
-        x = np.linspace(*self.I, _TAIL_NX)
-        levels = np.array([float(np.max(np.abs(jets[1])))
-                           for _, jets in iter_letter_jets(self, self.Kmax, x)])
-        levels.flags.writeable = False
-        return levels
 
     def orbit_index(self, j):
         if j >= len(self.orbit):
@@ -234,11 +224,18 @@ def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
     orbit indexes fit that budget and whose entries sit below the table's
     measured roundoff floor (strict_orbit=True demands the full table
     instead and raises OrbitIndexOverflow).
+
+    The alphabet is walked once per grid: three scalar G-orbits give the
+    cylinder table, and one iter_letter_jets pass gives tail_levels and the
+    contraction certificate of each J margin (j_margin, then +0.15, +0.3;
+    the first below 1 is kept).
     """
     if Kmax is None:
         Kmax = default_kmax(sys.ell)
     if Kmax < 1:
         raise DomainError(f"Kmax must be >= 1, got {Kmax}")
+    if j_margin <= 0.0:
+        raise DomainError(f"j_margin must be > 0, got {j_margin}")
 
     # letter k has cylinder endpoints c_{2^k} and c_{3*2^k}
     need = np.log(4) + Kmax * np.log(2)
@@ -270,34 +267,35 @@ def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
     doubled = _G_jets(sys, orbit[half], 0)[0]
     defect = np.abs(doubled - orbit[2 * half])
     k_verify = 0
-    for k in range(1, k_fit + 1):
-        if float(defect[:2 ** (k + 1)].max()) < 0.25e-8:
-            k_verify = k
-        else:
-            break
+    while k_verify < k_fit and defect[:2 ** (k_verify + 2)].max() < 0.25e-8:
+        k_verify += 1
     if k_verify == 0:
         raise InvariantViolation(
             f"orbit doubling defect {defect[:4].max():.2e} already "
             "exceeds the endpoint tolerance at k=1"
         )
 
-    cylinders = np.empty((Kmax, 2))
-    sides = np.empty(Kmax, dtype=int)
-    # one walk: the ends of I in slots 0-1, its midpoint in slot 2
-    y = _h_inverse_jets(sys, np.array([*I, 0.5 * (I[0] + I[1])]), 0)[0]
-    for k in range(1, Kmax + 1):
-        y = _G_jets(sys, y, 0)[0]
-        cylinders[k - 1] = sorted(y[:2])
-        sides[k - 1] = 1 if y[2] < sys.x_c else -1
+    # the ends of I and its midpoint as plain floats; a step E(v / tau)^ell
+    # through the np.power ufunc has the bits of the array step
+    E, ell, tau = sys.fp.E, sys.ell, sys.tau
+    y = _h_inverse_jets(sys, np.array([*I, sum(I) / 2]), 0)[0].tolist()
+    walk = np.empty((Kmax, 3))
+    for k in range(Kmax):
+        walk[k] = y = [float(np.power(E(v / tau), ell)) for v in y]
+    cylinders, mid = np.sort(walk[:, :2], axis=1), walk[:, 2]
+    # G' < 0 at x_c: sides alternate, checked where midpoints leave x_c
+    sides = (1 if mid[0] < sys.x_c else -1) * (-1) ** np.arange(Kmax)
+    clash = (np.abs(mid - sys.x_c) > 1e-12) & ((mid < sys.x_c) != (sides > 0))
+    if np.any(clash):
+        raise InvariantViolation(
+            f"letter {np.argmax(clash) + 1} breaks the alternation of sides")
 
     for k in range(1, k_verify + 1):
         want = sorted((orbit[2 ** k], orbit[3 * 2 ** k]))
-        got = cylinders[k - 1]
-        err = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
+        err = float(np.max(np.abs(cylinders[k - 1] - want)))
         if err >= 1e-8:
             raise InvariantViolation(
-                f"cylinder endpoints for k={k} off by {err:.2e}"
-            )
+                f"cylinder endpoints for k={k} off by {err:.2e}")
 
     if np.any(cylinders[:, 0] < I[0] - 1e-12) or \
             np.any(cylinders[:, 1] > I[1] + 1e-12):
@@ -309,13 +307,24 @@ def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
 
     ps = PresentationSystem(sys, I, orbit, Kmax, J=(0.0, 0.0), lambda_rho=1.0,
                             cylinders=cylinders, branch_side=sides,
-                            k_verify=k_verify)
+                            k_verify=k_verify, tail_levels=None)
+    # J's ends as columns, one row per margin: running maxima over letters
     width = I[1] - I[0]
-    for margin in (j_margin, j_margin + 0.15, j_margin + 0.3):
-        J = (I[0] - margin * width, I[1] + margin * width)
-        lam_rho = contraction_certificate(ps, J=J)
+    Js = [(I[0] - m * width, I[1] + m * width)
+          for m in (j_margin, j_margin + 0.15, j_margin + 0.3)]
+    J = np.array(Js).T[:, :, None]
+    x = np.concatenate([np.linspace(*I, _CERT_NX), np.linspace(*I, _TAIL_NX)])
+    rho_x = _rho_density(J, x[:_CERT_NX])
+    worst, levels = np.zeros(len(Js)), np.empty(Kmax)
+    for (k, _), (val, der) in iter_letter_jets(ps, Kmax, x):
+        ratio = _contraction_ratio(J, rho_x, val[:_CERT_NX], der[:_CERT_NX])
+        worst = np.maximum(worst, ratio.max(axis=1))
+        levels[k - 1] = np.max(np.abs(der[_CERT_NX:]))
+    levels.flags.writeable = False
+    for J_m, lam_rho in zip(Js, worst):
         if lam_rho < 1.0:
-            return replace(ps, J=J, lambda_rho=lam_rho)
+            return replace(ps, J=J_m, lambda_rho=float(lam_rho),
+                           tail_levels=levels)
     raise NoContraction("no J margin up to +0.5 gave lambda_rho < 1")
 
 
@@ -323,6 +332,11 @@ def _rho_density(J, x):
     """Hyperbolic density (up to a constant) of the disk with diameter J."""
     A, B = J
     return 1.0 / ((x - A) * (B - x))
+
+
+def _contraction_ratio(J, rho_x, val, der):
+    """|psi'(x)| rho(psi x) / rho(x), from the letter's jets at x."""
+    return np.abs(der) * _rho_density(J, val) / rho_x
 
 
 def contraction_certificate(ps, J=None):
@@ -333,8 +347,7 @@ def contraction_certificate(ps, J=None):
     rho_x = _rho_density(J, x)
     worst = 0.0
     for _, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
-        ratio = np.abs(der) * _rho_density(J, val) / rho_x
-        worst = max(worst, float(ratio.max()))
+        worst = max(worst, float(_contraction_ratio(J, rho_x, val, der).max()))
     return worst
 
 

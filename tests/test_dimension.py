@@ -26,6 +26,7 @@ from feigdim.dimension import (
     _sample_points,
 )
 import feigdim.dimension
+import feigdim.presentation
 from feigdim.cheb import bary_weights, cheb_points, interp_matrix
 from feigdim.errors import (
     DomainError,
@@ -421,9 +422,9 @@ def test_undecayed_tail_escalates_to_kmax_before_raising(ps2, monkeypatch):
     built = []
     build = feigdim.dimension.build_pressure_model
 
-    def counting(ifs, K, Nc):
+    def counting(ifs, K, Nc, _rows):
         built.append(K)
-        return build(ifs, K=K, Nc=Nc)
+        return build(ifs, K=K, Nc=Nc, _rows=_rows)
 
     monkeypatch.setattr(feigdim.dimension, "build_pressure_model", counting)
     with pytest.raises(RatioNotContracting):
@@ -433,3 +434,43 @@ def test_undecayed_tail_escalates_to_kmax_before_raising(ps2, monkeypatch):
     with pytest.raises(RatioNotContracting):
         hausdorff_dimension(_UndecayedTail(ps2), K=24)
     assert built == [24]
+
+
+def test_certified_row_walks_the_alphabet_once_per_grid(monkeypatch):
+    # one pass over Kmax letters for the presentation's certificates and
+    # tail levels, one node stream grown to K, one operator-bracket pass
+    sys = build_system(solve_ell(20))
+    kmax = _as_ifs(sys).Kmax
+    stream = feigdim.presentation.iter_letter_jets
+    yielded = []
+
+    def counting(ps, K, x, nder=1):
+        for item in stream(ps, K, x, nder):
+            yielded.append(item[0])
+            yield item
+
+    monkeypatch.setattr(feigdim.presentation, "iter_letter_jets", counting)
+    res = hausdorff_dimension(sys)
+    assert res.K == 209
+    assert len(yielded) <= kmax + 2 * res.K
+
+
+def test_grown_model_equals_a_fresh_one(monkeypatch, toy):
+    models = []
+    build = feigdim.dimension.build_pressure_model
+
+    def keep(ifs, K, Nc, _rows):
+        models.append(build(ifs, K=K, Nc=Nc, _rows=_rows))
+        return models[-1]
+
+    monkeypatch.setattr(feigdim.dimension, "build_pressure_model", keep)
+    ifs = _as_ifs(build_system(solve_ell(20)))
+    res = hausdorff_dimension(ifs, with_bracket=False)
+    assert len(models) > 1 and models[-1].K == res.K == 209
+    rows = (toy.letter_jets(2, cheb_points(*toy.interval, 32), 1), [])
+    build(toy, K=1, Nc=32, _rows=rows)
+    pairs = [(models[-1], build(ifs, K=res.K)),
+             (build(toy, K=2, Nc=32, _rows=rows), build(toy, K=2, Nc=32))]
+    for grown, fresh in pairs:
+        for name in ("imgs", "ders", "B"):
+            assert np.array_equal(getattr(grown, name), getattr(fresh, name))

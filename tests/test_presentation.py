@@ -132,6 +132,17 @@ def test_contraction_certificate(ps2):
     assert 0.0 < ps2.lambda_rho < 1.0
     assert abs(ps2.lambda_rho - 0.277105) < 1e-3
     assert abs(contraction_certificate(ps2) - ps2.lambda_rho) < 1e-12
+    # the widest alphabet a certified row builds (Kmax 328 at ell 20)
+    ps20 = _as_ifs(build_system(solve_ell(20)))
+    assert 0.0 < ps20.lambda_rho < 1.0
+    assert abs(contraction_certificate(ps20) - ps20.lambda_rho) < 1e-12
+
+
+@pytest.mark.parametrize("j_margin", [0.0, -0.05])
+def test_build_presentation_rejects_non_positive_j_margin(sys2, j_margin):
+    # at 0 the density is infinite at the ends of I; below 0, J is inside I
+    with pytest.raises(DomainError):
+        build_presentation(sys2, j_margin=j_margin)
 
 
 def test_decay_profile_slopes(ps2, fp2):
@@ -258,23 +269,30 @@ def test_bracketed_newton_matches_bisection(ell):
 
 
 def _two_walk_cylinders(sys, I, Kmax):
-    """The cylinder loop as two walks: the ends of I, then its midpoint."""
+    """The cylinder loop as two array walks: the ends of I, then its
+    midpoint; returns the cylinders and the walked midpoints."""
     cylinders = np.empty((Kmax, 2))
-    sides = np.empty(Kmax, dtype=int)
+    mids = np.empty(Kmax)
     ye = _h_inverse_jets(sys, np.array(I), 0)[0]
     ym = _h_inverse_jets(sys, np.array([0.5 * (I[0] + I[1])]), 0)[0]
     for k in range(1, Kmax + 1):
         ye = _G_jets(sys, ye, 0)[0]
         ym = _G_jets(sys, ym, 0)[0]
         cylinders[k - 1] = sorted(ye)
-        sides[k - 1] = 1 if ym[0] < sys.x_c else -1
-    return cylinders, sides
+        mids[k - 1] = ym[0]
+    return cylinders, mids
 
 
 @pytest.mark.parametrize("ell", range(2, 21, 2))
 def test_one_walk_cylinders_match_two_walks(ell):
-    # the alphabet a certified row uses (Kmax 40 at ell 2, 328 at ell 20)
+    # the alphabet a certified row uses (Kmax 68 at ell 2, 328 at ell 20)
     ps = _as_ifs(build_system(solve_ell(ell)))
-    cylinders, sides = _two_walk_cylinders(ps.sys, ps.interval, ps.Kmax)
+    cylinders, mids = _two_walk_cylinders(ps.sys, ps.interval, ps.Kmax)
     assert float(np.max(np.abs(ps.cylinders - cylinders))) <= 1e-15
-    assert np.array_equal(ps.branch_side, sides)
+    # a midpoint within roundoff of x_c has no side of its own; the
+    # resolved ones agree, and the sides alternate over the whole alphabet
+    resolved = np.abs(mids - ps.sys.x_c) > 1e-12
+    sides = np.where(mids < ps.sys.x_c, 1, -1)
+    assert resolved[:20].all()
+    assert np.array_equal(ps.branch_side[resolved], sides[resolved])
+    assert np.all(ps.branch_side[1:] == -ps.branch_side[:-1])
