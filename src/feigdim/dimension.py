@@ -70,6 +70,9 @@ _BRACKET_XTOL = 1e-13       # bracket root tolerance; roots move out by it
 _TAIL_BUDGET = 1e-8         # tail at the root that stops K escalation
 _MORAN_NSAMP = 9            # Moran sample points on I per word
 _Q_TERMS = 16               # Chebyshev terms of the adapted metric q
+_POWER_TOL = 1e-12          # power iteration's relative eigenvalue step
+_POWER_MAX_ITER = 5000
+_MORAN_SCAN = np.linspace(0.02, 1.4, 29)    # t grid of the Moran root scan
 
 CSV_HEADER = ["ell", "hd", "hd_lo", "hd_hi", "alpha", "tau", "K", "Nc",
               "tail_bound", "runtime_s"]
@@ -112,8 +115,8 @@ def build_pressure_model(ifs, K=None, Nc=32, _rows=None):
     return PressureModel(ifs, K, Nc, nodes, weights, imgs, ders, B)
 
 
-def _power_pair(M, tol=1e-12, max_iter=5000, positive=True):
-    """Leading eigenpair by power iteration to relative tolerance tol.
+def _power_pair(M, positive=True):
+    """Leading eigenpair by power iteration to relative tolerance 1e-12.
 
     The right eigenvector approximates a positive eigenfunction and must be
     one-signed; a left eigenvector is a quadrature functional whose node
@@ -121,13 +124,13 @@ def _power_pair(M, tol=1e-12, max_iter=5000, positive=True):
     """
     v = np.ones(M.shape[0])
     lam_old = np.inf
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = M @ v
         lam = float(w @ v) / float(v @ v)
         if not np.isfinite(lam) or lam <= 0.0:
             raise PowerIterationStall(f"eigenvalue estimate {lam} not usable")
         v = w / np.max(np.abs(w))
-        if abs(lam - lam_old) <= tol * abs(lam):
+        if abs(lam - lam_old) <= _POWER_TOL * abs(lam):
             if not positive:
                 return lam, (-v if v.sum() < 0.0 else v)
             if v.min() * v.max() <= 0.0:
@@ -136,7 +139,8 @@ def _power_pair(M, tol=1e-12, max_iter=5000, positive=True):
                 )
             return lam, np.abs(v)
         lam_old = lam
-    raise PowerIterationStall(f"no convergence in {max_iter} iterations")
+    raise PowerIterationStall(
+        f"no convergence in {_POWER_MAX_ITER} iterations")
 
 
 def pressure_eigen(pm, t):
@@ -467,10 +471,9 @@ def _logsumexp(a):
     return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def _log_root(fn, lo=0.02, hi=1.4, xtol=1e-12):
-    grid = np.linspace(lo, hi, 29)
+def _log_root(fn, xtol):
     prev_t, prev_v = None, None
-    for t in grid:
+    for t in _MORAN_SCAN:
         try:
             v = fn(t)
         except (RatioNotContracting, OverflowError):
@@ -649,7 +652,7 @@ class DimensionReport:
 
     @staticmethod
     def cells(row):
-        """CSV cells of one row: counts as integers, reals to 12 digits."""
+        """CSV cells of one row (fixedpoint.csv_cells)."""
         return csv_cells(row[key] for key in CSV_HEADER)
 
     def to_csv(self, path):
@@ -664,8 +667,8 @@ class DimensionReport:
         return out
 
 
-def sweep(ells, degree=40, K=None, Nc=32, root_tol=1e-8, tol=1e-10,
-          cache_dir=None, progress=None):
+def sweep(ells, degree=40, K=None, Nc=32, tol=1e-10, cache_dir=None,
+          progress=None):
     """One dimension row per ell, continuation-seeded; failures recorded.
 
     Fixed points come from fixedpoint.cached_solve, each continued from the
@@ -681,8 +684,7 @@ def sweep(ells, degree=40, K=None, Nc=32, root_tol=1e-8, tol=1e-10,
         try:
             fp, _, _ = cached_solve(ell, degree, tol, cache_dir, prev=fp)
             sys = build_system(fp)
-            report.add(sys, hausdorff_dimension(sys, K=K, Nc=Nc,
-                                                root_tol=root_tol))
+            report.add(sys, hausdorff_dimension(sys, K=K, Nc=Nc))
         except FeigdimError as exc:
             report.failures.append((ell, f"{type(exc).__name__}: {exc}"))
         if progress is not None:

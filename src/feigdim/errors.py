@@ -69,7 +69,7 @@ class OrbitIndexOverflow(FeigdimError):
 
 
 class IndexOutOfAlphabet(FeigdimError):
-    """Letter (k, m) outside the stored alphabet."""
+    """Letter k outside 1..Kmax, or a truncation K beyond Kmax."""
 
 
 class NoContraction(FeigdimError):

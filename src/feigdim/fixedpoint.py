@@ -38,6 +38,7 @@ from .errors import (
 
 SCHEMA = "feigdim-fp-1"
 BASIS = "chebyshev-u"
+_NEWTON_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -103,21 +104,6 @@ class FixedPointMap:
         return cheb.eval01(self._jet_table[:, :order + 1], u)
 
 
-def _abs_pow(x, ell):
-    """|x|^ell, routed through exp/log for small |x| to dodge underflow."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    if ell == 0:
-        return np.ones_like(ax)
-    out = np.zeros_like(ax)
-    small = (ax < 1e-3) & (ax > 0.0)
-    big = ax >= 1e-3
-    out[big] = ax[big] ** ell
-    if small.any():
-        out[small] = np.exp(ell * np.log(ax[small]))
-    return out
-
-
 def _residual_vec(coeffs, alpha, ell, nodes):
     """Collocation residual rows plus the normalization row."""
     tau = alpha ** ell
@@ -146,9 +132,9 @@ def _jacobian(coeffs, alpha, ell, nodes, degree):
     return np.vstack([np.hstack([Jc, Ja[:, None]]), norm_row])
 
 
-def _validation_defect(coeffs, alpha, ell, npts=512):
-    """Sup of |alpha g(g(x)) - g(alpha x)| on x in [0, 1/|alpha|]."""
-    x = np.linspace(0.0, 1.0 / abs(alpha), npts)
+def _validation_defect(coeffs, alpha, ell):
+    """Sup of |alpha g(g(x)) - g(alpha x)| on 512 points of [0, 1/|alpha|]."""
+    x = np.linspace(0.0, 1.0 / abs(alpha), 512)
     gx = cheb.eval01(coeffs, x ** ell)
     ggx = cheb.eval01(coeffs, np.abs(gx) ** ell)
     gax = cheb.eval01(coeffs, np.abs(alpha * x) ** ell)
@@ -181,9 +167,11 @@ def _default_seed(degree):
     return cheb.fit01(u, vals, degree), -2.5
 
 
-def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
+def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
                       initial_guess=None):
     """Solve the fixed-point equation by damped Newton on collocation.
+
+    Newton stops at 40 iterations (NoConvergence).
 
     Parameters
     ----------
@@ -195,8 +183,6 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
         Chebyshev truncation order of E (>= 10).
     tol : float
         Acceptance threshold for the sup defect on the validation grid.
-    max_iter : int
-        Newton iteration cap.
     initial_guess : (coeffs, alpha), optional
         Seed; defaults to the built-in ell=2 seed, reached by internal
         continuation for larger ell.
@@ -212,9 +198,9 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
         raise DomainError(f"degree must be >= 10, got {degree}")
 
     if initial_guess is None and ell > 2:
-        fp = solve_fixed_point(combinatorics, 2, degree, tol, max_iter)
+        fp = solve_fixed_point(combinatorics, 2, degree, tol)
         for next_ell in range(4, ell + 1, 2):
-            fp = continue_in_ell(fp, next_ell, tol=tol, max_iter=max_iter)
+            fp = continue_in_ell(fp, next_ell, tol=tol)
         meta = dict(fp.solver_meta)
         meta["seed"] = "chained-continuation-from-ell-2"
         return FixedPointMap(fp.combinatorics, fp.ell, fp.alpha, fp.e_coeffs,
@@ -234,7 +220,7 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
     F = _residual_vec(coeffs, alpha, ell, nodes)
     best = float(np.max(np.abs(F)))
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
         J = _jacobian(coeffs, alpha, ell, nodes, degree)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > 1e14:
             raise DegenerateJacobian(
@@ -255,7 +241,8 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
             break
     else:
         raise NoConvergence(
-            f"Newton stalled after {max_iter} iterations, residual {best:.3e}",
+            f"Newton stalled after {_NEWTON_MAX_ITER} iterations, "
+            f"residual {best:.3e}",
             best,
         )
 
@@ -272,7 +259,7 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10, max_iter=40,
                          residual, meta)
 
 
-def continue_in_ell(prev, next_ell, tol=1e-10, max_iter=40):
+def continue_in_ell(prev, next_ell, tol=1e-10):
     """One continuation step prev.ell -> prev.ell + 2, seeded by prev.
 
     The alpha seed keeps tau continuous across the step; on NoConvergence
@@ -287,10 +274,10 @@ def continue_in_ell(prev, next_ell, tol=1e-10, max_iter=40):
     guess = (prev.e_coeffs, alpha_seed)
     try:
         fp = solve_fixed_point(prev.combinatorics, next_ell, prev.degree, tol,
-                               max_iter, initial_guess=guess)
+                               initial_guess=guess)
     except NoConvergence:
         fp = solve_fixed_point(prev.combinatorics, next_ell, 2 * prev.degree,
-                               tol, max_iter, initial_guess=guess)
+                               tol, initial_guess=guess)
     meta = dict(fp.solver_meta)
     meta["seed"] = f"continued-from-ell-{prev.ell}"
     return FixedPointMap(fp.combinatorics, fp.ell, fp.alpha, fp.e_coeffs,
@@ -308,15 +295,16 @@ def evaluate_g(fp, x, deriv_order=0):
     if np.any(np.abs(x_arr) > 1.0 + 1e-12):
         raise DomainError("evaluate_g requires |x| <= 1")
     ell = fp.ell
-    u = _abs_pow(x_arr, ell)
+    ax = np.abs(x_arr)
+    u = ax ** ell
     if deriv_order == 0:
         out = fp.E(u)
     elif deriv_order == 1:
-        du = ell * _abs_pow(x_arr, ell - 1) * np.sign(x_arr)
+        du = ell * ax ** (ell - 1) * np.sign(x_arr)
         out = fp.E(u, 1) * du
     else:
-        du = ell * _abs_pow(x_arr, ell - 1) * np.sign(x_arr)
-        d2u = ell * (ell - 1) * _abs_pow(x_arr, ell - 2)
+        du = ell * ax ** (ell - 1) * np.sign(x_arr)
+        d2u = ell * (ell - 1) * ax ** (ell - 2)
         out = fp.E(u, 2) * du ** 2 + fp.E(u, 1) * d2u
     return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
 
@@ -421,8 +409,9 @@ def load_fixed_point(path, revalidate=True):
 
 
 def csv_cells(values):
-    """CSV cells: integers as str, reals to 12 significant digits."""
-    return [str(v) if isinstance(v, (int, np.integer)) else f"{v:.12g}"
+    """CSV cells: integers as str, reals as repr(float), which reads back
+    as the same float."""
+    return [str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
             for v in values]
 
 

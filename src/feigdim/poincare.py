@@ -42,9 +42,6 @@ def dominance_table(systems, R0=DEFAULT_R0):
     ells = [sys.ell for sys in systems]
     if sorted(ells) != ells or len(set(ells)) != len(ells):
         raise DomainError("systems must be strictly ascending in ell")
-    combos = {(sys.p, sys.fp.combinatorics.orientation) for sys in systems}
-    if len(combos) != 1:
-        raise DomainError("systems mix combinatorics types")
     rows = []
     for sys in systems:
         lam, b, a = sys.taylor

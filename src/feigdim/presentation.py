@@ -1,11 +1,11 @@
 """The infinite presentation IFS {psi_k = G^k o H^{-1}} on I = [c_2, c_4].
 
-Only period doubling (p = 2) is supported, so there is one inverse branch
-H^{-1} and the letters are (k, 1) for k = 1..Kmax; the public (k, m) form
-is kept so that a letter still names its branch. PresentationSystem
-implements the IFS protocol of the dimension engine (interval, Kmax,
-letters, letter_jets, tail_bound); its letter_jets is iter_letter_jets,
-the one stream of jets over the alphabet.
+Period doubling has one inverse branch H^{-1}, so a letter is its depth
+k = 1..Kmax: a countable conformal IFS indexed by k alone.
+PresentationSystem implements the IFS protocol of the dimension engine
+(interval, Kmax, letters, letter_jets, tail_bound); its letter_jets is
+iter_letter_jets, the one stream of jets over the alphabet, and a single
+letter's jets are that stream's k-th item.
 
 Branch inversions are one-lap solves of E(z) = x^(1/ell) by safeguarded
 bisection-Newton; G^k is applied as k explicit contraction steps, which is
@@ -59,15 +59,10 @@ class PresentationSystem:
     def interval(self):
         return self.I
 
-    @property
-    def p(self):
-        return self.sys.p
-
     def letters(self, K=None):
         K = self.Kmax if K is None else K
-        if K > self.Kmax:
-            raise IndexOutOfAlphabet(f"K={K} exceeds Kmax={self.Kmax}")
-        return [(k, 1) for k in range(1, K + 1)]
+        _check_letter(self, K)
+        return list(range(1, K + 1))
 
     def letter_jets(self, K, x, nder=1):
         return iter_letter_jets(self, K, x, nder)
@@ -83,9 +78,10 @@ class PresentationSystem:
         return self.orbit[j]
 
 
-def _check_letter(ps, k, m):
-    if not (1 <= k <= ps.Kmax) or not (1 <= m <= ps.p - 1):
-        raise IndexOutOfAlphabet(f"letter (k={k}, m={m}) outside the alphabet")
+def _check_letter(ps, k):
+    """A letter, or a truncation K, is a depth in 1..Kmax."""
+    if not 1 <= k <= ps.Kmax:
+        raise IndexOutOfAlphabet(f"{k} is not a letter of 1..{ps.Kmax}")
 
 
 def _solve_E_decreasing(fp, targets, lo, hi):
@@ -149,51 +145,48 @@ def _g_step_jets(sys, jets, nder):
     return tuple(out)
 
 
-def _psi_jets(ps, k, m, x, nder):
-    """Jets of the single letter psi_{k,m}; m is 1 in the p = 2 alphabet."""
-    jets = _h_inverse_jets(ps.sys, x, nder)
-    for _ in range(k):
-        jets = _g_step_jets(ps.sys, jets, nder)
-    return jets
-
-
 def iter_letter_jets(ps, K, x, nder=1):
-    """Yield (letter, jets) in ps.letters(K) order, sharing the G-iteration.
+    """Yield (k, jets) for k = 1..K, sharing the G-iteration.
 
     The only whole-alphabet jet path: one branch inversion and K
     contraction steps cover the alphabet, and callers that stream the
     letters keep memory at a single jet tuple.
     """
-    if K > ps.Kmax:
-        raise IndexOutOfAlphabet(f"K={K} exceeds Kmax={ps.Kmax}")
+    _check_letter(ps, K)
     x = np.asarray(x, dtype=float)
     jets = _h_inverse_jets(ps.sys, x, nder)
     for k in range(1, K + 1):
         jets = _g_step_jets(ps.sys, jets, nder)
-        yield (k, 1), jets
+        yield k, jets
 
 
-def psi(ps, k, m, x, deriv=0):
-    """psi_{k,m}(x) or its first derivative, x in I."""
-    _check_letter(ps, k, m)
+def _psi_jets(ps, k, x, nder):
+    """Jets of the single letter psi_k: the k-th item of iter_letter_jets."""
+    for _, jets in iter_letter_jets(ps, k, x, nder):
+        pass
+    return jets
+
+
+def psi(ps, k, x, deriv=0):
+    """psi_k(x) or its first derivative, x in I."""
     if deriv not in (0, 1):
         raise DomainError(f"deriv must be 0 or 1, got {deriv}")
     lo, hi = ps.I
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < lo - _X_SLACK) or np.any(x_arr > hi + _X_SLACK):
         raise DomainError(f"psi argument outside I = [{lo}, {hi}]")
-    jets = _psi_jets(ps, k, m, x_arr, deriv)
+    jets = _psi_jets(ps, k, x_arr, deriv)
     out = jets[deriv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def psi_alt(ps, k, m, x, deriv=0):
+def psi_alt(ps, k, x, deriv=0):
     """Cross-validation form psi_k = H^{-1} o tau^{-k}.
 
     The outer inversion happens on the lap that carries the cylinder, so it
     is only well conditioned while the cylinder is far from x_c (small k).
     """
-    _check_letter(ps, k, m)
+    _check_letter(ps, k)
     sys = ps.sys
     fp = sys.fp
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -216,14 +209,14 @@ def default_kmax(ell):
     return int(40 * max(1.0, ell / 8.0))
 
 
-def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
+def build_presentation(sys, Kmax=None, j_margin=0.2):
     """Construct the presentation system and verify its invariants.
 
-    Kmax defaults to default_kmax(sys.ell). The critical orbit is stored up
-    to DEFAULT_ORBIT_MAX; endpoint identities are checked for every k whose
-    orbit indexes fit that budget and whose entries sit below the table's
-    measured roundoff floor (strict_orbit=True demands the full table
-    instead and raises OrbitIndexOverflow).
+    Kmax defaults to default_kmax(sys.ell). Letter k has cylinder endpoints
+    c_{2^k} and c_{3*2^k}, so the critical orbit is stored to index
+    4*2^Kmax, clamped to DEFAULT_ORBIT_MAX; endpoint identities are checked
+    for every k whose orbit indexes fit that table and whose entries sit
+    below the table's measured roundoff floor.
 
     The alphabet is walked once per grid: three scalar G-orbits give the
     cylinder table, and one iter_letter_jets pass gives tail_levels and the
@@ -237,16 +230,7 @@ def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
     if j_margin <= 0.0:
         raise DomainError(f"j_margin must be > 0, got {j_margin}")
 
-    # letter k has cylinder endpoints c_{2^k} and c_{3*2^k}
-    need = np.log(4) + Kmax * np.log(2)
-    full_table_len = (None if need > np.log(DEFAULT_ORBIT_MAX)
-                      else 2 ** Kmax * 4)
-    if full_table_len is None and strict_orbit:
-        raise OrbitIndexOverflow(
-            f"orbit to index 2^Kmax*4 = 2^{Kmax}*4 exceeds the "
-            f"budget {DEFAULT_ORBIT_MAX}"
-        )
-    n_orbit = DEFAULT_ORBIT_MAX if full_table_len is None else full_table_len
+    n_orbit = min(DEFAULT_ORBIT_MAX, 4 << Kmax)
     orbit = critical_orbit(sys, n_orbit)
 
     lo, hi = sorted((orbit[2], orbit[4]))
@@ -256,8 +240,7 @@ def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
     if dH.max() * dH.min() <= 0.0:
         raise BranchNotMonotone("H not monotone on the branch lap [c_1, c_3]")
 
-    k_fit = int(np.floor(np.log(n_orbit / 4.0) / np.log(2)))
-    k_fit = max(1, min(Kmax, k_fit))
+    k_fit = (n_orbit // 4).bit_length() - 1     # 1 <= k_fit <= Kmax
 
     # Deep orbit entries accumulate roundoff (worse for large ell), so the
     # endpoint identity is only certifiable as far as the table's own noise
@@ -316,7 +299,7 @@ def build_presentation(sys, Kmax=None, j_margin=0.2, strict_orbit=False):
     x = np.concatenate([np.linspace(*I, _CERT_NX), np.linspace(*I, _TAIL_NX)])
     rho_x = _rho_density(J, x[:_CERT_NX])
     worst, levels = np.zeros(len(Js)), np.empty(Kmax)
-    for (k, _), (val, der) in iter_letter_jets(ps, Kmax, x):
+    for k, (val, der) in iter_letter_jets(ps, Kmax, x):
         ratio = _contraction_ratio(J, rho_x, val[:_CERT_NX], der[:_CERT_NX])
         worst = np.maximum(worst, ratio.max(axis=1))
         levels[k - 1] = np.max(np.abs(der[_CERT_NX:]))
@@ -357,9 +340,8 @@ def word_map(ps, w, x):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < lo - _X_SLACK) or np.any(x_arr > hi + _X_SLACK):
         raise DomainError(f"word_map argument outside I = [{lo}, {hi}]")
-    for k, m in reversed(list(w)):
-        _check_letter(ps, k, m)
-        x_arr = _psi_jets(ps, k, m, x_arr, 0)[0]
+    for k in reversed(list(w)):
+        x_arr = _psi_jets(ps, k, x_arr, 0)[0]
     return float(x_arr[0]) if np.ndim(x) == 0 else x_arr
 
 
@@ -376,15 +358,14 @@ class DecayProfile:
     loglin_slope: float
 
 
-def decay_profile(ps, m, x, k_window=None):
-    """Rows (k, |psi'_{k,m}(x)|, k^{3/2} |psi'_{k,m}(x)|) plus slope fits.
+def decay_profile(ps, x, k_window=None):
+    """Rows (k, |psi_k'(x)|, k^{3/2} |psi_k'(x)|) plus slope fits.
 
     loglog_slope fits log|psi'| against log k over the window (crossover
     diagnostic for the k^{-3/2} regime); loglin_slope fits against k (the
     geometric tail, one G-step per k, so the slope sits near the log of
     the fixed-point multiplier -(1/ell) log tau).
     """
-    _check_letter(ps, 1, m)
     ders = np.array([abs(float(der)) for _, (_, der)
                      in iter_letter_jets(ps, ps.Kmax, float(x))])
     k = np.arange(1, ps.Kmax + 1, dtype=float)
@@ -426,8 +407,8 @@ def cylinders_csv(ps, path):
     64-point tail grid of I."""
     x = np.linspace(*ps.I, _TAIL_NX)
     rows = []
-    for (k, m), (_, der) in iter_letter_jets(ps, ps.Kmax, x):
+    for k, (_, der) in iter_letter_jets(ps, ps.Kmax, x):
         der = np.abs(der)
-        rows.append([k, m, *ps.cylinders[k - 1], der.max(), der.min()])
-    return write_csv(path, ["k", "m", "left", "right", "sup_deriv",
-                            "min_deriv"], rows)
+        rows.append([k, *ps.cylinders[k - 1], der.max(), der.min()])
+    return write_csv(path, ["k", "left", "right", "sup_deriv", "min_deriv"],
+                     rows)

@@ -1,9 +1,10 @@
 """Dynamics derived from a solved fixed point.
 
 H(x) = |E(x)|^ell on [0,1] (ell even, so H = E^ell with no branch issues),
-tau = |alpha|^ell, and the microscope map G(x) = H(x/tau) (p = 2), which fixes
-the critical point x_c and contracts toward it. Taylor data of G^eps at x_c
-and the folding involution live here too. x_c and the involution's mirror
+tau = |alpha|^ell, and the microscope map G(x) = H(x/tau), which fixes the
+critical point x_c and contracts toward it. Period doubling reverses
+orientation there (G'(x_c) < 0), so the Taylor data at x_c are those of G^2.
+The folding involution lives here too. x_c and the involution's mirror
 points are roots of E, located by Brent's method (roots.brentq).
 """
 import warnings
@@ -28,24 +29,19 @@ _SLACK = 1e-12
 class UnimodalSystem:
     """Derived dynamics of a fixed-point map.
 
-    taylor = (lam, b, a) is the third-order expansion of G^eps at x_c in the
+    taylor = (lam, b, a) is the third-order expansion of G^2 at x_c in the
     form x_c + lam*h + b*h^2 - a*h^3; nonsymmetry is N = |E''(x_c)/E'(x_c)|.
     """
 
     fp: object
     tau: float
     x_c: float
-    epsilon: int
     taylor: tuple
     nonsymmetry: float
 
     @property
     def ell(self):
         return self.fp.ell
-
-    @property
-    def p(self):
-        return self.fp.combinatorics.p
 
 
 def _H_jets(fp, x, order):
@@ -87,7 +83,7 @@ def eval_H(sys, x, deriv_order=0):
 
 
 def eval_G(sys, x, deriv_order=0):
-    """G = H(x/tau) (p=2) or one of its first three derivatives.
+    """G = H(x/tau) or one of its first three derivatives.
 
     Domain is [0, tau] so that the inner argument stays in [0,1].
     """
@@ -116,7 +112,7 @@ def jet_compose(outer, inner):
 
 
 def build_system(fp):
-    """Locate x_c, derive tau, eps, Taylor data, and verify the invariants."""
+    """Locate x_c, derive tau and G^2's Taylor data, verify the invariants."""
     e0 = float(fp.E(0.0))
     e1 = float(fp.E(1.0))
     if e0 * e1 >= 0.0:
@@ -125,19 +121,19 @@ def build_system(fp):
                  maxiter=200)
     tau = abs(fp.alpha) ** fp.ell
 
-    sys = UnimodalSystem(fp, tau, x_c, 0, (0.0, 0.0, 0.0), 0.0)
+    sys = UnimodalSystem(fp, tau, x_c, (0.0, 0.0, 0.0), 0.0)
     g1 = float(eval_G(sys, x_c, 1))
-    epsilon = 2 if g1 < 0.0 else 1
+    if not g1 < 0.0:
+        raise InvariantViolation(f"G'(x_c) = {g1} is not < 0: period "
+                                 "doubling reverses orientation at x_c")
 
     _, d1, d2, d3 = (float(v) for v in _G_jets(sys, x_c))
     jet = (d1, d2 / 2.0, d3 / 6.0)
-    if epsilon == 2:
-        jet = jet_compose(jet, jet)
-    lam, b2, c3 = jet
+    lam, b2, c3 = jet_compose(jet, jet)
     taylor = (lam, b2, -c3)
 
     N = abs(float(fp.E(x_c, 2)) / float(fp.E(x_c, 1)))
-    sys = UnimodalSystem(fp, tau, x_c, epsilon, taylor, N)
+    sys = UnimodalSystem(fp, tau, x_c, taylor, N)
 
     if abs(float(eval_H(sys, x_c))) >= 1e-10:
         raise InvariantViolation("H(x_c) not 0 within 1e-10")
@@ -145,8 +141,6 @@ def build_system(fp):
         raise InvariantViolation("H(0) not 1 within 1e-10")
     if abs(abs(g1) - tau ** (-1.0 / fp.ell)) >= 1e-8:
         raise InvariantViolation("multiplier law |G'(x_c)| = tau^(-1/ell) fails")
-    if fp.combinatorics.orientation == "reversing" and epsilon != 2:
-        raise InvariantViolation("reversing combinatorics must give eps = 2")
     res = conjugacy_residual(sys)
     if res >= 1e-9:
         raise InvariantViolation(f"tau H^2(x) = H(tau x) residual {res:.2e}")
@@ -219,10 +213,10 @@ def involution(sys, x, deriv=False):
 
 
 def second_derivative_identity(sys):
-    """Relative defect of |(G^eps)''(x_c)| = N lam (1 - lam).
+    """Relative defect of |(G^2)''(x_c)| = N lam (1 - lam).
 
-    lam is the multiplier of G^eps itself (the square's multiplier for
-    eps = 2), which is what makes the identity exact.
+    lam is the multiplier of G^2 itself, which is what makes the identity
+    exact.
     """
     lam, b, _ = sys.taylor
     lhs = abs(2.0 * b)

@@ -52,7 +52,6 @@ class ToyIFS:
 
     interval = (0.0, 1.0)
     Kmax = 2
-    p = 2
 
     def letters(self, K=None):
         return [0, 1]

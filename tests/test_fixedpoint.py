@@ -64,6 +64,17 @@ def test_functional_equation_on_grid(fp2):
 
 
 @pytest.mark.parametrize("ell", [2, 20])
+def test_evaluate_g_near_zero_is_the_plain_chain_rule(ell):
+    # |x|^ell is a plain power at every x: no exp/log detour near 0
+    fp = solve_ell(ell)
+    x = np.array([1e-4, -1e-4, 3.7e-5, -3.7e-5])
+    u = np.abs(x) ** ell
+    assert np.array_equal(evaluate_g(fp, x), fp.E(u))
+    du = ell * np.abs(x) ** (ell - 1) * np.sign(x)
+    assert np.array_equal(evaluate_g(fp, x, 1), fp.E(u, 1) * du)
+
+
+@pytest.mark.parametrize("ell", [2, 20])
 def test_jets_match_E_per_derivative(ell):
     fp = solve_ell(ell)
     u = np.linspace(0.0, 1.0, 1001)

@@ -25,7 +25,7 @@ from feigdim.presentation import (
     tail_bound,
     word_map,
 )
-from feigdim.unimodal import _G_jets, build_system
+from feigdim.unimodal import DEFAULT_ORBIT_MAX, _G_jets, build_system
 
 from conftest import solve_ell
 from oracles import fd_derivative
@@ -37,21 +37,18 @@ def test_interval_endpoints(ps2):
     lo, hi = ps2.interval
     assert abs(lo - I_2[0]) < 1e-10
     assert abs(hi - I_2[1]) < 1e-12
-    assert ps2.p == 2
 
 
 def test_letters_order_and_length(ps2):
     letters = ps2.letters(7)
-    assert letters == [(k, 1) for k in range(1, 8)]
+    assert letters == list(range(1, 8))
     assert len(ps2.letters()) == ps2.Kmax
-    with pytest.raises(IndexOutOfAlphabet):
-        ps2.letters(ps2.Kmax + 1)
 
 
 def test_cylinder_endpoints_match_orbit(ps2):
     assert ps2.k_verify >= 10
     for k in range(1, 11):
-        left, right = cylinder_of_word(ps2, [(k, 1)])
+        left, right = cylinder_of_word(ps2, [k])
         want = sorted((ps2.orbit_index(2 ** k), ps2.orbit_index(3 * 2 ** k)))
         assert abs(left - want[0]) < 1e-8
         assert abs(right - want[1]) < 1e-8
@@ -74,57 +71,73 @@ def test_cylinders_disjoint_and_inside_I(ps2):
 def test_psi_agrees_with_alt_form(ps2):
     x = np.linspace(*ps2.interval, 17)
     for k in range(1, 7):
-        a = psi(ps2, k, 1, x)
-        b = psi_alt(ps2, k, 1, x)
+        a = psi(ps2, k, x)
+        b = psi_alt(ps2, k, x)
         assert float(np.max(np.abs(a - b))) < 1e-10
-        da = psi(ps2, k, 1, x, deriv=1)
-        db = psi_alt(ps2, k, 1, x, deriv=1)
+        da = psi(ps2, k, x, deriv=1)
+        db = psi_alt(ps2, k, x, deriv=1)
         assert float(np.max(np.abs(da - db))) < 1e-10
 
 
 def test_psi_derivative_vs_finite_differences(ps2):
     x0 = 0.71
     for k in (1, 3, 8):
-        d = psi(ps2, k, 1, x0, deriv=1)
-        fd = fd_derivative(lambda x: psi(ps2, k, 1, x), x0, 1, 1e-6)
+        d = psi(ps2, k, x0, deriv=1)
+        fd = fd_derivative(lambda x: psi(ps2, k, x), x0, 1, 1e-6)
         assert abs(d - fd) < 1e-6 * max(abs(d), 1e-12)
 
 
 def test_letter_jets_method_matches_psi(ps2):
     x = np.array([0.6, 0.8, 0.97])
-    val, der = dict(ps2.letter_jets(3, x, nder=1))[(2, 1)]
-    assert np.allclose(val, psi(ps2, 2, 1, x))
-    assert np.allclose(der, psi(ps2, 2, 1, x, deriv=1))
+    val, der = dict(ps2.letter_jets(3, x, nder=1))[2]
+    assert np.allclose(val, psi(ps2, 2, x))
+    assert np.allclose(der, psi(ps2, 2, x, deriv=1))
 
 
 def test_psi_rejects_x_outside_I(ps2):
     with pytest.raises(DomainError):
-        psi(ps2, 1, 1, 0.3)
+        psi(ps2, 1, 0.3)
     with pytest.raises(DomainError):
-        psi(ps2, 1, 1, 1.2)
+        psi(ps2, 1, 1.2)
 
 
-def test_psi_rejects_bad_letter(ps2):
+_LETTER_CALLS = {
+    "psi": lambda ps, k: psi(ps, k, 0.7),
+    "psi_alt": lambda ps, k: psi_alt(ps, k, 0.7),
+    "word_map": lambda ps, k: word_map(ps, [1, k], 0.7),
+    "letters": lambda ps, k: ps.letters(k),
+}
+
+
+@pytest.mark.parametrize("k", ["0", "Kmax+1"])
+@pytest.mark.parametrize("call", list(_LETTER_CALLS))
+def test_letter_outside_the_alphabet_raises(ps2, call, k):
     with pytest.raises(IndexOutOfAlphabet):
-        psi(ps2, 0, 1, 0.7)
-    with pytest.raises(IndexOutOfAlphabet):
-        psi(ps2, 1, 2, 0.7)
-    with pytest.raises(IndexOutOfAlphabet):
-        psi(ps2, ps2.Kmax + 1, 1, 0.7)
+        _LETTER_CALLS[call](ps2, 0 if k == "0" else ps2.Kmax + 1)
+
+
+@pytest.mark.parametrize("ell", [2, 20])
+def test_psi_is_the_kth_item_of_the_jet_stream(ell):
+    ps = build_presentation(build_system(solve_ell(ell)))
+    x = np.linspace(*ps.interval, 9)
+    for deriv in (0, 1):
+        stream = dict(iter_letter_jets(ps, ps.Kmax, x, deriv))
+        for k in (1, 7, ps.Kmax):
+            assert np.array_equal(psi(ps, k, x, deriv), stream[k][deriv])
 
 
 def test_word_map_composition(ps2):
-    w = [(2, 1), (1, 1), (4, 1)]
+    w = [2, 1, 4]
     x = 0.66
     y = word_map(ps2, w, x)
-    z = psi(ps2, 2, 1, psi(ps2, 1, 1, psi(ps2, 4, 1, x)))
+    z = psi(ps2, 2, psi(ps2, 1, psi(ps2, 4, x)))
     assert abs(y - z) < 1e-14
     assert word_map(ps2, [], x) == x
 
 
 def test_word_cylinder_nesting(ps2):
-    outer = cylinder_of_word(ps2, [(3, 1)])
-    inner = cylinder_of_word(ps2, [(3, 1), (1, 1)])
+    outer = cylinder_of_word(ps2, [3])
+    inner = cylinder_of_word(ps2, [3, 1])
     assert outer[0] - 1e-12 <= inner[0] <= inner[1] <= outer[1] + 1e-12
 
 
@@ -146,17 +159,11 @@ def test_build_presentation_rejects_non_positive_j_margin(sys2, j_margin):
 
 
 def test_decay_profile_slopes(ps2, fp2):
-    prof = decay_profile(ps2, 1, 0.75, k_window=(12, ps2.Kmax))
+    prof = decay_profile(ps2, 0.75, k_window=(12, ps2.Kmax))
     per_step = -np.log(ps2.sys.tau) / fp2.ell
     assert abs(prof.loglin_slope - per_step) < 0.1 * abs(per_step)
     assert prof.table.shape == (ps2.Kmax, 3)
     assert np.all(np.diff(prof.table[:, 1]) < 0.0)
-
-
-@pytest.mark.parametrize("m", [0, 2])
-def test_decay_profile_rejects_letters_outside_the_alphabet(ps2, m):
-    with pytest.raises(IndexOutOfAlphabet):
-        decay_profile(ps2, m, 0.75)
 
 
 def test_tail_bound_behaviour(ps2):
@@ -168,7 +175,7 @@ def test_tail_bound_behaviour(ps2):
     x = np.linspace(*ps2.interval, 64)
     dropped = 0.0
     for k in range(21, ps2.Kmax + 1):
-        der = psi(ps2, k, 1, x, deriv=1)
+        der = psi(ps2, k, x, deriv=1)
         dropped += float(np.max(np.abs(der))) ** t
     assert b20 >= dropped
 
@@ -188,9 +195,9 @@ def test_letter_jets_match_psi(ps2):
     x = np.linspace(*ps2.interval, 9)
     stream = list(iter_letter_jets(ps2, 5, x, nder=1))
     assert [letter for letter, _ in stream] == ps2.letters(5)
-    for (k, m), (val, der) in stream:
-        assert np.allclose(val, psi(ps2, k, m, x), atol=1e-13)
-        assert np.allclose(der, psi(ps2, k, m, x, deriv=1), atol=1e-13)
+    for k, (val, der) in stream:
+        assert np.allclose(val, psi(ps2, k, x), atol=1e-13)
+        assert np.allclose(der, psi(ps2, k, x, deriv=1), atol=1e-13)
 
 
 def test_orbit_index_overflow(ps2):
@@ -198,15 +205,13 @@ def test_orbit_index_overflow(ps2):
         ps2.orbit_index(len(ps2.orbit))
 
 
-def test_strict_orbit_build_rejected(sys2):
-    with pytest.raises(OrbitIndexOverflow):
-        build_presentation(sys2, Kmax=40, strict_orbit=True)
-
-
-def test_small_strict_build_succeeds(sys2):
-    ps = build_presentation(sys2, Kmax=8, strict_orbit=True)
-    assert ps.Kmax == 8
-    assert len(ps.orbit) == 2 ** 8 * 4 + 1
+@pytest.mark.parametrize("Kmax, n_orbit", [(8, 4 * 2 ** 8),
+                                           (40, DEFAULT_ORBIT_MAX)])
+def test_orbit_table_length(sys2, Kmax, n_orbit):
+    # letter Kmax ends at c_{3*2^Kmax}: the table runs to index 4*2^Kmax,
+    # clamped to the orbit budget
+    ps = build_presentation(sys2, Kmax=Kmax)
+    assert len(ps.orbit) == n_orbit + 1
 
 
 def test_cylinders_csv_round_trip(ps2, tmp_path):
@@ -214,12 +219,11 @@ def test_cylinders_csv_round_trip(ps2, tmp_path):
     cylinders_csv(ps2, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == ps2.Kmax
-    for row, (k, m) in zip(rows, ps2.letters()):
-        assert int(row["k"]) == k and int(row["m"]) == m
-        # 12-digit formatting resolves the width down to k ~ 20
-        if k <= 20:
-            assert float(row["left"]) < float(row["right"])
+    assert list(rows[0]) == ["k", "left", "right", "sup_deriv", "min_deriv"]
+    assert [int(row["k"]) for row in rows] == ps2.letters()
+    cylinders = [[float(row["left"]), float(row["right"])] for row in rows]
+    assert np.array_equal(cylinders, ps2.cylinders)
+    for row in rows:
         assert float(row["sup_deriv"]) >= float(row["min_deriv"]) > 0.0
 
 
@@ -227,14 +231,14 @@ def test_tail_levels_match_psi_jets(ps2):
     x = np.linspace(*ps2.interval, 64)
     assert ps2.tail_levels.shape == (ps2.Kmax,)
     for k in range(1, ps2.Kmax + 1):
-        want = float(np.max(np.abs(_psi_jets(ps2, k, 1, x, 1)[1])))
+        want = float(np.max(np.abs(_psi_jets(ps2, k, x, 1)[1])))
         assert ps2.tail_levels[k - 1] == want
 
 
 def test_tail_bound_matches_two_level_formula(ps2):
     x = np.linspace(*ps2.interval, 64)
     for K, t in ((2, 0.9), (12, 0.3), (20, 0.538), (ps2.Kmax, 0.75)):
-        levels = [float(np.max(np.abs(_psi_jets(ps2, kk, 1, x, 1)[1]))) ** t
+        levels = [float(np.max(np.abs(_psi_jets(ps2, kk, x, 1)[1]))) ** t
                   for kk in (K - 1, K)]
         ratio = 1.1 * levels[1] / levels[0]
         assert tail_bound(ps2, K, t) == levels[1] * ratio / (1.0 - ratio)

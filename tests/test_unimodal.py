@@ -30,7 +30,8 @@ def test_derived_constants(sys2, fp2):
     assert abs(sys2.tau - abs(fp2.alpha) ** fp2.ell) < 1e-12
     assert abs(sys2.tau - TAU_2) < 1e-10
     assert abs(sys2.x_c - X_C_2) < 1e-12
-    assert sys2.epsilon == 2
+    # period doubling reverses orientation at x_c
+    assert float(eval_G(sys2, sys2.x_c, 1)) < 0.0
 
 
 def test_critical_point_fixed_by_G(sys2):
@@ -68,8 +69,8 @@ def _drifting_system(delta):
     everywhere: every orbit step lands delta above 1."""
     e = np.sqrt(1.0 + delta)
     fp = SimpleNamespace(ell=2, E=lambda x, deriv=0: np.full_like(x, e))
-    return UnimodalSystem(fp, tau=1.0, x_c=0.5, epsilon=2,
-                          taylor=(0.0, 0.0, 0.0), nonsymmetry=0.0)
+    return UnimodalSystem(fp, tau=1.0, x_c=0.5, taylor=(0.0, 0.0, 0.0),
+                          nonsymmetry=0.0)
 
 
 def test_deep_orbit_clamps_with_warning():
