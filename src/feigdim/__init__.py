@@ -3,11 +3,12 @@
 Solves the period-doubling renormalization fixed-point equation at even
 criticality, builds the induced infinite iterated function system on the
 conjugate coordinate, and computes the Hausdorff dimension of the Cantor
-attractor as the Bowen root of the transfer-operator pressure, with
-Moran-type brackets and parabolic-limit diagnostics.
+attractor as the Bowen root of the transfer-operator pressure, with a
+certified operator bracket, Moran-type brackets and a conformal-measure
+check. The parabolic-limit diagnostics are the per-ell dominance table and
+the claim2 scan of the affine model family.
 """
 from .errors import (
-    BranchCutCrossed,
     BranchNotMonotone,
     CorruptFile,
     DegenerateJacobian,
@@ -22,7 +23,6 @@ from .errors import (
     NoCriticalPoint,
     OrbitEscaped,
     OrbitIndexOverflow,
-    OutOfNeighborhood,
     PowerIterationStall,
     RatioNotContracting,
     RootNotBracketed,
@@ -52,21 +52,17 @@ from .unimodal import (
     critical_orbit,
     eval_G,
     eval_H,
-    involution,
     jet_compose,
     second_derivative_identity,
 )
 from .presentation import (
-    DecayProfile,
     PresentationSystem,
     build_presentation,
     contraction_certificate,
     cylinder_of_word,
     cylinders_csv,
-    decay_profile,
     iter_letter_jets,
     psi,
-    psi_alt,
     tail_bound,
     word_map,
 )
@@ -83,20 +79,13 @@ from .dimension import (
     hausdorff_dimension,
     moran_oracle,
     pressure_eigen,
-    pressure_sums,
     sweep,
 )
 from .poincare import (
-    DEFAULT_R0,
-    LinearHarness,
     PoincareDiagnostics,
-    alpha_decay_check,
     claim2_csv,
     claim2_scan,
     dominance_table,
-    poincare_tail,
-    quadratic_normalization,
-    to_parabolic_coords,
 )
 
 __version__ = "0.1.0"

@@ -124,6 +124,11 @@ def _config_from(args, parser, argv):
         parser.error("dim takes a single --ell")
     if args.command in ("sweep", "diagnose") and len(ells) < 2:
         parser.error(f"{args.command} needs at least two ells")
+    for flag, value in (("--K", opt("K")), ("--nc", opt("nc"))):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
+    if not args.tol > 0.0:
+        parser.error(f"--tol must be > 0, got {args.tol}")
     cache_dir = os.environ.get("FEIGDIM_CACHE") or args.cache or DEFAULT_CACHE
     return RunConfig(args.command, ells, args.degree, opt("K"), opt("nc"),
                      args.tol, cache_dir, opt("out"), opt("seed_file"), argv)

@@ -73,6 +73,7 @@ _Q_TERMS = 16               # Chebyshev terms of the adapted metric q
 _POWER_TOL = 1e-12          # power iteration's relative eigenvalue step
 _POWER_MAX_ITER = 5000
 _MORAN_SCAN = np.linspace(0.02, 1.4, 29)    # t grid of the Moran root scan
+_MORAN_XTOL = 1e-10         # brentq tolerance of the Moran roots
 
 CSV_HEADER = ["ell", "hd", "hd_lo", "hd_hi", "alpha", "tau", "K", "Nc",
               "tail_bound", "runtime_s"]
@@ -98,13 +99,13 @@ class PressureModel:
         return float(self.ifs.tail_bound(self.K, t))
 
 
-def build_pressure_model(ifs, K=None, Nc=32, _rows=None):
+def build_pressure_model(ifs, K, Nc=32, _rows=None):
     """Collocated operator of the first K letters on Nc nodes of I.
 
     _rows is an escalation's (letter_jets stream on these nodes, row list):
     each model extends it to its K instead of restarting at letter 1."""
-    if K is None:
-        K = min(32, ifs.Kmax)
+    if K < 1 or Nc < 1:
+        raise DomainError(f"K and Nc must be >= 1, got K={K}, Nc={Nc}")
     nodes, weights = cheb_points(*ifs.interval, Nc), bary_weights(Nc)
     stream, rows = _rows or (ifs.letter_jets(K, nodes, 1), [])
     for _, (val, der) in itertools.islice(stream, K - len(rows)):
@@ -471,7 +472,7 @@ def _logsumexp(a):
     return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def _log_root(fn, xtol):
+def _log_root(fn):
     prev_t, prev_v = None, None
     for t in _MORAN_SCAN:
         try:
@@ -480,19 +481,19 @@ def _log_root(fn, xtol):
             prev_t, prev_v = None, None
             continue
         if prev_v is not None and prev_v > 0.0 >= v:
-            return brentq(fn, prev_t, t, xtol=xtol)
+            return brentq(fn, prev_t, t, xtol=_MORAN_XTOL)
         prev_t, prev_v = t, v
     raise RootNotBracketed("Moran sum never crosses 1 on the scan range")
 
 
-def moran_oracle(ifs, n, K=None, metric="adapted", root_tol=1e-10):
+def moran_oracle(ifs, n, K=None, metric="adapted"):
     """Independent dimension bracket from depth-n sup/inf Moran sums.
 
     Roots t of sum over words of (sup resp. inf of |Dphi_w| in the chosen
     metric)^t = 1. The truncated alphabet's missing letters inflate the
     sup-side sum by (p_1 + T)^n - p_1^n with T the tail bound carried into
     the adapted metric, so the upper root bounds the full-alphabet root.
-    K defaults to min(24, Kmax).
+    K defaults to min(24, Kmax). brentq places both roots within 1e-10.
     """
     if not 1 <= n <= 5:
         raise DomainError(f"moran_oracle needs 1 <= n <= 5, got {n}")
@@ -515,27 +516,13 @@ def moran_oracle(ifs, n, K=None, metric="adapted", root_tol=1e-10):
         p1 = np.exp(_logsumexp(t * s1_sup))
         return float(np.log(np.exp(base) + (p1 + tail) ** n - p1 ** n))
 
-    t_lo = _log_root(p_inf, xtol=root_tol)
-    t_hi = _log_root(p_sup, xtol=root_tol)
+    t_lo = _log_root(p_inf)
+    t_hi = _log_root(p_sup)
     if t_hi < t_lo:
         raise InvariantViolation(
             f"Moran roots inverted: t_lo={t_lo} > t_hi={t_hi}"
         )
     return MoranBracket(t_lo, t_hi, n, K, metric, delta_q)
-
-
-def pressure_sums(pm, t, n):
-    """(lower, upper) bracket of (1/n) log p_n(t) over the truncated system.
-
-    Upper uses per-word sup-norms of |Dphi_w| (submultiplicative, so the
-    value dominates the truncated pressure), lower uses infima.
-    """
-    if not 1 <= n <= 6:
-        raise DomainError(f"pressure_sums needs 1 <= n <= 6, got {n}")
-    s_sup, s_inf, _, _ = _word_tables(pm.ifs, pm.K, n, "euclid")
-    lower = _logsumexp(t * s_inf) / n
-    upper = _logsumexp(t * s_sup) / n
-    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -658,13 +645,6 @@ class DimensionReport:
     def to_csv(self, path):
         return write_csv(path, CSV_HEADER, ([row[key] for key in CSV_HEADER]
                                             for row in self.rows))
-
-    def diagnostics(self):
-        out = {"delta_tau": [], "delta_hd": []}
-        for prev, cur in zip(self.rows, self.rows[1:]):
-            out["delta_tau"].append(abs(cur["tau"] - prev["tau"]))
-            out["delta_hd"].append(cur["hd"] - prev["hd"])
-        return out
 
 
 def sweep(ells, degree=40, K=None, Nc=32, tol=1e-10, cache_dir=None,

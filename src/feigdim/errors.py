@@ -1,7 +1,9 @@
 """Exception taxonomy for the toolkit.
 
 Every error raised on a contract violation or numerical breakdown derives
-from FeigdimError, so callers can catch the whole family at once.
+from FeigdimError, so callers can catch the whole family at once. The
+classes are grouped by the layer that raises them, and each is raised
+somewhere in the package.
 """
 
 
@@ -48,10 +50,6 @@ class NoCriticalPoint(FeigdimError):
 
 class OrbitEscaped(FeigdimError):
     """Critical orbit drifted out of [0,1] beyond the slack."""
-
-
-class OutOfNeighborhood(FeigdimError):
-    """Point outside the symmetric neighborhood of the involution."""
 
 
 class InvariantViolation(FeigdimError):
@@ -103,7 +101,3 @@ class EigenvectorSignFailure(FeigdimError):
 
 class LambdaDegenerate(FeigdimError):
     """Multiplier within 1e-12 of 1; treat as parabolic."""
-
-
-class BranchCutCrossed(FeigdimError):
-    """Parabolic-coordinate trajectory left the right half-plane."""

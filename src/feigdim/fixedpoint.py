@@ -1,4 +1,4 @@
-"""Solver for the renormalization fixed-point equation alpha g^p(x) = g(alpha x).
+"""Solver for the renormalization fixed-point equation alpha g(g(x)) = g(alpha x).
 
 The unknown map is written g(x) = E(|x|^ell) with E a diffeomorphism of
 [0,1], expanded in shifted Chebyshev polynomials of u = |x|^ell. In the
@@ -428,19 +428,23 @@ def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
     """The period-doubling fixed point at (ell, degree), through a cache.
 
     Returns (fp, path, hit). A record in cache_dir is loaded and
-    revalidated; one that fails to load is reported by a UserWarning
-    naming the path and the error, then re-solved and overwritten. On a
-    miss the Newton seed is initial_guess if given, else one
-    continue_in_ell step when prev is the fixed point at (ell - 2, degree),
-    else the built-in seed. cache_dir None solves without caching (path
-    None).
+    revalidated; one that fails to load, or whose revalidated residual is
+    not below tol, is reported by a UserWarning naming the path and the
+    error, then re-solved and overwritten. On a miss the Newton seed is
+    initial_guess if given, else one continue_in_ell step when prev is the
+    fixed point at (ell - 2, degree), else the built-in seed. cache_dir
+    None solves without caching (path None).
     """
     path = None
     if cache_dir is not None:
         path = os.path.join(cache_dir, cache_filename((2, ell, degree)))
         if os.path.exists(path):
             try:
-                return load_fixed_point(path), path, True
+                fp = load_fixed_point(path)
+                if not fp.residual < tol:
+                    raise CorruptFile(f"{path} residual {fp.residual:.3e} "
+                                      f"does not meet tol {tol:.3e}")
+                return fp, path, True
             except FeigdimError as exc:
                 warnings.warn(f"cache entry {path} rejected "
                               f"({type(exc).__name__}: {exc}); re-solving",

@@ -11,8 +11,8 @@ Branch inversions are one-lap solves of E(z) = x^(1/ell) by safeguarded
 bisection-Newton; G^k is applied as k explicit contraction steps, which is
 numerically stable for every k because the cylinders accumulate at the
 attracting fixed point x_c of G. The alternative composition form
-psi_k = H^{-1} o tau^{-k} is kept for cross-validation on shallow k,
-where the inversion is still well conditioned.
+psi_k = H^{-1} o tau^{-k}, well conditioned only for shallow k, is the
+test suite's independent reference (tests/oracles.py).
 """
 from dataclasses import dataclass, replace
 
@@ -84,17 +84,19 @@ def _check_letter(ps, k):
         raise IndexOutOfAlphabet(f"{k} is not a letter of 1..{ps.Kmax}")
 
 
-def _solve_E_decreasing(fp, targets, lo, hi):
-    """Solve E(z) = target on [lo, hi] where E is strictly decreasing.
+def _solve_E_decreasing(sys, targets):
+    """Solve E(z) = target on the lap [0, x_c], where E is strictly
+    decreasing and positive.
 
-    A few bisection steps shrink [lo, hi] to a bracket [a, b] that holds
+    A few bisection steps shrink [0, x_c] to a bracket [a, b] that holds
     the root, then Newton polishes the midpoint. Every Newton iterate is
     clipped to its own bracket [a, b], so it never leaves the interval
     bisection certified even where E' is small.
     """
+    fp = sys.fp
     targets = np.asarray(targets, dtype=float)
-    a = np.full(targets.shape, lo)
-    b = np.full(targets.shape, hi)
+    a = np.full(targets.shape, 0.0)
+    b = np.full(targets.shape, sys.x_c)
     for _ in range(_NBIS):
         mid = 0.5 * (a + b)
         high = fp.E(mid) > targets
@@ -114,8 +116,7 @@ def _h_inverse_jets(sys, x, nder):
     of x_c, where E > 0: solve E(z) = x^(1/ell).
     """
     fp = sys.fp
-    targets = x ** (1.0 / fp.ell)
-    z = _solve_E_decreasing(fp, targets, 0.0, sys.x_c)
+    z = _solve_E_decreasing(sys, x ** (1.0 / fp.ell))
     if nder == 0:
         return (z,)
     jets = _H_jets(fp, z, min(nder, 3))
@@ -177,30 +178,6 @@ def psi(ps, k, x, deriv=0):
         raise DomainError(f"psi argument outside I = [{lo}, {hi}]")
     jets = _psi_jets(ps, k, x_arr, deriv)
     out = jets[deriv]
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def psi_alt(ps, k, x, deriv=0):
-    """Cross-validation form psi_k = H^{-1} o tau^{-k}.
-
-    The outer inversion happens on the lap that carries the cylinder, so it
-    is only well conditioned while the cylinder is far from x_c (small k).
-    """
-    _check_letter(ps, k)
-    sys = ps.sys
-    fp = sys.fp
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    u = x_arr / sys.tau ** k
-    side = ps.branch_side[k - 1]
-    targets = side * u ** (1.0 / fp.ell)
-    if side > 0:
-        z = _solve_E_decreasing(fp, targets, 0.0, sys.x_c)
-    else:
-        z = _solve_E_decreasing(fp, targets, sys.x_c, 1.0)
-    if deriv == 0:
-        out = z
-    else:
-        out = 1.0 / (sys.tau ** k * _H_jets(fp, z, 1)[1])
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -322,15 +299,15 @@ def _contraction_ratio(J, rho_x, val, der):
     return np.abs(der) * _rho_density(J, val) / rho_x
 
 
-def contraction_certificate(ps, J=None):
-    """sup over the alphabet and x in I of |psi'(x)| rho(psi x)/rho(x)."""
-    if J is None:
-        J = ps.J
+def contraction_certificate(ps):
+    """sup over the alphabet and x in I of |psi'(x)| rho(psi x)/rho(x),
+    rho being the hyperbolic density of the disk with diameter ps.J."""
     x = np.linspace(*ps.I, _CERT_NX)
-    rho_x = _rho_density(J, x)
+    rho_x = _rho_density(ps.J, x)
     worst = 0.0
     for _, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
-        worst = max(worst, float(_contraction_ratio(J, rho_x, val, der).max()))
+        worst = max(worst,
+                    float(_contraction_ratio(ps.J, rho_x, val, der).max()))
     return worst
 
 
@@ -349,33 +326,6 @@ def cylinder_of_word(ps, w):
     """The interval phi_w(I)."""
     ends = word_map(ps, list(w), np.array(ps.I))
     return (float(min(ends)), float(max(ends)))
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    table: np.ndarray
-    loglog_slope: float
-    loglin_slope: float
-
-
-def decay_profile(ps, x, k_window=None):
-    """Rows (k, |psi_k'(x)|, k^{3/2} |psi_k'(x)|) plus slope fits.
-
-    loglog_slope fits log|psi'| against log k over the window (crossover
-    diagnostic for the k^{-3/2} regime); loglin_slope fits against k (the
-    geometric tail, one G-step per k, so the slope sits near the log of
-    the fixed-point multiplier -(1/ell) log tau).
-    """
-    ders = np.array([abs(float(der)) for _, (_, der)
-                     in iter_letter_jets(ps, ps.Kmax, float(x))])
-    k = np.arange(1, ps.Kmax + 1, dtype=float)
-    table = np.column_stack([k, ders, k ** 1.5 * ders])
-    if k_window is None:
-        k_window = (2, ps.Kmax)
-    sel = (k >= k_window[0]) & (k <= k_window[1]) & (ders > 0.0)
-    loglog = float(np.polyfit(np.log(k[sel]), np.log(ders[sel]), 1)[0])
-    loglin = float(np.polyfit(k[sel], np.log(ders[sel]), 1)[0])
-    return DecayProfile(table, loglog, loglin)
 
 
 def tail_bound(ps, K, t):

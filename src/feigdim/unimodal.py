@@ -4,8 +4,9 @@ H(x) = |E(x)|^ell on [0,1] (ell even, so H = E^ell with no branch issues),
 tau = |alpha|^ell, and the microscope map G(x) = H(x/tau), which fixes the
 critical point x_c and contracts toward it. Period doubling reverses
 orientation there (G'(x_c) < 0), so the Taylor data at x_c are those of G^2.
-The folding involution lives here too. x_c and the involution's mirror
-points are roots of E, located by Brent's method (roots.brentq).
+x_c is the root of E, located by Brent's method (roots.brentq). The
+critical orbit and the jets of H and G feed the presentation IFS; the
+Taylor data feed the dominance table.
 """
 import warnings
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from .errors import (
     InvariantViolation,
     NoCriticalPoint,
     OrbitEscaped,
-    OutOfNeighborhood,
 )
 from .roots import brentq
 
@@ -182,34 +182,6 @@ def critical_orbit(sys, n):
     if drift > 0.0:
         warnings.warn(f"critical orbit clamped to [0,1], max drift {drift:.2e}")
     return c
-
-
-def involution(sys, x, deriv=False):
-    """The point x_hat != x with H(x_hat) = H(x), i.e. E(x_hat) = -E(x).
-
-    Defined on [x_lo, 1] where x_lo solves E(x_lo) = |E(1)|; with deriv=True
-    also returns d x_hat / dx = -E'(x)/E'(x_hat).
-    """
-    fp = sys.fp
-    x = float(x)
-    edge = abs(float(fp.E(1.0)))
-    if not 0.0 <= x <= 1.0 + _SLACK:
-        raise OutOfNeighborhood(f"{x} outside [0,1]")
-    ex = float(fp.E(min(x, 1.0)))
-    if ex > edge + _SLACK:
-        raise OutOfNeighborhood(
-            f"E({x}) = {ex:.6f} > |E(1)| = {edge:.6f}: no mirror point in [0,1]"
-        )
-    target = -min(ex, edge)
-    if target == 0.0:
-        x_hat = sys.x_c
-    else:
-        x_hat = brentq(lambda z: float(fp.E(z)) - target, 0.0, 1.0,
-                       xtol=1e-15, maxiter=200)
-    if not deriv:
-        return x_hat
-    d = -float(fp.E(x, 1)) / float(fp.E(x_hat, 1))
-    return x_hat, d
 
 
 def second_derivative_identity(sys):

@@ -2,7 +2,9 @@
 
 The cascade oracle reproduces the period-doubling rescaling constant from
 the plain quadratic family x^2 + c, so agreement with the collocation
-solver cross-validates the whole fixed-point pipeline.
+solver cross-validates the whole fixed-point pipeline. psi_alt inverts a
+presentation's letters by plain bisection on its E, independent of the
+package's bisection-Newton solver and of its G-iteration.
 """
 import numpy as np
 
@@ -70,6 +72,41 @@ def fd_derivative(f, x, order=1, h=1e-5):
         return (f(x + 2 * h) - 4 * f(x + h) + 6 * f(x) - 4 * f(x - h)
                 + f(x - 2 * h)) / h ** 4
     raise ValueError(f"order {order} not supported")
+
+
+def bisect_decreasing(f, targets, lo, hi, steps):
+    """Solve f(z) = target on [lo, hi] for each target, f decreasing and
+    vectorized: the midpoint of the bracket after `steps` bisections."""
+    a = np.full(np.shape(targets), lo)
+    b = np.full(np.shape(targets), hi)
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        high = f(mid) > targets
+        a = np.where(high, mid, a)
+        b = np.where(high, b, mid)
+    return 0.5 * (a + b)
+
+
+def psi_alt(ps, k, x, deriv=0):
+    """psi_k = H^{-1} o tau^{-k} of a built presentation ps, or its
+    derivative.
+
+    E = ps.sys.fp.E decreases on [0, 1], positive on [0, x_c] and negative
+    on [x_c, 1], so on the lap that ps.branch_side[k - 1] names (+1 the
+    left, -1 the right) H(z) = u reads E(z) = side * u^(1/ell), solved by
+    64 bisection steps. Well conditioned only while the cylinder is far
+    from x_c (small k).
+    """
+    sys = ps.sys
+    E, ell, x_c = sys.fp.E, sys.fp.ell, sys.x_c
+    u = np.asarray(x, dtype=float) / sys.tau ** k
+    side = ps.branch_side[k - 1]
+    lap = (0.0, x_c) if side > 0 else (x_c, 1.0)
+    z = bisect_decreasing(E, side * u ** (1.0 / ell), *lap, 64)
+    if deriv == 0:
+        return z
+    # H' = ell E^(ell - 1) E'
+    return 1.0 / (sys.tau ** k * ell * E(z) ** (ell - 1) * E(z, 1))
 
 
 # Reference constants for the quadratic (ell = 2) fixed point.

@@ -129,6 +129,12 @@ def test_default_cache_dir(tmp_path, capsys):
     ["solve", "--ell", "2", "--K", "5"],
     ["diagnose", "--ells", "2:2:4", "--nc", "8"],
     ["sweep", "--ells", "2:2:4", "--seed-file", "x"],
+    # out-of-range numbers
+    ["dim", "--ell", "2", "--K", "0"],
+    ["dim", "--ell", "2", "--K", "-3"],
+    ["dim", "--ell", "2", "--nc", "0"],
+    ["sweep", "--ells", "2:2:4", "--K", "0"],
+    ["dim", "--ell", "2", "--tol", "0"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -140,6 +146,15 @@ def test_usage_errors_exit_1(argv, capsys):
 def test_numerical_failure_exits_2(tmp_path, capsys):
     rc = main(["solve", "--ell", "2", "--tol", "1e-30",
                "--cache", str(tmp_path / "fresh")])
+    assert rc == 2
+    assert "NoConvergence" in capsys.readouterr().err
+    # a warm cache gives the cold outcome: its record (tol 1e-10) does
+    # not meet --tol 1e-16, so it is rejected and the re-solve fails
+    cache = tmp_path / "warm"
+    assert main(["solve", "--ell", "2", "--cache", str(cache)]) == 0
+    with pytest.warns(UserWarning, match="rejected"):
+        rc = main(["dim", "--ell", "2", "--tol", "1e-16",
+                   "--cache", str(cache)])
     assert rc == 2
     assert "NoConvergence" in capsys.readouterr().err
 

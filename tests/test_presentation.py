@@ -18,17 +18,15 @@ from feigdim.presentation import (
     contraction_certificate,
     cylinder_of_word,
     cylinders_csv,
-    decay_profile,
     iter_letter_jets,
     psi,
-    psi_alt,
     tail_bound,
     word_map,
 )
 from feigdim.unimodal import DEFAULT_ORBIT_MAX, _G_jets, build_system
 
 from conftest import solve_ell
-from oracles import fd_derivative
+from oracles import bisect_decreasing, fd_derivative, psi_alt
 
 I_2 = (0.5759648680838572, 1.0)
 
@@ -103,7 +101,6 @@ def test_psi_rejects_x_outside_I(ps2):
 
 _LETTER_CALLS = {
     "psi": lambda ps, k: psi(ps, k, 0.7),
-    "psi_alt": lambda ps, k: psi_alt(ps, k, 0.7),
     "word_map": lambda ps, k: word_map(ps, [1, k], 0.7),
     "letters": lambda ps, k: ps.letters(k),
 }
@@ -156,14 +153,6 @@ def test_build_presentation_rejects_non_positive_j_margin(sys2, j_margin):
     # at 0 the density is infinite at the ends of I; below 0, J is inside I
     with pytest.raises(DomainError):
         build_presentation(sys2, j_margin=j_margin)
-
-
-def test_decay_profile_slopes(ps2, fp2):
-    prof = decay_profile(ps2, 0.75, k_window=(12, ps2.Kmax))
-    per_step = -np.log(ps2.sys.tau) / fp2.ell
-    assert abs(prof.loglin_slope - per_step) < 0.1 * abs(per_step)
-    assert prof.table.shape == (ps2.Kmax, 3)
-    assert np.all(np.diff(prof.table[:, 1]) < 0.0)
 
 
 def test_tail_bound_behaviour(ps2):
@@ -246,14 +235,7 @@ def test_tail_bound_matches_two_level_formula(ps2):
 
 def _bisect_reference(fp, targets, lo, hi):
     """The plain inversion: 52 bisection steps, then 3 Newton steps."""
-    a = np.full(targets.shape, lo)
-    b = np.full(targets.shape, hi)
-    for _ in range(52):
-        mid = 0.5 * (a + b)
-        high = fp.E(mid) > targets
-        a = np.where(high, mid, a)
-        b = np.where(high, b, mid)
-    z = 0.5 * (a + b)
+    z = bisect_decreasing(fp.E, targets, lo, hi, 52)
     for _ in range(3):
         z = np.clip(z - (fp.E(z) - targets) / fp.E(z, 1), lo, hi)
     return z
@@ -263,13 +245,13 @@ def _bisect_reference(fp, targets, lo, hi):
 def test_bracketed_newton_matches_bisection(ell):
     sys = build_system(solve_ell(ell))
     fp = sys.fp
-    for lo, hi in ((0.0, sys.x_c), (sys.x_c, 1.0)):
-        targets = np.linspace(float(fp.E(hi)), float(fp.E(lo)), 2001)
-        z = _solve_E_decreasing(fp, targets, lo, hi)
-        ref = _bisect_reference(fp, targets, lo, hi)
-        assert np.all((z >= lo) & (z <= hi))
-        assert float(np.max(np.abs(z - ref))) <= 2e-15
-        assert float(np.max(np.abs(fp.E(z) - targets))) <= 2e-15
+    lo, hi = 0.0, sys.x_c
+    targets = np.linspace(float(fp.E(hi)), float(fp.E(lo)), 2001)
+    z = _solve_E_decreasing(sys, targets)
+    ref = _bisect_reference(fp, targets, lo, hi)
+    assert np.all((z >= lo) & (z <= hi))
+    assert float(np.max(np.abs(z - ref))) <= 2e-15
+    assert float(np.max(np.abs(fp.E(z) - targets))) <= 2e-15
 
 
 def _two_walk_cylinders(sys, I, Kmax):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from feigdim.errors import DomainError, OrbitEscaped, OutOfNeighborhood
+from feigdim.errors import DomainError, OrbitEscaped
 from feigdim.unimodal import (
     DEFAULT_ORBIT_MAX,
     UnimodalSystem,
@@ -14,7 +14,6 @@ from feigdim.unimodal import (
     critical_orbit,
     eval_G,
     eval_H,
-    involution,
     jet_compose,
     second_derivative_identity,
 )
@@ -143,31 +142,6 @@ def test_eval_H_matches_finite_differences(sys2):
 def test_eval_G_domain_guard(sys2):
     with pytest.raises(DomainError):
         eval_G(sys2, sys2.tau + 1.0)
-
-
-def test_involution_is_an_involution(sys2):
-    for x in (0.58, 0.65, 0.80, 0.92):
-        x_hat = involution(sys2, x)
-        assert x_hat != pytest.approx(x, abs=1e-6)
-        assert abs(involution(sys2, x_hat) - x) < 1e-12
-        assert abs(float(eval_H(sys2, x_hat)) - float(eval_H(sys2, x))) < 1e-12
-
-
-def test_involution_fixes_critical_point(sys2):
-    assert abs(involution(sys2, sys2.x_c) - sys2.x_c) < 1e-12
-
-
-def test_involution_derivative(sys2):
-    x0 = 0.75
-    _, d = involution(sys2, x0, deriv=True)
-    fd = fd_derivative(lambda x: involution(sys2, x), x0, 1, 1e-7)
-    assert abs(d - fd) < 1e-6 * abs(d)
-    assert d < 0.0
-
-
-def test_involution_out_of_range(sys2):
-    with pytest.raises(OutOfNeighborhood):
-        involution(sys2, 0.01)
 
 
 def test_jet_compose_against_hand_expansion():
