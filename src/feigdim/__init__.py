@@ -22,7 +22,6 @@ from .errors import (
     NoConvergence,
     NoCriticalPoint,
     OrbitEscaped,
-    OrbitIndexOverflow,
     PowerIterationStall,
     RatioNotContracting,
     RootNotBracketed,
@@ -43,6 +42,7 @@ from .fixedpoint import (
     load_fixed_point,
     save_fixed_point,
     solve_fixed_point,
+    write_csv,
 )
 from .unimodal import (
     DEFAULT_ORBIT_MAX,
@@ -82,8 +82,8 @@ from .dimension import (
     sweep,
 )
 from .poincare import (
-    PoincareDiagnostics,
-    claim2_csv,
+    CLAIM2_HEADER,
+    DOMINANCE_HEADER,
     claim2_scan,
     dominance_table,
 )

@@ -18,12 +18,6 @@ import numpy.polynomial.chebyshev as _cheb
 _BLOCK = 4096   # points per T-table block of eval01's stacked route
 
 
-def gauss_nodes(n):
-    """Chebyshev-Gauss nodes on (0,1), descending."""
-    k = np.arange(n)
-    return 0.5 * (1.0 + np.cos(np.pi * (2 * k + 1) / (2 * n)))
-
-
 def eval01(coeffs, u):
     """Evaluate shifted-Chebyshev series at u in [0,1]: chebval(2u - 1, coeffs).
 

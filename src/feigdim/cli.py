@@ -11,15 +11,19 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy
 
 from . import __version__
-from .dimension import CSV_HEADER, DimensionReport, hausdorff_dimension, sweep
+from .dimension import DimensionReport, hausdorff_dimension, sweep
 from .errors import FeigdimError
-from .fixedpoint import cached_solve, load_fixed_point
-from .poincare import claim2_csv, claim2_scan, dominance_table
+from .fixedpoint import cached_solve, load_fixed_point, write_csv
+from .poincare import (
+    CLAIM2_HEADER,
+    DOMINANCE_HEADER,
+    claim2_scan,
+    dominance_table,
+)
 from .unimodal import build_system
 
 DEFAULT_CACHE = ".feigdim-cache"
@@ -31,20 +35,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    ells: list
-    degree: int
-    K: object
-    nc: int
-    tol: float
-    cache_dir: str
-    out: object
-    seed_file: object
-    argv: list
 
 
 def _parse_ells(spec, parser):
@@ -75,7 +65,7 @@ _FLAGS = {
     "--seed-file": dict(help="fixed-point JSON used as the Newton seed"),
 }
 
-# each subcommand takes only the flags it reads
+# each subcommand takes only the flags it reads; the rest read as None
 _COMMANDS = {
     "solve": ("solve fixed points and populate the cache",
               ("--ell", "--ells", "--degree", "--tol", "--cache",
@@ -96,21 +86,20 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"feigdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
     for name, (text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text, description=text)
         for flag in flags:
             cmd.add_argument(flag, **_FLAGS[flag])
-        parsers[name] = cmd
-    return parser, parsers
+        cmd.set_defaults(**{flag[2:].replace("-", "_"): None
+                            for flag in _FLAGS if flag not in flags})
+    return parser
 
 
 def _config_from(args, parser, argv):
-    # flags a subcommand does not take read as None
-    opt = vars(args).get
-    if opt("ells") is not None:
+    """args with ells parsed to a list, and cache_dir and argv set."""
+    if args.ells is not None:
         ells = _parse_ells(args.ells, parser)
-    elif opt("ell") is not None:
+    elif args.ell is not None:
         if args.ell <= 0 or args.ell % 2:
             parser.error(f"--ell must be positive even, got {args.ell}")
         ells = [args.ell]
@@ -124,14 +113,16 @@ def _config_from(args, parser, argv):
         parser.error("dim takes a single --ell")
     if args.command in ("sweep", "diagnose") and len(ells) < 2:
         parser.error(f"{args.command} needs at least two ells")
-    for flag, value in (("--K", opt("K")), ("--nc", opt("nc"))):
+    for flag, value in (("--K", args.K), ("--nc", args.nc)):
         if value is not None and value < 1:
             parser.error(f"{flag} must be >= 1, got {value}")
     if not args.tol > 0.0:
         parser.error(f"--tol must be > 0, got {args.tol}")
-    cache_dir = os.environ.get("FEIGDIM_CACHE") or args.cache or DEFAULT_CACHE
-    return RunConfig(args.command, ells, args.degree, opt("K"), opt("nc"),
-                     args.tol, cache_dir, opt("out"), opt("seed_file"), argv)
+    args.ells = ells
+    args.cache_dir = (os.environ.get("FEIGDIM_CACHE") or args.cache
+                      or DEFAULT_CACHE)
+    args.argv = argv
+    return args
 
 
 def _write_manifest(cfg, path):
@@ -192,9 +183,8 @@ def cmd_dim(cfg):
     _, fp, _, _ = next(_fixed_points(cfg))
     sys_ = build_system(fp)
     report = DimensionReport()
-    row = report.add(sys_, hausdorff_dimension(sys_, K=cfg.K, Nc=cfg.nc))
-    print(",".join(CSV_HEADER))
-    print(",".join(report.cells(row)))
+    report.add(sys_, hausdorff_dimension(sys_, K=cfg.K, Nc=cfg.nc))
+    report.to_csv(sys.stdout)
     if cfg.out is not None:
         report.to_csv(cfg.out)
         _write_manifest(cfg, cfg.out)
@@ -217,11 +207,12 @@ def cmd_diagnose(cfg):
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
     systems = [build_system(fp) for _, fp, _, _ in _fixed_points(cfg)]
-    table = dominance_table(systems)
-    dom_path = table.to_csv(os.path.join(out_dir, "dominance.csv"))
+    dom_path = write_csv(os.path.join(out_dir, "dominance.csv"),
+                         DOMINANCE_HEADER, dominance_table(systems))
     _write_manifest(cfg, dom_path)
-    rows = claim2_scan(1.5, 2.0, (1.0, 1.001, 1.01, 1.1), i_max=100_000)
-    c2_path = claim2_csv(rows, os.path.join(out_dir, "claim2.csv"))
+    c2_path = write_csv(os.path.join(out_dir, "claim2.csv"), CLAIM2_HEADER,
+                        claim2_scan(1.5, 2.0, (1.0, 1.001, 1.01, 1.1),
+                                    i_max=100_000))
     _write_manifest(cfg, c2_path)
     print(f"wrote {dom_path} and {c2_path}")
     return 0
@@ -230,7 +221,7 @@ def cmd_diagnose(cfg):
 def main(argv=None):
     # resolved once: the parser and the manifest see the same list
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, _ = build_parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _config_from(args, parser, argv)
     handler = {"solve": cmd_solve, "dim": cmd_dim, "sweep": cmd_sweep,

@@ -57,7 +57,7 @@ from .errors import (
     RootNotBracketed,
     TailTooFat,
 )
-from .fixedpoint import cached_solve, csv_cells, write_csv
+from .fixedpoint import cached_solve, write_csv
 from .presentation import build_presentation, default_kmax
 from .roots import brentq
 from .unimodal import UnimodalSystem, build_system
@@ -86,17 +86,12 @@ class PressureModel:
     ifs: object
     K: int
     Nc: int
-    nodes: np.ndarray
-    weights: np.ndarray
     imgs: np.ndarray
     ders: np.ndarray
     B: np.ndarray
 
     def operator(self, t):
         return np.einsum("ai,aij->ij", self.ders ** t, self.B)
-
-    def tail_t(self, t):
-        return float(self.ifs.tail_bound(self.K, t))
 
 
 def build_pressure_model(ifs, K, Nc=32, _rows=None):
@@ -113,7 +108,7 @@ def build_pressure_model(ifs, K, Nc=32, _rows=None):
     imgs, ders, B = (np.stack(col) for col in zip(*rows[:K]))
     if not np.all(ders > 0.0):
         raise DomainError("vanishing branch derivative on the node grid")
-    return PressureModel(ifs, K, Nc, nodes, weights, imgs, ders, B)
+    return PressureModel(ifs, K, Nc, imgs, ders, B)
 
 
 def _power_pair(M, positive=True):
@@ -317,7 +312,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
         pm = build_pressure_model(ifs, K=K, Nc=Nc, _rows=rows)
         hd = _bowen_root(pm, root_tol)
         try:
-            tail = pm.tail_t(hd)
+            tail = float(ifs.tail_bound(K, hd))
             if pinned or tail < _TAIL_BUDGET:
                 break
             if K >= ifs.Kmax:
@@ -326,7 +321,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
                     f"exhausted at K={K}"
                 )
             # predictive jump: per-letter level ratio from two adjacent tails
-            r = ifs.tail_bound(K, hd) / ifs.tail_bound(K - 1, hd)
+            r = tail / ifs.tail_bound(K - 1, hd)
         except RatioNotContracting:
             # the levels near K do not decay yet: double K while the
             # alphabet has room, and give up only at Kmax (or a pinned K)
@@ -629,22 +624,16 @@ class DimensionReport:
     failures: list = field(default_factory=list)
 
     def add(self, sys, res):
-        """Append and return the row of the DimensionResult res for sys."""
-        row = {"ell": sys.ell, "hd": res.hd, "hd_lo": res.hd_lo,
-               "hd_hi": res.hd_hi, "alpha": sys.fp.alpha, "tau": sys.tau,
-               "K": res.K, "Nc": res.Nc, "tail_bound": res.tail_t,
-               "runtime_s": res.runtime_s}
-        self.rows.append(row)
-        return row
+        """Append the row of the DimensionResult res for sys."""
+        self.rows.append({"ell": sys.ell, "hd": res.hd, "hd_lo": res.hd_lo,
+                          "hd_hi": res.hd_hi, "alpha": sys.fp.alpha,
+                          "tau": sys.tau, "K": res.K, "Nc": res.Nc,
+                          "tail_bound": res.tail_t,
+                          "runtime_s": res.runtime_s})
 
-    @staticmethod
-    def cells(row):
-        """CSV cells of one row (fixedpoint.csv_cells)."""
-        return csv_cells(row[key] for key in CSV_HEADER)
-
-    def to_csv(self, path):
-        return write_csv(path, CSV_HEADER, ([row[key] for key in CSV_HEADER]
-                                            for row in self.rows))
+    def to_csv(self, dest):
+        """The rows as CSV to dest, a path or a text stream (write_csv)."""
+        return write_csv(dest, CSV_HEADER, self.rows)
 
 
 def sweep(ells, degree=40, K=None, Nc=32, tol=1e-10, cache_dir=None,

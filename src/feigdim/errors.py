@@ -62,10 +62,6 @@ class BranchNotMonotone(FeigdimError):
     """Sampled derivative of an inverse-branch lap changes sign."""
 
 
-class OrbitIndexOverflow(FeigdimError):
-    """Requested critical-orbit index exceeds the orbit budget."""
-
-
 class IndexOutOfAlphabet(FeigdimError):
     """Letter k outside 1..Kmax, or a truncation K beyond Kmax."""
 

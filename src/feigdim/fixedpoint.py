@@ -12,13 +12,13 @@ read alpha * E(E(v_i/tau)^ell) - E(v_i) = 0 with the normalization row
 E(0) = 1 closing the square Newton system in (coeffs, alpha).
 
 cached_solve is the one cache policy: every command and the sweep get their
-fixed points through it. write_csv is the one CSV writer of the package.
+fixed points through it. write_csv is the one CSV writer of the package,
+for files and streams alike.
 """
 import csv
 import json
 import os
 import tempfile
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -162,7 +162,7 @@ def _check_invariants(coeffs, alpha, ell, residual, tol):
 
 
 def _default_seed(degree):
-    u = cheb.gauss_nodes(max(degree + 1, 16))
+    u = cheb.cheb_points(0.0, 1.0, max(degree + 1, 16))
     vals = 1.0 - 1.52 * u + 0.10 * u ** 2
     return cheb.fit01(u, vals, degree), -2.5
 
@@ -201,22 +201,17 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
         fp = solve_fixed_point(combinatorics, 2, degree, tol)
         for next_ell in range(4, ell + 1, 2):
             fp = continue_in_ell(fp, next_ell, tol=tol)
-        meta = dict(fp.solver_meta)
-        meta["seed"] = "chained-continuation-from-ell-2"
-        return FixedPointMap(fp.combinatorics, fp.ell, fp.alpha, fp.e_coeffs,
-                             fp.degree, fp.residual, meta)
+        return fp
 
     if initial_guess is None:
         coeffs, alpha = _default_seed(degree)
-        seed_name = "builtin-ell-2"
     else:
         coeffs0, alpha = initial_guess
         coeffs = np.zeros(degree + 1)
         n = min(len(coeffs0), degree + 1)
         coeffs[:n] = np.asarray(coeffs0, dtype=float)[:n]
-        seed_name = "caller-supplied"
 
-    nodes = cheb.gauss_nodes(degree + 1)
+    nodes = cheb.cheb_points(0.0, 1.0, degree + 1)
     F = _residual_vec(coeffs, alpha, ell, nodes)
     best = float(np.max(np.abs(F)))
     iterations = 0
@@ -249,14 +244,8 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
     residual = _validation_defect(coeffs, alpha, ell)
     _check_invariants(coeffs, alpha, ell, residual, tol)
 
-    meta = {
-        "iterations": iterations,
-        "tol": tol,
-        "seed": seed_name,
-        "timestamp": time.time(),
-    }
     return FixedPointMap(combinatorics, ell, float(alpha), coeffs, degree,
-                         residual, meta)
+                         residual, {"iterations": iterations, "tol": tol})
 
 
 def continue_in_ell(prev, next_ell, tol=1e-10):
@@ -273,15 +262,11 @@ def continue_in_ell(prev, next_ell, tol=1e-10):
     alpha_seed = -prev.tau ** (1.0 / next_ell)
     guess = (prev.e_coeffs, alpha_seed)
     try:
-        fp = solve_fixed_point(prev.combinatorics, next_ell, prev.degree, tol,
-                               initial_guess=guess)
+        return solve_fixed_point(prev.combinatorics, next_ell, prev.degree,
+                                 tol, initial_guess=guess)
     except NoConvergence:
-        fp = solve_fixed_point(prev.combinatorics, next_ell, 2 * prev.degree,
-                               tol, initial_guess=guess)
-    meta = dict(fp.solver_meta)
-    meta["seed"] = f"continued-from-ell-{prev.ell}"
-    return FixedPointMap(fp.combinatorics, fp.ell, fp.alpha, fp.e_coeffs,
-                         fp.degree, fp.residual, meta)
+        return solve_fixed_point(prev.combinatorics, next_ell, 2 * prev.degree,
+                                 tol, initial_guess=guess)
 
 
 def evaluate_g(fp, x, deriv_order=0):
@@ -403,25 +388,28 @@ def load_fixed_point(path, revalidate=True):
                 f"{path} fails residual revalidation: {defect:.3e} >= {tol:.3e}"
             )
         residual = defect
-    meta = {"iterations": iterations, "tol": tol, "seed": f"loaded:{path}"}
     return FixedPointMap(combinatorics, ell, alpha, coeffs, degree, residual,
-                         meta)
+                         {"iterations": iterations, "tol": tol})
 
 
-def csv_cells(values):
-    """CSV cells: integers as str, reals as repr(float), which reads back
-    as the same float."""
-    return [str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
-            for v in values]
+def write_csv(dest, header, rows):
+    """Write the header and the dict rows, read in header order, to dest.
 
-
-def write_csv(path, header, rows):
-    """Write the header and the rows' csv_cells to path; returns path."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(csv_cells(row) for row in rows)
-    return path
+    dest is a path or a text stream; returns dest. Every line ends in a
+    bare newline, in files and on streams alike. Cells are integers as str
+    and reals as repr(float), which reads back as the same float.
+    """
+    if not hasattr(dest, "write"):
+        with open(dest, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return dest
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        cells = (row[key] for key in header)
+        writer.writerow([str(v) if isinstance(v, (int, np.integer))
+                         else repr(float(v)) for v in cells])
+    return dest
 
 
 def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):

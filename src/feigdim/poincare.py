@@ -4,28 +4,19 @@ Covers the quantitative side of the parabolic limit: the per-ell Taylor
 data of the return map at the critical point (multiplier, quadratic and
 cubic coefficients, non-symmetry, dominance ratio), and the empirical
 boundedness constant of the affine model family (the claim2 table).
-`feigdim diagnose` writes both as CSV.
+Both are lists of dict rows; `feigdim diagnose` writes them as CSV with
+fixedpoint.write_csv under DOMINANCE_HEADER and CLAIM2_HEADER.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, LambdaDegenerate
-from .fixedpoint import write_csv
 
-
-@dataclass(frozen=True)
-class PoincareDiagnostics:
-    rows: list
-
-    def to_csv(self, path):
-        header = ["ell", "lambda", "b", "a", "N", "dominance_ratio"]
-        return write_csv(path, header,
-                         ([row[key] for key in header] for row in self.rows))
+DOMINANCE_HEADER = ["ell", "lambda", "b", "a", "N", "dominance_ratio"]
+CLAIM2_HEADER = ["p", "sigma", "w0", "i_max", "M"]
 
 
 def dominance_table(systems):
-    """Per-ell Taylor and dominance data for an ascending family of systems."""
+    """Per-ell Taylor and dominance rows for an ascending family of systems."""
     if len(systems) < 2:
         raise DomainError("dominance_table needs at least 2 systems")
     ells = [sys.ell for sys in systems]
@@ -40,7 +31,7 @@ def dominance_table(systems):
             "ell": sys.ell, "lambda": lam, "b": b, "a": a,
             "N": sys.nonsymmetry, "dominance_ratio": abs(b) / abs(lam - 1.0),
         })
-    return PoincareDiagnostics(rows)
+    return rows
 
 
 def claim2_scan(p, w0, sigma_grid, i_max=100_000):
@@ -72,9 +63,3 @@ def claim2_scan(p, w0, sigma_grid, i_max=100_000):
         rows.append({"p": p, "sigma": float(sigma), "w0": w0,
                      "i_max": int(i_max), "M": float(np.exp(log_m.max()))})
     return rows
-
-
-def claim2_csv(rows, path):
-    header = ["p", "sigma", "w0", "i_max", "M"]
-    return write_csv(path, header, ([row[key] for key in header]
-                                    for row in rows))

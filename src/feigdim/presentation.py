@@ -24,7 +24,6 @@ from .errors import (
     IndexOutOfAlphabet,
     InvariantViolation,
     NoContraction,
-    OrbitIndexOverflow,
     RatioNotContracting,
 )
 from .fixedpoint import write_csv
@@ -69,13 +68,6 @@ class PresentationSystem:
 
     def tail_bound(self, K, t):
         return tail_bound(self, K, t)
-
-    def orbit_index(self, j):
-        if j >= len(self.orbit):
-            raise OrbitIndexOverflow(
-                f"orbit index {j} exceeds the stored budget {len(self.orbit) - 1}"
-            )
-        return self.orbit[j]
 
 
 def _check_letter(ps, k):
@@ -355,10 +347,11 @@ def tail_bound(ps, K, t):
 def cylinders_csv(ps, path):
     """Dump the cylinder table with per-letter derivative ranges on the
     64-point tail grid of I."""
+    header = ["k", "left", "right", "sup_deriv", "min_deriv"]
     x = np.linspace(*ps.I, _TAIL_NX)
     rows = []
     for k, (_, der) in iter_letter_jets(ps, ps.Kmax, x):
         der = np.abs(der)
-        rows.append([k, *ps.cylinders[k - 1], der.max(), der.min()])
-    return write_csv(path, ["k", "left", "right", "sup_deriv", "min_deriv"],
-                     rows)
+        cells = (k, *ps.cylinders[k - 1], der.max(), der.min())
+        rows.append(dict(zip(header, cells)))
+    return write_csv(path, header, rows)

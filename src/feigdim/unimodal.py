@@ -122,13 +122,12 @@ def build_system(fp):
     tau = abs(fp.alpha) ** fp.ell
 
     sys = UnimodalSystem(fp, tau, x_c, (0.0, 0.0, 0.0), 0.0)
-    g1 = float(eval_G(sys, x_c, 1))
+    _, g1, g2, g3 = (float(v) for v in _G_jets(sys, x_c))
     if not g1 < 0.0:
         raise InvariantViolation(f"G'(x_c) = {g1} is not < 0: period "
                                  "doubling reverses orientation at x_c")
 
-    _, d1, d2, d3 = (float(v) for v in _G_jets(sys, x_c))
-    jet = (d1, d2 / 2.0, d3 / 6.0)
+    jet = (g1, g2 / 2.0, g3 / 6.0)
     lam, b2, c3 = jet_compose(jet, jet)
     taylor = (lam, b2, -c3)
 

@@ -118,7 +118,7 @@ def test_criterion_04_cylinder_endpoints_and_disjointness(capsys):
     worst = 0.0
     for k in range(1, 11):
         left, right = cylinder_of_word(ps, [k])
-        want = sorted((ps.orbit_index(2 ** k), ps.orbit_index(3 * 2 ** k)))
+        want = sorted((ps.orbit[2 ** k], ps.orbit[3 * 2 ** k]))
         worst = max(worst, abs(left - want[0]), abs(right - want[1]))
     cyl = ps.cylinders
     order = np.argsort(cyl[:, 0])

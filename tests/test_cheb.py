@@ -8,7 +8,6 @@ from feigdim.cheb import (
     der01,
     eval01,
     fit01,
-    gauss_nodes,
     gauss_series,
     interp_matrix,
     vander01,
@@ -16,13 +15,13 @@ from feigdim.cheb import (
 
 
 def test_gauss_nodes_inside_unit_interval():
-    u = gauss_nodes(12)
+    u = cheb_points(0.0, 1.0, 12)
     assert u.shape == (12,)
     assert np.all((u > 0.0) & (u < 1.0))
 
 
 def test_fit_eval_round_trip_on_polynomial():
-    u = gauss_nodes(16)
+    u = cheb_points(0.0, 1.0, 16)
     y = 3.0 - 2.0 * u + 0.5 * u ** 3
     coeffs = fit01(u, y, 8)
     xs = np.linspace(0.0, 1.0, 37)
@@ -32,7 +31,7 @@ def test_fit_eval_round_trip_on_polynomial():
 
 
 def test_der01_matches_analytic_derivative():
-    u = gauss_nodes(20)
+    u = cheb_points(0.0, 1.0, 20)
     coeffs = fit01(u, np.exp(u), 18)
     dcoeffs = der01(coeffs)
     xs = np.linspace(0.05, 0.95, 21)
@@ -40,7 +39,7 @@ def test_der01_matches_analytic_derivative():
 
 
 def test_vander_consistent_with_eval():
-    u = gauss_nodes(9)
+    u = cheb_points(0.0, 1.0, 9)
     V = vander01(u, 6)
     coeffs = np.arange(7, dtype=float)
     assert np.allclose(V @ coeffs, eval01(coeffs, u), atol=1e-13)

@@ -72,15 +72,14 @@ def test_dim_prints_csv(warm_cache, tmp_path, capsys):
     rc = main(["dim", "--ell", "2", "--cache", warm_cache,
                "--out", str(out_path)])
     assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    lines = out.split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
     cells = lines[1].split(",")
     assert int(cells[0]) == 2
     assert abs(float(cells[1]) - HD_2) < 1e-6
     assert float(cells[2]) <= float(cells[1]) <= float(cells[3])
-    file_lines = out_path.read_text().strip().splitlines()
-    assert file_lines[0] == lines[0]
-    assert file_lines[1] == lines[1]
+    assert out_path.read_bytes() == out.encode()
     manifest = _read_manifest(str(out_path))
     assert manifest["command"] == "dim"
 

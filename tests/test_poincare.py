@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from feigdim.errors import DomainError
-from feigdim.poincare import claim2_csv, claim2_scan, dominance_table
+from feigdim.fixedpoint import write_csv
+from feigdim.poincare import (
+    CLAIM2_HEADER,
+    DOMINANCE_HEADER,
+    claim2_scan,
+    dominance_table,
+)
 from feigdim.unimodal import build_system
 
 from conftest import solve_ell
@@ -14,14 +20,14 @@ LAM_2 = 0.15962844038
 
 def test_dominance_table(sys2):
     sys4 = build_system(solve_ell(4))
-    diag = dominance_table([sys2, sys4])
-    assert [row["ell"] for row in diag.rows] == [2, 4]
-    row2 = diag.rows[0]
+    rows = dominance_table([sys2, sys4])
+    assert [row["ell"] for row in rows] == [2, 4]
+    row2 = rows[0]
     assert abs(row2["lambda"] - LAM_2) < 1e-9
     assert abs(row2["dominance_ratio"] -
                abs(row2["b"]) / abs(row2["lambda"] - 1.0)) < 1e-15
     assert abs(row2["dominance_ratio"] - 0.0178169) < 1e-6
-    assert diag.rows[1]["dominance_ratio"] > row2["dominance_ratio"]
+    assert rows[1]["dominance_ratio"] > row2["dominance_ratio"]
 
 
 def test_dominance_table_validation(sys2):
@@ -36,9 +42,8 @@ def test_dominance_table_validation(sys2):
 
 def test_dominance_csv(sys2, tmp_path):
     sys4 = build_system(solve_ell(4))
-    diag = dominance_table([sys2, sys4])
     path = str(tmp_path / "dominance.csv")
-    diag.to_csv(path)
+    write_csv(path, DOMINANCE_HEADER, dominance_table([sys2, sys4]))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
@@ -81,7 +86,7 @@ def test_claim2_validation():
 def test_claim2_csv_round_trip(tmp_path):
     rows = claim2_scan(1.5, 2.0, [1.0, 1.01])
     path = str(tmp_path / "claim2.csv")
-    claim2_csv(rows, path)
+    write_csv(path, CLAIM2_HEADER, rows)
     with open(path, newline="") as fh:
         back = list(csv.DictReader(fh))
     assert len(back) == 2

@@ -7,7 +7,6 @@ from feigdim.dimension import _as_ifs
 from feigdim.errors import (
     DomainError,
     IndexOutOfAlphabet,
-    OrbitIndexOverflow,
     RatioNotContracting,
 )
 from feigdim.presentation import (
@@ -47,7 +46,7 @@ def test_cylinder_endpoints_match_orbit(ps2):
     assert ps2.k_verify >= 10
     for k in range(1, 11):
         left, right = cylinder_of_word(ps2, [k])
-        want = sorted((ps2.orbit_index(2 ** k), ps2.orbit_index(3 * 2 ** k)))
+        want = sorted((ps2.orbit[2 ** k], ps2.orbit[3 * 2 ** k]))
         assert abs(left - want[0]) < 1e-8
         assert abs(right - want[1]) < 1e-8
 
@@ -187,11 +186,6 @@ def test_letter_jets_match_psi(ps2):
     for k, (val, der) in stream:
         assert np.allclose(val, psi(ps2, k, x), atol=1e-13)
         assert np.allclose(der, psi(ps2, k, x, deriv=1), atol=1e-13)
-
-
-def test_orbit_index_overflow(ps2):
-    with pytest.raises(OrbitIndexOverflow):
-        ps2.orbit_index(len(ps2.orbit))
 
 
 @pytest.mark.parametrize("Kmax, n_orbit", [(8, 4 * 2 ** 8),
