@@ -1,10 +1,12 @@
 """Chebyshev basis helpers on [0,1] and interpolation on [a,b].
 
 The fixed-point solver expands E in Chebyshev polynomials of the shifted
-variable s = 2u - 1, u in [0,1]. eval01 is the one evaluation path for E
-and its derivatives, with numpy's chebval(2u - 1, coeffs) as its output
-convention; it takes one of three routes, chosen by its input (see its
-docstring), and only a stack of series on an array leaves chebval's bits.
+variable s = 2u - 1, u in [0,1]. eval01 is the array kernel for E and its
+derivatives, with numpy's chebval(2u - 1, coeffs) as its output
+convention; it takes one of two routes, chosen by the shape of its input
+(see its docstring), and only a stack of series on an array leaves
+chebval's bits. clenshaw is numpy's Clenshaw loop on a plain list, for a
+scalar E on the map's own coefficient lists (fixedpoint.FixedPointMap).
 The other basis operations are numpy.polynomial.chebyshev's.
 On Chebyshev-Gauss grids of arbitrary intervals there are two routes to
 the same interpolant: interp_matrix, the barycentric cardinal matrix that
@@ -23,16 +25,12 @@ def eval01(coeffs, u):
 
     coeffs is one series of shape (m,), giving values of u's shape, or a
     stack of k series as columns of shape (m, k), giving shape (k, *u.shape).
-    The route follows the input:
+    The route follows the shape:
 
-    - scalar u: numpy's Clenshaw loop on plain Python floats, per series,
-      in numpy's operation order. The bits are chebval's without its array
-      set-up; one series returns a np.float64, so callers keep numpy's
-      handling of division by zero and overflow.
-    - one series on an array, of shape (m,) or (m, 1): numpy's chebval, so
-      the solver, its validation defect and the cached records do not
-      move. Zero padding at the high end of a series is exact in
-      Clenshaw's recurrence, so a padded series gives the unpadded bits.
+    - one series, or any series at a scalar u: numpy's chebval, so the
+      solver, its validation defect and the cached records do not move.
+      Zero padding at the high end of a series is exact in Clenshaw's
+      recurrence, so a padded series gives the unpadded bits.
     - a stack of k >= 2 series on an array: one table of T_j(2u - 1)
       serves every series. It is built in place, _BLOCK points at a time,
       by the three-term recurrence (two ufunc calls per degree), then
@@ -42,12 +40,7 @@ def eval01(coeffs, u):
       slower.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if np.ndim(u) == 0:
-        x = 2.0 * float(u) - 1.0
-        if coeffs.ndim == 1:
-            return np.float64(_clenshaw(coeffs.tolist(), x))
-        return np.array([_clenshaw(c, x) for c in coeffs.T.tolist()])
-    if coeffs.ndim == 1 or coeffs.shape[1] == 1:
+    if coeffs.ndim == 1 or coeffs.shape[1] == 1 or np.ndim(u) == 0:
         return _cheb.chebval(2.0 * np.asarray(u) - 1.0, coeffs)
     u = np.asarray(u, dtype=float)
     m, k = coeffs.shape
@@ -68,7 +61,7 @@ def eval01(coeffs, u):
     return out.reshape((k,) + u.shape)
 
 
-def _clenshaw(c, x):
+def clenshaw(c, x):
     """numpy's chebval(x, c) for a list c and a float x, same operations."""
     if len(c) < 3:
         return c[0] + (c[1] if len(c) == 2 else 0) * x

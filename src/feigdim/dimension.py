@@ -94,15 +94,22 @@ class PressureModel:
         return np.einsum("ai,aij->ij", self.ders ** t, self.B)
 
 
+def _node_rows(ifs, K, Nc):
+    """build_pressure_model's _rows: the Nc Chebyshev nodes of I, the
+    letter_jets stream of letters 1..K on them, and the rows walked so far."""
+    nodes = cheb_points(*ifs.interval, Nc)
+    return nodes, ifs.letter_jets(K, nodes, 1), []
+
+
 def build_pressure_model(ifs, K, Nc=32, _rows=None):
     """Collocated operator of the first K letters on Nc nodes of I.
 
-    _rows is an escalation's (letter_jets stream on these nodes, row list):
-    each model extends it to its K instead of restarting at letter 1."""
+    _rows is an escalation's _node_rows: each model extends its stream to
+    its K instead of restarting at letter 1."""
     if K < 1 or Nc < 1:
         raise DomainError(f"K and Nc must be >= 1, got K={K}, Nc={Nc}")
-    nodes, weights = cheb_points(*ifs.interval, Nc), bary_weights(Nc)
-    stream, rows = _rows or (ifs.letter_jets(K, nodes, 1), [])
+    nodes, stream, rows = _rows or _node_rows(ifs, K, Nc)
+    weights = bary_weights(Nc)
     for _, (val, der) in itertools.islice(stream, K - len(rows)):
         rows.append((val, np.abs(der), interp_matrix(nodes, weights, val)))
     imgs, ders, B = (np.stack(col) for col in zip(*rows[:K]))
@@ -228,13 +235,6 @@ class _OperatorBounds:
         slack = self.dx * float(np.max(np.abs(dr)))
         return float(r.min()) - slack, float(r.max()) + slack
 
-    def lower(self, t):
-        return self.envelope(t)[0]
-
-    def upper(self, t):
-        return (self.envelope(t)[1]
-                + self.ifs.tail_bound(self.K, t) * self.spread)
-
     def bracket(self, t0):
         """Roots of log lower = 0 and log upper = 0 near t0, rounded out.
 
@@ -244,8 +244,9 @@ class _OperatorBounds:
         located as crossings of 1, which keeps a non-positive lower bound
         (a poor test function) on the negative side instead of at log 0.
         """
-        lo = _crossing(lambda t: self.lower(t) - 1.0, t0)
-        hi = _crossing(lambda t: self.upper(t) - 1.0, t0)
+        lo = _crossing(lambda t: self.envelope(t)[0] - 1.0, t0)
+        hi = _crossing(lambda t: (self.envelope(t)[1] + self.ifs.tail_bound(
+            self.K, t) * self.spread) - 1.0, t0)
         return lo - _BRACKET_XTOL, hi + _BRACKET_XTOL
 
 
@@ -306,8 +307,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
         K = min(32, ifs.Kmax)
 
     # one node stream, to the last letter any model of the call may take
-    nodes = cheb_points(*ifs.interval, Nc)
-    rows = (ifs.letter_jets(K if pinned else ifs.Kmax, nodes, 1), [])
+    rows = _node_rows(ifs, K if pinned else ifs.Kmax, Nc)
     while True:
         pm = build_pressure_model(ifs, K=K, Nc=Nc, _rows=rows)
         hd = _bowen_root(pm, root_tol)
@@ -407,7 +407,9 @@ def _word_tables(ifs, K, n, metric):
 
     Words are extended by prepending letters, so position arrays track
     phi_w(x) at the sample points and the coboundary telescopes to
-    log|Dphi_w(x)| + q(phi_w x) - q(x).
+    log|Dphi_w(x)| + q(phi_w x) - q(x). The adapted metric fits q; any
+    other metric is the Euclidean one, q = 0 with delta_q 0, which adds
+    exact zeros and so leaves the plain log derivatives' bits.
     """
     na = len(ifs.letters(K))
     if na ** n > _WORD_BUDGET:
@@ -419,19 +421,21 @@ def _word_tables(ifs, K, n, metric):
     vals = np.stack([tab[0] for tab in tabs])
     lds = np.log(np.abs(np.stack([tab[1] for tab in tabs])))
 
-    q = None
     if metric == "adapted":
         q = _fit_adapted_metric(ifs.interval, xs, vals, lds)
-        lds = lds + q(vals) - q(xs)[None, :]
+    else:
+        q = Chebyshev([0.0], domain=ifs.interval)
+        q.delta_q = 0.0
+    lds = lds + q(vals) - q(xs)[None, :]
 
     pos, ld = vals, lds
     for _ in range(n - 1):
-        q_pos = q(pos) if q is not None else None
+        q_pos = q(pos)
 
         def step(val, der, ld):
+            # as one expression (temporaries reused in place) it timed slower
             out = np.log(np.abs(der))
-            if q is not None:
-                out = out + q(val) - q_pos
+            out = out + q(val) - q_pos
             return out + ld
         pos, ld = _extend_words(ifs, K, pos, ld, step)
     return ld.max(axis=1), ld.min(axis=1), lds.max(axis=1), q
@@ -488,7 +492,9 @@ def moran_oracle(ifs, n, K=None, metric="adapted"):
     metric)^t = 1. The truncated alphabet's missing letters inflate the
     sup-side sum by (p_1 + T)^n - p_1^n with T the tail bound carried into
     the adapted metric, so the upper root bounds the full-alphabet root.
-    K defaults to min(24, Kmax). brentq places both roots within 1e-10.
+    metric "adapted" fits the coboundary q; any other value is Euclidean
+    (q = 0, delta_q 0). K defaults to min(24, Kmax). brentq places both
+    roots within 1e-10.
     """
     if not 1 <= n <= 5:
         raise DomainError(f"moran_oracle needs 1 <= n <= 5, got {n}")
@@ -498,7 +504,7 @@ def moran_oracle(ifs, n, K=None, metric="adapted"):
     if K > 64:
         raise DomainError(f"K = {K} exceeds the budget 64")
     s_sup, s_inf, s1_sup, q = _word_tables(ifs, K, n, metric)
-    delta_q = q.delta_q if q is not None else 0.0
+    delta_q = q.delta_q
 
     def p_inf(t):
         return _logsumexp(t * s_inf)

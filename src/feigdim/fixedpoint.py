@@ -45,8 +45,8 @@ _NEWTON_MAX_ITER = 40
 class CombinatoricsType:
     """Renormalization combinatorics: period p and orientation."""
 
-    p: int = 2
-    orientation: str = "reversing"
+    p: int
+    orientation: str
 
     def validate(self):
         if self.p != 2 or self.orientation != "reversing":
@@ -79,28 +79,37 @@ class FixedPointMap:
     def __post_init__(self):
         coeffs = np.asarray(self.e_coeffs, dtype=float)
         object.__setattr__(self, "e_coeffs", coeffs)
-        object.__setattr__(self, "_jet_table", cheb.jet_table(coeffs, 3))
+        table = cheb.jet_table(coeffs, 3)
+        object.__setattr__(self, "_jet_table", table)
+        object.__setattr__(self, "_jet_lists", table.T.tolist())
 
     @property
     def tau(self):
         return abs(self.alpha) ** self.ell
 
     def E(self, u, deriv=0):
-        """E and derivatives in u, analytic through the basis."""
+        """E and derivatives in u: chebval(2u - 1, ...) of the derivative
+        series, bit for bit. An array u takes cheb.eval01; a scalar u runs
+        cheb.clenshaw on the map's own list and gives a np.float64."""
         if not 0 <= deriv <= 3:
             raise DomainError(f"deriv order {deriv} outside 0..3")
+        if np.ndim(u) == 0:
+            return np.float64(cheb.clenshaw(self._jet_lists[deriv],
+                                            2.0 * float(u) - 1.0))
         return cheb.eval01(self._jet_table[:, deriv], u)
 
     def jets(self, u, order):
         """E, E', ..., E^(order) at u, stacked: shape (order + 1, *u.shape).
 
-        One cheb.eval01 call on the zero-padded derivative table. On an
-        array u with order >= 1 a shared table of T_j(2u - 1) serves every
-        row, and row j agrees with E(u, j) to roundoff; otherwise (order 0,
-        or scalar u) each row is E(u, j) bit for bit.
+        On an array u, one cheb.eval01 call on the zero-padded derivative
+        table: with order >= 1 a shared table of T_j(2u - 1) serves every
+        row, and row j agrees with E(u, j) to roundoff. With order 0, or a
+        scalar u (the map's lists), each row is E(u, j) bit for bit.
         """
         if not 0 <= order <= 3:
             raise DomainError(f"jet order {order} outside 0..3")
+        if np.ndim(u) == 0:
+            return np.array([self.E(u, j) for j in range(order + 1)])
         return cheb.eval01(self._jet_table[:, :order + 1], u)
 
 
@@ -270,12 +279,11 @@ def continue_in_ell(prev, next_ell, tol=1e-10):
 
 
 def evaluate_g(fp, x, deriv_order=0):
-    """Value or derivative of g(x) = E(|x|^ell) for x in [-1,1].
-
-    Derivatives are chain-rule analytic; deriv_order up to 2.
+    """Value (deriv_order 0) or first derivative (1) of g(x) = E(|x|^ell)
+    for x in [-1,1]; the derivative is chain-rule analytic.
     """
-    if not 0 <= deriv_order <= 2:
-        raise DomainError(f"deriv_order {deriv_order} outside 0..2")
+    if deriv_order not in (0, 1):
+        raise DomainError(f"deriv_order {deriv_order} outside 0..1")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x_arr) > 1.0 + 1e-12):
         raise DomainError("evaluate_g requires |x| <= 1")
@@ -284,13 +292,9 @@ def evaluate_g(fp, x, deriv_order=0):
     u = ax ** ell
     if deriv_order == 0:
         out = fp.E(u)
-    elif deriv_order == 1:
-        du = ell * ax ** (ell - 1) * np.sign(x_arr)
-        out = fp.E(u, 1) * du
     else:
         du = ell * ax ** (ell - 1) * np.sign(x_arr)
-        d2u = ell * (ell - 1) * ax ** (ell - 2)
-        out = fp.E(u, 2) * du ** 2 + fp.E(u, 1) * d2u
+        out = fp.E(u, 1) * du
     return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -304,14 +308,14 @@ def cache_filename(fp_or_triple):
     return f"fp_p{p}_l{ell}_d{degree}.json"
 
 
-def save_fixed_point(fp, path=None):
+def save_fixed_point(fp, path):
     """Write the JSON cache record; returns the path written.
 
-    If path is a directory (or None, meaning cwd) the canonical filename is
-    used. Serialization is canonical so save -> load -> save is
-    byte-identical. The record goes to a temporary file in the same
-    directory and is then renamed onto path, so a reader sees either the
-    previous record or the complete new one, never a torn file.
+    If path is a directory the canonical filename is used. Serialization
+    is canonical so save -> load -> save is byte-identical. The record goes
+    to a temporary file in the same directory and is then renamed onto
+    path, so a reader sees either the previous record or the complete new
+    one, never a torn file.
     """
     record = {
         "schema": SCHEMA,
@@ -326,9 +330,7 @@ def save_fixed_point(fp, path=None):
         "tol": fp.solver_meta.get("tol", 1e-10),
         "iterations": fp.solver_meta.get("iterations", 0),
     }
-    if path is None:
-        path = cache_filename(fp)
-    elif os.path.isdir(path):
+    if os.path.isdir(path):
         path = os.path.join(path, cache_filename(fp))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".",

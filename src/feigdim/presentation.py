@@ -189,8 +189,8 @@ def build_presentation(sys, Kmax=None, j_margin=0.2):
 
     The alphabet is walked once per grid: three scalar G-orbits give the
     cylinder table, and one iter_letter_jets pass gives tail_levels and the
-    contraction certificate of each J margin (j_margin, then +0.15, +0.3;
-    the first below 1 is kept).
+    contraction certificate lambda_rho of the one J, I widened by j_margin
+    times its width on each side; NoContraction when lambda_rho >= 1.
     """
     if Kmax is None:
         Kmax = default_kmax(sys.ell)
@@ -257,27 +257,23 @@ def build_presentation(sys, Kmax=None, j_margin=0.2):
     if np.any(gaps < -1e-12):
         raise InvariantViolation("cylinders overlap beyond the 1e-12 slack")
 
-    ps = PresentationSystem(sys, I, orbit, Kmax, J=(0.0, 0.0), lambda_rho=1.0,
+    width = I[1] - I[0]
+    J = (I[0] - j_margin * width, I[1] + j_margin * width)
+    ps = PresentationSystem(sys, I, orbit, Kmax, J, lambda_rho=1.0,
                             cylinders=cylinders, branch_side=sides,
                             k_verify=k_verify, tail_levels=None)
-    # J's ends as columns, one row per margin: running maxima over letters
-    width = I[1] - I[0]
-    Js = [(I[0] - m * width, I[1] + m * width)
-          for m in (j_margin, j_margin + 0.15, j_margin + 0.3)]
-    J = np.array(Js).T[:, :, None]
     x = np.concatenate([np.linspace(*I, _CERT_NX), np.linspace(*I, _TAIL_NX)])
     rho_x = _rho_density(J, x[:_CERT_NX])
-    worst, levels = np.zeros(len(Js)), np.empty(Kmax)
+    worst, levels = 0.0, np.empty(Kmax)
     for k, (val, der) in iter_letter_jets(ps, Kmax, x):
         ratio = _contraction_ratio(J, rho_x, val[:_CERT_NX], der[:_CERT_NX])
-        worst = np.maximum(worst, ratio.max(axis=1))
+        worst = np.maximum(worst, ratio.max())     # NaN propagates
         levels[k - 1] = np.max(np.abs(der[_CERT_NX:]))
+    if not worst < 1.0:
+        raise NoContraction(
+            f"lambda_rho = {worst:.6g} >= 1 at J margin {j_margin}")
     levels.flags.writeable = False
-    for J_m, lam_rho in zip(Js, worst):
-        if lam_rho < 1.0:
-            return replace(ps, J=J_m, lambda_rho=float(lam_rho),
-                           tail_levels=levels)
-    raise NoContraction("no J margin up to +0.5 gave lambda_rho < 1")
+    return replace(ps, lambda_rho=float(worst), tail_levels=levels)
 
 
 def _rho_density(J, x):

@@ -170,6 +170,18 @@ def test_sweep_writes_default_csv(warm_cache, tmp_path, capsys):
     assert hd4 > hd2
 
 
+def test_sweep_with_failing_rows_exits_2(warm_cache, tmp_path, capsys):
+    # one letter: the pressure has no root on the probe grid at any ell
+    rc = main(["sweep", "--ells", "2:2:4", "--K", "1", "--cache", warm_cache])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "ell=2 failed: RootNotBracketed" in captured.err
+    assert "ell=4 failed:" in captured.err
+    assert "wrote 0 rows to sweep.csv" in captured.out
+    assert (tmp_path / "sweep.csv").read_text() == ",".join(CSV_HEADER) + "\n"
+    assert _read_manifest(str(tmp_path / "sweep.csv"))["command"] == "sweep"
+
+
 def test_diagnose_writes_tables(warm_cache, tmp_path, capsys):
     out_dir = tmp_path / "diag"
     rc = main(["diagnose", "--ells", "2:2:4", "--cache", warm_cache,

@@ -169,8 +169,12 @@ def test_conformality_residual_small(pm2, tstar2):
 
 
 def test_sweep_two_levels(tmp_path):
-    report = sweep([2, 4])
+    calls = []
+    report = sweep([2, 4], progress=lambda ell, rep: calls.append(
+        (ell, rep, len(rep.rows))))
     assert not report.failures
+    # one call per ell, in order, each after that ell's row
+    assert calls == [(2, report, 1), (4, report, 2)]
     assert [row["ell"] for row in report.rows] == [2, 4]
     assert abs(report.rows[0]["hd"] - HD_2) < 1e-6
     assert report.rows[1]["hd"] > report.rows[0]["hd"]
@@ -464,7 +468,8 @@ def test_grown_model_equals_a_fresh_one(monkeypatch, toy):
     ifs = _as_ifs(build_system(solve_ell(20)))
     res = hausdorff_dimension(ifs, with_bracket=False)
     assert len(models) > 1 and models[-1].K == res.K == 209
-    rows = (toy.letter_jets(2, cheb_points(*toy.interval, 32), 1), [])
+    nodes = cheb_points(*toy.interval, 32)
+    rows = (nodes, toy.letter_jets(2, nodes, 1), [])
     build(toy, K=1, Nc=32, _rows=rows)
     pairs = [(models[-1], build(ifs, K=res.K)),
              (build(toy, K=2, Nc=32, _rows=rows), build(toy, K=2, Nc=32))]

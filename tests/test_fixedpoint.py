@@ -80,8 +80,14 @@ def test_jets_match_E_per_derivative(ell):
     u = np.linspace(0.0, 1.0, 1001)
     jets = fp.jets(u, 3)
     assert jets.shape == (4, 1001)
+    grid, scalar = u[::10], []
     dcoeffs = fp.e_coeffs
     for j in range(4):
+        # a scalar u runs the map's own lists, with chebval's bits
+        scalar.append([fp.E(float(v), j) for v in grid])
+        assert all(type(e) is np.float64 for e in scalar[j])
+        assert scalar[j] == [chebval(2.0 * np.asarray(v) - 1.0, dcoeffs)
+                             for v in grid]
         # E(u, j) is numpy's chebval of the j-th derivative series
         assert np.array_equal(fp.E(u, j), chebval(2.0 * u - 1.0, dcoeffs))
         tol = 1e-14 * max(1.0, float(np.sum(np.abs(dcoeffs))))
@@ -89,6 +95,10 @@ def test_jets_match_E_per_derivative(ell):
         assert np.array_equal(fp.jets(0.3, j), [fp.E(0.3, i) for i in range(j + 1)])
         dcoeffs = der01(dcoeffs)
     assert np.array_equal(fp.jets(u, 0), [fp.E(u)])
+    for i, v in enumerate(grid):
+        for order in range(4):
+            assert np.array_equal(fp.jets(float(v), order),
+                                  [row[i] for row in scalar[:order + 1]])
     with pytest.raises(DomainError):
         fp.jets(u, 4)
 

@@ -7,6 +7,7 @@ from feigdim.dimension import _as_ifs
 from feigdim.errors import (
     DomainError,
     IndexOutOfAlphabet,
+    NoContraction,
     RatioNotContracting,
 )
 from feigdim.presentation import (
@@ -152,6 +153,16 @@ def test_build_presentation_rejects_non_positive_j_margin(sys2, j_margin):
     # at 0 the density is infinite at the ends of I; below 0, J is inside I
     with pytest.raises(DomainError):
         build_presentation(sys2, j_margin=j_margin)
+
+
+def test_no_contraction_names_lambda_rho_and_the_margin(sys2, monkeypatch):
+    # no system reaches it (lambda_rho is about 0.2-0.3 at the default
+    # margin), so every letter is made to stretch the hyperbolic metric
+    monkeypatch.setattr("feigdim.presentation._contraction_ratio",
+                        lambda J, rho_x, val, der: np.ones_like(der))
+    with pytest.raises(NoContraction,
+                       match=r"lambda_rho = 1 >= 1 at J margin 0\.2"):
+        build_presentation(sys2)
 
 
 def test_tail_bound_behaviour(ps2):

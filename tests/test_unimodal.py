@@ -115,8 +115,8 @@ def test_critical_orbit_matches_eval_H_loop(ell):
 
 @pytest.mark.parametrize("ell", range(2, 21, 2))
 def test_critical_orbit_matches_chebval_loop(ell):
-    # eval_H now rides eval01's scalar route, as critical_orbit does; this
-    # reference steps with numpy's chebval itself
+    # a scalar eval_H runs the map's own coefficient lists, as
+    # critical_orbit does; this reference steps with numpy's chebval itself
     sys = build_system(solve_ell(ell))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
