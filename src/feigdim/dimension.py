@@ -58,7 +58,7 @@ from .errors import (
     TailTooFat,
 )
 from .fixedpoint import cached_solve, write_csv
-from .presentation import build_presentation, default_kmax
+from .presentation import build_presentation
 from .roots import brentq
 from .unimodal import UnimodalSystem, build_system
 
@@ -266,8 +266,7 @@ def _as_ifs(obj):
     if isinstance(obj, UnimodalSystem):
         lam_tilde = obj.tau ** (-1.0 / obj.ell)
         k_need = int(np.ceil(44.0 / abs(np.log(lam_tilde)))) + 20
-        kmax = max(default_kmax(obj.ell), min(400, k_need))
-        return build_presentation(obj, Kmax=kmax)
+        return build_presentation(obj, Kmax=min(400, k_need))
     return obj
 
 

@@ -20,7 +20,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,20 +61,21 @@ PERIOD_DOUBLING = CombinatoricsType(2, "reversing")
 
 @dataclass(frozen=True, eq=False)
 class FixedPointMap:
-    """Solved pair (g, alpha) stored through the diffeomorphism E.
+    """Solved period-doubling pair (g, alpha) stored through the
+    diffeomorphism E.
 
-    e_coeffs are shifted-Chebyshev coefficients of E on [0,1]; alpha is the
-    signed rescaling (negative for reversing types); residual is the sup
-    defect of the defining equation on the validation grid.
+    e_coeffs are shifted-Chebyshev coefficients of E on [0,1], so degree is
+    their count minus one; alpha is the signed rescaling (negative: period
+    doubling reverses orientation); residual is the sup defect of the
+    defining equation on the validation grid; solver_meta holds the Newton
+    "iterations" and the "tol" the map was accepted at.
     """
 
-    combinatorics: CombinatoricsType
     ell: int
     alpha: float
     e_coeffs: np.ndarray
-    degree: int
     residual: float
-    solver_meta: dict = field(default_factory=dict)
+    solver_meta: dict
 
     def __post_init__(self):
         coeffs = np.asarray(self.e_coeffs, dtype=float)
@@ -82,6 +83,10 @@ class FixedPointMap:
         table = cheb.jet_table(coeffs, 3)
         object.__setattr__(self, "_jet_table", table)
         object.__setattr__(self, "_jet_lists", table.T.tolist())
+
+    @property
+    def degree(self):
+        return len(self.e_coeffs) - 1
 
     @property
     def tau(self):
@@ -208,8 +213,8 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
 
     if initial_guess is None and ell > 2:
         fp = solve_fixed_point(combinatorics, 2, degree, tol)
-        for next_ell in range(4, ell + 1, 2):
-            fp = continue_in_ell(fp, next_ell, tol=tol)
+        while fp.ell < ell:
+            fp = continue_in_ell(fp, tol=tol)
         return fp
 
     if initial_guess is None:
@@ -253,29 +258,24 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
     residual = _validation_defect(coeffs, alpha, ell)
     _check_invariants(coeffs, alpha, ell, residual, tol)
 
-    return FixedPointMap(combinatorics, ell, float(alpha), coeffs, degree,
-                         residual, {"iterations": iterations, "tol": tol})
+    return FixedPointMap(ell, float(alpha), coeffs, residual,
+                         {"iterations": iterations, "tol": tol})
 
 
-def continue_in_ell(prev, next_ell, tol=1e-10):
-    """One continuation step prev.ell -> prev.ell + 2, seeded by prev.
+def continue_in_ell(prev, tol=1e-10):
+    """The fixed point at prev.ell + 2, seeded by prev at prev's degree.
 
     The alpha seed keeps tau continuous across the step; on NoConvergence
     the degree is doubled once before giving up.
     """
-    if next_ell != prev.ell + 2:
-        raise DomainError(
-            f"continuation is single-step: {prev.ell} -> {prev.ell + 2}, "
-            f"got {next_ell}"
-        )
-    alpha_seed = -prev.tau ** (1.0 / next_ell)
-    guess = (prev.e_coeffs, alpha_seed)
+    ell = prev.ell + 2
+    guess = (prev.e_coeffs, -prev.tau ** (1.0 / ell))
     try:
-        return solve_fixed_point(prev.combinatorics, next_ell, prev.degree,
-                                 tol, initial_guess=guess)
+        return solve_fixed_point(PERIOD_DOUBLING, ell, prev.degree, tol,
+                                 initial_guess=guess)
     except NoConvergence:
-        return solve_fixed_point(prev.combinatorics, next_ell, 2 * prev.degree,
-                                 tol, initial_guess=guess)
+        return solve_fixed_point(PERIOD_DOUBLING, ell, 2 * prev.degree, tol,
+                                 initial_guess=guess)
 
 
 def evaluate_g(fp, x, deriv_order=0):
@@ -298,13 +298,10 @@ def evaluate_g(fp, x, deriv_order=0):
     return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def cache_filename(fp_or_triple):
-    """Canonical cache name fp_p{p}_l{ell}_d{degree}.json."""
-    if isinstance(fp_or_triple, FixedPointMap):
-        p, ell, degree = (fp_or_triple.combinatorics.p, fp_or_triple.ell,
-                          fp_or_triple.degree)
-    else:
-        p, ell, degree = fp_or_triple
+def cache_filename(triple):
+    """Canonical cache name fp_p{p}_l{ell}_d{degree}.json of the triple
+    (p, ell, degree)."""
+    p, ell, degree = triple
     return f"fp_p{p}_l{ell}_d{degree}.json"
 
 
@@ -319,19 +316,20 @@ def save_fixed_point(fp, path):
     """
     record = {
         "schema": SCHEMA,
-        "p": fp.combinatorics.p,
-        "orientation": fp.combinatorics.orientation,
+        "p": PERIOD_DOUBLING.p,
+        "orientation": PERIOD_DOUBLING.orientation,
         "ell": fp.ell,
         "alpha": fp.alpha,
         "basis": BASIS,
         "degree": fp.degree,
         "coeffs": [float(c) for c in fp.e_coeffs],
         "residual": fp.residual,
-        "tol": fp.solver_meta.get("tol", 1e-10),
-        "iterations": fp.solver_meta.get("iterations", 0),
+        "tol": fp.solver_meta["tol"],
+        "iterations": fp.solver_meta["iterations"],
     }
     if os.path.isdir(path):
-        path = os.path.join(path, cache_filename(fp))
+        path = os.path.join(path, cache_filename(
+            (PERIOD_DOUBLING.p, fp.ell, fp.degree)))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
@@ -390,7 +388,7 @@ def load_fixed_point(path, revalidate=True):
                 f"{path} fails residual revalidation: {defect:.3e} >= {tol:.3e}"
             )
         residual = defect
-    return FixedPointMap(combinatorics, ell, alpha, coeffs, degree, residual,
+    return FixedPointMap(ell, alpha, coeffs, residual,
                          {"iterations": iterations, "tol": tol})
 
 
@@ -420,10 +418,12 @@ def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
     Returns (fp, path, hit). A record in cache_dir is loaded and
     revalidated; one that fails to load, or whose revalidated residual is
     not below tol, is reported by a UserWarning naming the path and the
-    error, then re-solved and overwritten. On a miss the Newton seed is
-    initial_guess if given, else one continue_in_ell step when prev is the
-    fixed point at (ell - 2, degree), else the built-in seed. cache_dir
-    None solves without caching (path None).
+    error, then re-solved and overwritten. On a miss, when prev is the
+    fixed point at (ell - 2, degree), the map is one continue_in_ell step
+    from it; otherwise Newton starts from initial_guess if given, else from
+    the built-in seed. So a seed applies only to an ell with no previous
+    map to continue from. cache_dir None solves without caching (path
+    None).
     """
     path = None
     if cache_dir is not None:
@@ -439,9 +439,8 @@ def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
                 warnings.warn(f"cache entry {path} rejected "
                               f"({type(exc).__name__}: {exc}); re-solving",
                               stacklevel=2)
-    if initial_guess is None and prev is not None and \
-            ell == prev.ell + 2 and degree == prev.degree:
-        fp = continue_in_ell(prev, ell, tol=tol)
+    if prev is not None and ell == prev.ell + 2 and degree == prev.degree:
+        fp = continue_in_ell(prev, tol=tol)
     else:
         fp = solve_fixed_point(PERIOD_DOUBLING, ell, degree=degree, tol=tol,
                                initial_guess=initial_guess)

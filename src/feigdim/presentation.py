@@ -58,8 +58,7 @@ class PresentationSystem:
     def interval(self):
         return self.I
 
-    def letters(self, K=None):
-        K = self.Kmax if K is None else K
+    def letters(self, K):
         _check_letter(self, K)
         return list(range(1, K + 1))
 
@@ -173,15 +172,12 @@ def psi(ps, k, x, deriv=0):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def default_kmax(ell):
-    """Default alphabet size: 40 letters, scaled in proportion for ell > 8."""
-    return int(40 * max(1.0, ell / 8.0))
-
-
-def build_presentation(sys, Kmax=None, j_margin=0.2):
+def build_presentation(sys, Kmax=40, j_margin=0.2):
     """Construct the presentation system and verify its invariants.
 
-    Kmax defaults to default_kmax(sys.ell). Letter k has cylinder endpoints
+    Kmax defaults to 40 letters at every ell, which certifies a dimension
+    at ell = 2 only (TailTooFat from ell = 4); hausdorff_dimension(sys)
+    sizes its own alphabet. Letter k has cylinder endpoints
     c_{2^k} and c_{3*2^k}, so the critical orbit is stored to index
     4*2^Kmax, clamped to DEFAULT_ORBIT_MAX; endpoint identities are checked
     for every k whose orbit indexes fit that table and whose entries sit
@@ -192,8 +188,6 @@ def build_presentation(sys, Kmax=None, j_margin=0.2):
     contraction certificate lambda_rho of the one J, I widened by j_margin
     times its width on each side; NoContraction when lambda_rho >= 1.
     """
-    if Kmax is None:
-        Kmax = default_kmax(sys.ell)
     if Kmax < 1:
         raise DomainError(f"Kmax must be >= 1, got {Kmax}")
     if j_margin <= 0.0:

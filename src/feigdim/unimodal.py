@@ -94,8 +94,8 @@ def eval_G(sys, x, deriv_order=0):
     return _H_jets(sys.fp, inner, deriv_order)[deriv_order] / sys.tau ** deriv_order
 
 
-def _G_jets(sys, x, order=3):
-    """(G, G', G'', G''') at x, one pass."""
+def _G_jets(sys, x, order):
+    """G and its first `order` (<= 3) derivatives at x, one pass."""
     inner = np.asarray(x, dtype=float) / sys.tau
     jets = _H_jets(sys.fp, inner, order)
     return [jets[j] / sys.tau ** j for j in range(order + 1)]
@@ -119,10 +119,10 @@ def build_system(fp):
         raise NoCriticalPoint("E has no sign change on (0,1)")
     x_c = brentq(lambda z: float(fp.E(z)), 0.0, 1.0, xtol=1e-15,
                  maxiter=200)
-    tau = abs(fp.alpha) ** fp.ell
+    tau = fp.tau
 
     sys = UnimodalSystem(fp, tau, x_c, (0.0, 0.0, 0.0), 0.0)
-    _, g1, g2, g3 = (float(v) for v in _G_jets(sys, x_c))
+    _, g1, g2, g3 = (float(v) for v in _G_jets(sys, x_c, 3))
     if not g1 < 0.0:
         raise InvariantViolation(f"G'(x_c) = {g1} is not < 0: period "
                                  "doubling reverses orientation at x_c")

@@ -53,7 +53,7 @@ class ToyIFS:
     interval = (0.0, 1.0)
     Kmax = 2
 
-    def letters(self, K=None):
+    def letters(self, K):
         return [0, 1]
 
     def letter_jets(self, K, x, nder=1):

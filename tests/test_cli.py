@@ -10,7 +10,7 @@ import feigdim
 import feigdim.fixedpoint
 from feigdim.cli import main
 from feigdim.dimension import CSV_HEADER
-from feigdim.fixedpoint import cache_filename, save_fixed_point
+from feigdim.fixedpoint import cache_filename, load_fixed_point, save_fixed_point
 
 from conftest import solve_ell
 from oracles import HD_2
@@ -203,6 +203,20 @@ def test_seed_file_accepted(warm_cache, tmp_path, capsys):
                "--seed-file", seed])
     assert rc == 0
     assert "solved" in capsys.readouterr().out
+
+
+def test_seeded_range_continues_after_the_seeded_ell(warm_cache, tmp_path):
+    # the seed starts ell 2 only; ells 4-8 continue from the previous ell
+    seed = os.path.join(warm_cache, "fp_p2_l2_d40.json")
+    cache = tmp_path / "c"
+    rc = main(["solve", "--ells", "2:2:8", "--cache", str(cache),
+               "--seed-file", seed])
+    assert rc == 0
+    for ell in (2, 4, 6, 8):
+        path = str(cache / cache_filename((2, ell, 40)))
+        with open(path) as fh:
+            assert json.load(fh)["residual"] < 1e-10
+        assert load_fixed_point(path).residual < 1e-10
 
 
 def test_solve_range_continues_each_ell_from_the_previous(tmp_path,

@@ -31,8 +31,10 @@ from feigdim.errors import (
     DomainError,
     EigenvectorSignFailure,
     RatioNotContracting,
+    TailTooFat,
 )
 from feigdim.fixedpoint import cache_filename, load_fixed_point, save_fixed_point
+from feigdim.presentation import build_presentation
 from feigdim.unimodal import build_system
 
 from conftest import solve_ell
@@ -238,7 +240,8 @@ def test_sweep_resolves_unsupported_combinatorics_record(tmp_path, fp2):
     assert not report.failures
     assert [row["ell"] for row in report.rows] == [2]
     assert abs(report.rows[0]["hd"] - HD_2) < 1e-6
-    assert load_fixed_point(path).combinatorics.p == 2
+    assert json.load(open(path))["p"] == 2
+    assert load_fixed_point(path).ell == 2
 
 
 def _adapted_metric_system(interval, xs, vals, lds, nq=16):
@@ -409,7 +412,7 @@ class _UndecayedTail:
     def __init__(self, ps):
         self.ps, self.interval, self.Kmax = ps, ps.interval, ps.Kmax
 
-    def letters(self, K=None):
+    def letters(self, K):
         return self.ps.letters(K)
 
     def letter_jets(self, K, x, nder=1):
@@ -417,6 +420,15 @@ class _UndecayedTail:
 
     def tail_bound(self, K, t):
         raise RatioNotContracting(f"levels not decaying at K={K}")
+
+
+def test_default_presentation_is_too_short_from_ell_4():
+    # build_presentation's 40 letters certify ell 2 only; hausdorff_dimension
+    # of the system sizes its own alphabet (104 letters at ell 4)
+    ps4 = build_presentation(build_system(solve_ell(4)))
+    assert ps4.Kmax == 40
+    with pytest.raises(TailTooFat, match="exhausted at K=40"):
+        hausdorff_dimension(ps4)
 
 
 def test_undecayed_tail_escalates_to_kmax_before_raising(ps2, monkeypatch):

@@ -10,6 +10,7 @@ from feigdim.cheb import der01
 from feigdim.errors import (
     CorruptFile,
     DomainError,
+    NoConvergence,
     SchemaMismatch,
     UnsupportedCombinatorics,
 )
@@ -104,10 +105,31 @@ def test_jets_match_E_per_derivative(ell):
 
 
 def test_continuation_in_ell():
-    fp4 = continue_in_ell(solve_ell(2), 4)
+    fp4 = continue_in_ell(solve_ell(2))
     assert abs(fp4.alpha - ALPHA_BY_ELL[4]) < 1e-8
     direct = solve_ell(4)
     assert abs(fp4.alpha - direct.alpha) < 1e-10
+
+
+def test_continuation_doubles_the_degree_once_on_no_convergence(monkeypatch):
+    # a 2 -> 100 chain takes this retry at ell 80; here Newton is made to
+    # stall at degree 40 so the retry runs at ell 4
+    real = feigdim.fixedpoint.solve_fixed_point
+    degrees = []
+
+    def stalls_at_40(combinatorics, ell, degree, *args, **kwargs):
+        degrees.append(degree)
+        if degree == 40:
+            raise NoConvergence("stalled at degree 40", 1.0)
+        return real(combinatorics, ell, degree, *args, **kwargs)
+
+    monkeypatch.setattr(feigdim.fixedpoint, "solve_fixed_point", stalls_at_40)
+    fp4 = continue_in_ell(solve_ell(2))
+    assert degrees == [40, 80]
+    assert fp4.ell == 4 and fp4.degree == 80
+    assert len(fp4.e_coeffs) == 81
+    assert abs(fp4.alpha - ALPHA_BY_ELL[4]) < 1e-8
+    assert fp4.residual < 1e-10
 
 
 @pytest.mark.parametrize("ell", [4, 6, 8])
@@ -123,12 +145,11 @@ def test_odd_ell_rejected():
 
 
 def test_unsupported_combinatorics_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(UnsupportedCombinatorics):
         solve_fixed_point(CombinatoricsType(3, "reversing"), 2)
 
 
-def test_cache_filename_convention(fp2):
-    assert cache_filename(fp2) == "fp_p2_l2_d40.json"
+def test_cache_filename_convention():
     assert cache_filename((2, 8, 24)) == "fp_p2_l8_d24.json"
 
 

@@ -40,7 +40,7 @@ def test_interval_endpoints(ps2):
 def test_letters_order_and_length(ps2):
     letters = ps2.letters(7)
     assert letters == list(range(1, 8))
-    assert len(ps2.letters()) == ps2.Kmax
+    assert len(ps2.letters(ps2.Kmax)) == ps2.Kmax
 
 
 def test_cylinder_endpoints_match_orbit(ps2):
@@ -214,7 +214,7 @@ def test_cylinders_csv_round_trip(ps2, tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["k", "left", "right", "sup_deriv", "min_deriv"]
-    assert [int(row["k"]) for row in rows] == ps2.letters()
+    assert [int(row["k"]) for row in rows] == ps2.letters(ps2.Kmax)
     cylinders = [[float(row["left"]), float(row["right"])] for row in rows]
     assert np.array_equal(cylinders, ps2.cylinders)
     for row in rows:
