@@ -7,6 +7,7 @@ convention; it takes one of two routes, chosen by the shape of its input
 (see its docstring), and only a stack of series on an array leaves
 chebval's bits. clenshaw is numpy's Clenshaw loop on a plain list, for a
 scalar E on the map's own coefficient lists (fixedpoint.FixedPointMap).
+restrict01 re-expands a series on [0, r] over [0,1] (G's short series).
 The other basis operations are numpy.polynomial.chebyshev's.
 On Chebyshev-Gauss grids of arbitrary intervals there are two routes to
 the same interpolant: interp_matrix, the barycentric cardinal matrix that
@@ -86,6 +87,27 @@ def jet_table(coeffs, order):
         table[:len(c), j] = c
         c = der01(c)
     return table
+
+
+def restrict01(coeffs, r):
+    """Shifted-Chebyshev coefficients of u -> p(r u), p the series of
+    coeffs and 0 < r <= 1: numpy's Chebyshev.convert to [0, r], exact up to
+    roundoff, by Clenshaw's recurrence on series (2ru - 1 is r T_1 + r - 1)
+    in a fraction of its milliseconds."""
+    c = np.asarray(coeffs, dtype=float)
+
+    def times_x(s):     # s's top coefficient is 0, so nothing spills over
+        out = (r - 1.0) * s
+        out[1] += r * s[0]
+        out[2:] += 0.5 * r * s[1:-1]
+        out[:-1] += 0.5 * r * s[1:]
+        return out
+
+    b1, b2 = np.zeros(len(c)), np.zeros(len(c))
+    for ck in c[::-1]:
+        b1, b2 = 2.0 * times_x(b1) - b2, b1
+        b1[0] += ck
+    return b1 - times_x(b2)
 
 
 def vander01(u, degree):

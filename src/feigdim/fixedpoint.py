@@ -419,11 +419,12 @@ def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
     revalidated; one that fails to load, or whose revalidated residual is
     not below tol, is reported by a UserWarning naming the path and the
     error, then re-solved and overwritten. On a miss, when prev is the
-    fixed point at (ell - 2, degree), the map is one continue_in_ell step
-    from it; otherwise Newton starts from initial_guess if given, else from
-    the built-in seed. So a seed applies only to an ell with no previous
-    map to continue from. cache_dir None solves without caching (path
-    None).
+    fixed point at ell - 2 and of at least this degree (continue_in_ell may
+    have doubled it), the map is one continue_in_ell step from it, at
+    prev's degree; otherwise Newton starts from initial_guess if given,
+    else from the built-in seed. So a seed applies only to an ell with no
+    previous map to continue from. cache_dir None solves without caching
+    (path None).
     """
     path = None
     if cache_dir is not None:
@@ -439,7 +440,7 @@ def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
                 warnings.warn(f"cache entry {path} rejected "
                               f"({type(exc).__name__}: {exc}); re-solving",
                               stacklevel=2)
-    if prev is not None and ell == prev.ell + 2 and degree == prev.degree:
+    if prev is not None and ell == prev.ell + 2 and prev.degree >= degree:
         fp = continue_in_ell(prev, tol=tol)
     else:
         fp = solve_fixed_point(PERIOD_DOUBLING, ell, degree=degree, tol=tol,

@@ -7,10 +7,11 @@ PresentationSystem implements the IFS protocol of the dimension engine
 iter_letter_jets, the one stream of jets over the alphabet, and a single
 letter's jets are that stream's k-th item.
 
-Branch inversions are one-lap solves of E(z) = x^(1/ell) by safeguarded
-bisection-Newton; G^k is applied as k explicit contraction steps, which is
-numerically stable for every k because the cylinders accumulate at the
-attracting fixed point x_c of G. The alternative composition form
+The branch H^{-1} maps I onto [0, 1/tau]: a bisection-Newton solve of
+e(w) = x^(1/ell) on G's series e(w) = E(w/tau), with z = w/tau. G^k is k
+explicit contraction steps on the same series, numerically stable for
+every k because the cylinders accumulate at the attracting fixed point
+x_c of G. The alternative composition form
 psi_k = H^{-1} o tau^{-k}, well conditioned only for shallow k, is the
 test suite's independent reference (tests/oracles.py).
 """
@@ -18,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cheb
 from .errors import (
     BranchNotMonotone,
     DomainError,
@@ -27,9 +29,10 @@ from .errors import (
     RatioNotContracting,
 )
 from .fixedpoint import write_csv
-from .unimodal import DEFAULT_ORBIT_MAX, _G_jets, _H_jets, critical_orbit, eval_H
+from .unimodal import DEFAULT_ORBIT_MAX, _G_jets, critical_orbit, eval_H
 
 _X_SLACK = 1e-9
+_W_PAD = 2.0 ** -10
 _TAIL_NX = 64
 _CERT_NX = 200
 _NBIS = 8
@@ -75,49 +78,48 @@ def _check_letter(ps, k):
         raise IndexOutOfAlphabet(f"{k} is not a letter of 1..{ps.Kmax}")
 
 
-def _solve_E_decreasing(sys, targets):
-    """Solve E(z) = target on the lap [0, x_c], where E is strictly
-    decreasing and positive.
+def _solve_e_decreasing(sys, targets):
+    """Solve e(w) = target on G's series, decreasing and positive on
+    [-_W_PAD, 1 + _W_PAD]: the pad holds the roots for all of I widened by
+    _X_SLACK (within 1e-8 of [0, 1]), so no x psi accepts is clipped.
 
-    A few bisection steps shrink [0, x_c] to a bracket [a, b] that holds
-    the root, then Newton polishes the midpoint. Every Newton iterate is
-    clipped to its own bracket [a, b], so it never leaves the interval
-    bisection certified even where E' is small.
+    A few bisection steps shrink that to a bracket [a, b] of the root, then
+    Newton polishes the midpoint, each iterate clipped to [a, b].
     """
-    fp = sys.fp
+    values, jets = sys.g_tables[0][:, 0], sys.g_tables[1]
     targets = np.asarray(targets, dtype=float)
-    a = np.full(targets.shape, 0.0)
-    b = np.full(targets.shape, sys.x_c)
+    a = np.full(targets.shape, -_W_PAD)
+    b = np.full(targets.shape, 1.0 + _W_PAD)
     for _ in range(_NBIS):
         mid = 0.5 * (a + b)
-        high = fp.E(mid) > targets
+        high = cheb.eval01(values, mid) > targets
         a = np.where(high, mid, a)
         b = np.where(high, b, mid)
-    z = 0.5 * (a + b)
+    w = 0.5 * (a + b)
     for _ in range(_NNEWT):
-        e, e1 = fp.jets(z, 1)
-        z = np.clip(z - (e - targets) / e1, a, b)
-    return z
+        e, e1 = cheb.eval01(jets, w)
+        w = np.clip(w - (e - targets) / e1, a, b)
+    return w
 
 
 def _h_inverse_jets(sys, x, nder):
     """Jets of the branch H^{-1} on I.
 
-    The branch maps I into [c_1, c_3] inside the decreasing lap of H left
-    of x_c, where E > 0: solve E(z) = x^(1/ell).
+    The branch maps I onto [c_1, c_3] = [0, 1/tau], left of x_c where
+    E > 0: z = w/tau for e(w) = x^(1/ell), and H^(j)(z) = tau^j G^(j)(w).
     """
-    fp = sys.fp
-    z = _solve_E_decreasing(sys, x ** (1.0 / fp.ell))
+    tau = sys.tau
+    w = _solve_e_decreasing(sys, x ** (1.0 / sys.ell))
     if nder == 0:
-        return (z,)
-    jets = _H_jets(fp, z, min(nder, 3))
-    h1 = jets[1]
-    out = [z, 1.0 / h1]
+        return (w / tau,)
+    jets = _G_jets(sys, w, min(nder, 3))
+    h1 = tau * jets[1]
+    out = [w / tau, 1.0 / h1]
     if nder >= 2:
-        h2 = jets[2]
+        h2 = tau ** 2 * jets[2]
         out.append(-h2 * out[1] ** 3)
     if nder >= 3:
-        h3 = jets[3]
+        h3 = tau ** 3 * jets[3]
         out.append((3.0 * h2 ** 2 - h1 * h3) * out[1] ** 5)
     return tuple(out)
 
@@ -221,13 +223,14 @@ def build_presentation(sys, Kmax=40, j_margin=0.2):
             "exceeds the endpoint tolerance at k=1"
         )
 
-    # the ends of I and its midpoint as plain floats; a step E(v / tau)^ell
-    # through the np.power ufunc has the bits of the array step
-    E, ell, tau = sys.fp.E, sys.ell, sys.tau
+    # the ends of I and its midpoint as plain floats; a step e(v)^ell by
+    # cheb.clenshaw and np.power has the bits of the array step
+    e, ell = sys.g_tables[0][:, 0].tolist(), sys.ell
     y = _h_inverse_jets(sys, np.array([*I, sum(I) / 2]), 0)[0].tolist()
     walk = np.empty((Kmax, 3))
     for k in range(Kmax):
-        walk[k] = y = [float(np.power(E(v / tau), ell)) for v in y]
+        walk[k] = y = [float(np.power(cheb.clenshaw(e, 2.0 * v - 1.0), ell))
+                       for v in y]
     cylinders, mid = np.sort(walk[:, :2], axis=1), walk[:, 2]
     # G' < 0 at x_c: sides alternate, checked where midpoints leave x_c
     sides = (1 if mid[0] < sys.x_c else -1) * (-1) ** np.arange(Kmax)

@@ -2,17 +2,20 @@
 
 H(x) = |E(x)|^ell on [0,1] (ell even, so H = E^ell with no branch issues),
 tau = |alpha|^ell, and the microscope map G(x) = H(x/tau), which fixes the
-critical point x_c and contracts toward it. Period doubling reverses
-orientation there (G'(x_c) < 0), so the Taylor data at x_c are those of G^2.
-x_c is the root of E, located by Brent's method (roots.brentq). The
+critical point x_c and contracts toward it. G = e^ell runs on its own
+short series e(w) = E(w/tau) on [0, 1], built once per system by
+build_system; H keeps E's full series. Period doubling reverses
+orientation at x_c (G'(x_c) < 0), so the Taylor data at x_c are those of
+G^2. x_c is the root of E, located by Brent's method (roots.brentq). The
 critical orbit and the jets of H and G feed the presentation IFS; the
 Taylor data feed the dominance table.
 """
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cheb
 from .errors import (
     DomainError,
     InvariantViolation,
@@ -31,6 +34,7 @@ class UnimodalSystem:
 
     taylor = (lam, b, a) is the third-order expansion of G^2 at x_c in the
     form x_c + lam*h + b*h^2 - a*h^3; nonsymmetry is N = |E''(x_c)/E'(x_c)|.
+    g_tables holds G's short series (_g_tables).
     """
 
     fp: object
@@ -38,19 +42,33 @@ class UnimodalSystem:
     x_c: float
     taylor: tuple
     nonsymmetry: float
+    g_tables: tuple
 
     @property
     def ell(self):
         return self.fp.ell
 
 
-def _H_jets(fp, x, order):
-    """H = E^ell and derivatives up to `order` (<= 3), vectorized.
+def _g_tables(fp):
+    """G's series e(w) = E(w/tau), w in [0, 1], and three derivatives.
 
-    E and its derivatives come from one fp.jets call.
+    Column j of the jet table of E re-expanded on [0, 1/tau] keeps the
+    shortest head whose dropped tail sums to at most 2^-52 of the column's
+    absolute sum, which bounds e^(j)'s error by that share. Item q is
+    columns 0..q on their longest head (15, 19, 22, 24 rows for q = 0..3
+    at ell = 2; 10, 13, 15, 17 at ell = 20).
     """
-    ell = fp.ell
-    ej = fp.jets(x, order)
+    table = cheb.jet_table(cheb.restrict01(fp.e_coeffs, 1.0 / fp.tau), 3)
+    tails = np.cumsum(np.abs(table[::-1]), axis=0)[::-1]
+    heads = np.sum(tails > 2.0 ** -52 * tails[0], axis=0)
+    rows = np.maximum.accumulate(heads)
+    return tuple(table[:rows[q], :q + 1] for q in range(4))
+
+
+def _power_jets(ej, ell):
+    """Jets of b^ell from the jets ej = (b, b', ...) of a base map b, up to
+    the third derivative."""
+    order = len(ej) - 1
     e = ej[0]
     out = [e ** ell]
     if order >= 1:
@@ -69,36 +87,34 @@ def _H_jets(fp, x, order):
     return out
 
 
+def _G_jets(sys, x, order):
+    """G = e^ell and its first `order` (<= 3) derivatives at x in [0, 1],
+    from one cheb.eval01 call on G's series."""
+    return _power_jets(cheb.eval01(sys.g_tables[order], x), sys.ell)
+
+
 def _check_domain(x, lo, hi, what):
     if np.any(np.asarray(x) < lo - _SLACK) or np.any(np.asarray(x) > hi + _SLACK):
         raise DomainError(f"{what} argument outside [{lo}, {hi}]")
 
 
 def eval_H(sys, x, deriv_order=0):
-    """H or one of its first three derivatives at x in [0,1]."""
+    """H or one of its first three derivatives at x in [0,1], on E's full
+    series."""
     if not 0 <= deriv_order <= 3:
         raise DomainError(f"deriv_order {deriv_order} outside 0..3")
     _check_domain(x, 0.0, 1.0, "eval_H")
-    return _H_jets(sys.fp, np.asarray(x, dtype=float), deriv_order)[deriv_order]
+    ej = sys.fp.jets(np.asarray(x, dtype=float), deriv_order)
+    return _power_jets(ej, sys.ell)[deriv_order]
 
 
 def eval_G(sys, x, deriv_order=0):
-    """G = H(x/tau) or one of its first three derivatives.
-
-    Domain is [0, tau] so that the inner argument stays in [0,1].
-    """
+    """G = H(x/tau) or one of its first three derivatives at x in G's
+    domain [0, 1], where G's series is read."""
     if not 0 <= deriv_order <= 3:
         raise DomainError(f"deriv_order {deriv_order} outside 0..3")
-    _check_domain(x, 0.0, sys.tau, "eval_G")
-    inner = np.asarray(x, dtype=float) / sys.tau
-    return _H_jets(sys.fp, inner, deriv_order)[deriv_order] / sys.tau ** deriv_order
-
-
-def _G_jets(sys, x, order):
-    """G and its first `order` (<= 3) derivatives at x, one pass."""
-    inner = np.asarray(x, dtype=float) / sys.tau
-    jets = _H_jets(sys.fp, inner, order)
-    return [jets[j] / sys.tau ** j for j in range(order + 1)]
+    _check_domain(x, 0.0, 1.0, "eval_G")
+    return _G_jets(sys, np.asarray(x, dtype=float), deriv_order)[deriv_order]
 
 
 def jet_compose(outer, inner):
@@ -121,7 +137,7 @@ def build_system(fp):
                  maxiter=200)
     tau = fp.tau
 
-    sys = UnimodalSystem(fp, tau, x_c, (0.0, 0.0, 0.0), 0.0)
+    sys = UnimodalSystem(fp, tau, x_c, (0.0, 0.0, 0.0), 0.0, _g_tables(fp))
     _, g1, g2, g3 = (float(v) for v in _G_jets(sys, x_c, 3))
     if not g1 < 0.0:
         raise InvariantViolation(f"G'(x_c) = {g1} is not < 0: period "
@@ -132,7 +148,7 @@ def build_system(fp):
     taylor = (lam, b2, -c3)
 
     N = abs(float(fp.E(x_c, 2)) / float(fp.E(x_c, 1)))
-    sys = UnimodalSystem(fp, tau, x_c, taylor, N)
+    sys = replace(sys, taylor=taylor, nonsymmetry=N)
 
     if abs(float(eval_H(sys, x_c))) >= 1e-10:
         raise InvariantViolation("H(x_c) not 0 within 1e-10")

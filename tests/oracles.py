@@ -4,7 +4,9 @@ The cascade oracle reproduces the period-doubling rescaling constant from
 the plain quadratic family x^2 + c, so agreement with the collocation
 solver cross-validates the whole fixed-point pipeline. psi_alt inverts a
 presentation's letters by plain bisection on its E, independent of the
-package's bisection-Newton solver and of its G-iteration.
+package's bisection-Newton solver and of its G-iteration;
+letter_stream_on_E steps G on E's full series, where the package steps
+it on G's own short series.
 """
 import numpy as np
 
@@ -107,6 +109,27 @@ def psi_alt(ps, k, x, deriv=0):
         return z
     # H' = ell E^(ell - 1) E'
     return 1.0 / (sys.tau ** k * ell * E(z) ** (ell - 1) * E(z, 1))
+
+
+def letter_stream_on_E(ps, K, x):
+    """[(psi_k(x), psi_k'(x)) for k = 1..K] of a built presentation ps,
+    with every step on E's full series: the branch H^{-1} by 64 bisection
+    steps of E(z) = x^(1/ell) on [0, x_c], and each G-step
+    G(y) = E(y/tau)^ell, G'(y) = ell E^(ell - 1) E'(y/tau) / tau from one
+    ps.sys.fp.jets call.
+    """
+    sys = ps.sys
+    fp, ell, tau = sys.fp, sys.fp.ell, sys.tau
+    x = np.asarray(x, dtype=float)
+    z = bisect_decreasing(fp.E, x ** (1.0 / ell), 0.0, sys.x_c, 64)
+    e, e1 = fp.jets(z, 1)
+    y, dy = z, 1.0 / (ell * e ** (ell - 1) * e1)
+    out = []
+    for _ in range(K):
+        e, e1 = fp.jets(y / tau, 1)
+        y, dy = e ** ell, ell * e ** (ell - 1) * e1 / tau * dy
+        out.append((y, dy))
+    return out
 
 
 # Reference constants for the quadratic (ell = 2) fixed point.

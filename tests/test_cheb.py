@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import Chebyshev, chebval
 
 from feigdim.cheb import (
     bary_weights,
@@ -10,6 +10,7 @@ from feigdim.cheb import (
     fit01,
     gauss_series,
     interp_matrix,
+    restrict01,
     vander01,
 )
 
@@ -127,3 +128,17 @@ def test_scalar_eval01_is_chebval_bit_for_bit():
     stack = _decaying_stack(k=3)
     assert np.array_equal(eval01(stack, 0.3),
                           chebval(2.0 * np.asarray(0.3) - 1.0, stack))
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, 1.0 / 6.26, 1.0 / 18.1])
+def test_restrict01_is_the_convert_re_expansion(r):
+    # u -> p(r u) on [0,1] is p on [0, r]: numpy's convert to roundoff,
+    # and the same values at every u
+    coeffs = _decaying_stack(k=1)[:, 0]
+    got = restrict01(coeffs, r)
+    want = Chebyshev(coeffs, domain=[0, 1]).convert(domain=[0, r]).coef
+    assert got.shape == coeffs.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(coeffs))
+    u = np.linspace(0.0, 1.0, 1001)
+    err = np.abs(eval01(got, u) - eval01(coeffs, r * u))
+    assert np.max(err) <= 1e-15 * np.sum(np.abs(coeffs))

@@ -20,6 +20,7 @@ from feigdim.fixedpoint import (
     SCHEMA,
     CombinatoricsType,
     cache_filename,
+    cached_solve,
     continue_in_ell,
     evaluate_g,
     load_fixed_point,
@@ -130,6 +131,32 @@ def test_continuation_doubles_the_degree_once_on_no_convergence(monkeypatch):
     assert len(fp4.e_coeffs) == 81
     assert abs(fp4.alpha - ALPHA_BY_ELL[4]) < 1e-8
     assert fp4.residual < 1e-10
+
+
+def test_cached_solve_continues_past_a_degree_doubling(monkeypatch):
+    # Newton stalls at degree 40 on ell 4 only, so continuation doubles the
+    # degree there; every later ell is then one solve from the previous
+    # map at the doubled degree, not a chain re-solved from ell 2
+    real = feigdim.fixedpoint.solve_fixed_point
+    calls = []
+
+    def stalls_at_4_40(combinatorics, ell, degree, *args, **kwargs):
+        calls.append((ell, degree))
+        if (ell, degree) == (4, 40):
+            raise NoConvergence("stalled at degree 40", 1.0)
+        return real(combinatorics, ell, degree, *args, **kwargs)
+
+    monkeypatch.setattr(feigdim.fixedpoint, "solve_fixed_point",
+                        stalls_at_4_40)
+    fp = solve_ell(2)
+    fp, _, _ = cached_solve(4, 40, 1e-10, None, prev=fp)
+    assert calls == [(4, 40), (4, 80)] and fp.degree == 80
+    for ell in (6, 8):
+        calls.clear()
+        fp, path, hit = cached_solve(ell, 40, 1e-10, None, prev=fp)
+        assert calls == [(ell, 80)]
+        assert fp.ell == ell and fp.degree == 80 and not hit
+        assert abs(fp.alpha - ALPHA_BY_ELL[ell]) < 1e-8
 
 
 @pytest.mark.parametrize("ell", [4, 6, 8])

@@ -11,9 +11,10 @@ from feigdim.errors import (
     RatioNotContracting,
 )
 from feigdim.presentation import (
+    _X_SLACK,
     _h_inverse_jets,
     _psi_jets,
-    _solve_E_decreasing,
+    _solve_e_decreasing,
     build_presentation,
     contraction_certificate,
     cylinder_of_word,
@@ -26,7 +27,12 @@ from feigdim.presentation import (
 from feigdim.unimodal import DEFAULT_ORBIT_MAX, _G_jets, build_system
 
 from conftest import solve_ell
-from oracles import bisect_decreasing, fd_derivative, psi_alt
+from oracles import (
+    bisect_decreasing,
+    fd_derivative,
+    letter_stream_on_E,
+    psi_alt,
+)
 
 I_2 = (0.5759648680838572, 1.0)
 
@@ -248,15 +254,46 @@ def _bisect_reference(fp, targets, lo, hi):
 
 @pytest.mark.parametrize("ell", range(2, 21, 2))
 def test_bracketed_newton_matches_bisection(ell):
+    # the branch's own range [c_1, c_3] = [0, 1/tau], solved on G's series
+    # in w = tau z and checked against E's full series in z
     sys = build_system(solve_ell(ell))
     fp = sys.fp
-    lo, hi = 0.0, sys.x_c
+    lo, hi = 0.0, 1.0 / sys.tau
     targets = np.linspace(float(fp.E(hi)), float(fp.E(lo)), 2001)
-    z = _solve_E_decreasing(sys, targets)
+    z = _solve_e_decreasing(sys, targets) / sys.tau
     ref = _bisect_reference(fp, targets, lo, hi)
-    assert np.all((z >= lo) & (z <= hi))
+    # no clip at the ends: a root within roundoff outside may stand
+    assert np.all((z >= lo - 2e-15) & (z <= hi + 2e-15))
     assert float(np.max(np.abs(z - ref))) <= 2e-15
     assert float(np.max(np.abs(fp.E(z) - targets))) <= 2e-15
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_branch_inverts_every_x_psi_accepts(ell):
+    # I widened by psi's slack reaches just past z in [0, 1/tau]; the
+    # inversion solves there too, instead of clipping to the lap's ends
+    ps = build_presentation(build_system(solve_ell(ell)))
+    lo, hi = ps.interval
+    x = np.array([lo - _X_SLACK, lo, hi, hi + _X_SLACK])
+    assert np.all(np.isfinite(psi(ps, 1, x)))
+    z = _h_inverse_jets(ps.sys, x, 0)[0]
+    assert np.all(np.diff(z) < 0.0)
+    assert float(np.max(np.abs(ps.sys.fp.E(z) - x ** (1.0 / ell)))) <= 2e-15
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_letter_stream_matches_steps_on_E(ell):
+    # the certified alphabet (Kmax 68, 164, 328) stepped on G's series
+    # against the same steps on E's full series. Observed at ell = 20:
+    # 2e-14 on values and 6.4e-13 relative on derivatives, roundoff that
+    # accumulates over 328 steps contracting by |G'(x_c)| = 0.87 only.
+    ps = _as_ifs(build_system(solve_ell(ell)))
+    x = np.linspace(*ps.interval, 64)
+    ref = letter_stream_on_E(ps, ps.Kmax, x)
+    for k, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
+        want_val, want_der = ref[k - 1]
+        assert float(np.max(np.abs(val - want_val))) <= 1e-13
+        assert float(np.max(np.abs(der / want_der - 1.0))) <= 4e-12
 
 
 def _two_walk_cylinders(sys, I, Kmax):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
+from feigdim.cheb import eval01
 from feigdim.errors import DomainError, OrbitEscaped
 from feigdim.unimodal import (
     DEFAULT_ORBIT_MAX,
@@ -65,11 +66,12 @@ def test_orbit_budget_enforced(sys2):
 
 def _drifting_system(delta):
     """Stand-in map with ell = 2 and E = sqrt(1 + delta), so H = 1 + delta
-    everywhere: every orbit step lands delta above 1."""
+    everywhere: every orbit step lands delta above 1. The orbit reads H
+    only, so the stand-in has no G series."""
     e = np.sqrt(1.0 + delta)
     fp = SimpleNamespace(ell=2, E=lambda x, deriv=0: np.full_like(x, e))
     return UnimodalSystem(fp, tau=1.0, x_c=0.5, taylor=(0.0, 0.0, 0.0),
-                          nonsymmetry=0.0)
+                          nonsymmetry=0.0, g_tables=())
 
 
 def test_deep_orbit_clamps_with_warning():
@@ -140,8 +142,31 @@ def test_eval_H_matches_finite_differences(sys2):
 
 
 def test_eval_G_domain_guard(sys2):
+    # G's domain is [0, 1], where its series is read
+    assert np.isfinite(float(eval_G(sys2, 1.0, 3)))
+    with pytest.raises(DomainError):
+        eval_G(sys2, 1.0 + 1e-9)
     with pytest.raises(DomainError):
         eval_G(sys2, sys2.tau + 1.0)
+
+
+@pytest.mark.parametrize("ell", [*range(2, 21, 2), 64])
+def test_g_series_matches_E_on_the_branch_range(ell):
+    # e(w) = E(w/tau) and e^(j)(w) = E^(j)(w/tau) / tau^j on G's domain,
+    # for every chopped table; ell 64 is continued from 2 at degree 40.
+    # Observed: at most 6.7e-16 on values and 6.3e-15 of the sup on
+    # derivatives. Bounds: 1.5e-15 and 2e-14 of the sup.
+    sys = build_system(solve_ell(ell))
+    w = np.linspace(0.0, 1.0, 10_001)
+    want = [sys.fp.E(w / sys.tau, j) / sys.tau ** j for j in range(4)]
+    for q, table in enumerate(sys.g_tables):
+        assert table.shape == (table.shape[0], q + 1)
+        assert table.shape[0] <= 25 < len(sys.fp.e_coeffs)
+        got = eval01(table, w)
+        for j in range(q + 1):
+            bound = 1.5e-15 if j == 0 else 2e-14
+            scale = np.max(np.abs(want[j]))
+            assert np.max(np.abs(got[j] - want[j])) <= bound * scale
 
 
 def test_jet_compose_against_hand_expansion():
