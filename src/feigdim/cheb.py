@@ -1,24 +1,23 @@
 """Chebyshev basis helpers on [0,1] and interpolation on [a,b].
 
-The fixed-point solver expands E in Chebyshev polynomials of the shifted
-variable s = 2u - 1, u in [0,1]. eval01 is the array kernel for E and its
-derivatives, with numpy's chebval(2u - 1, coeffs) as its output
-convention; it takes one of two routes, chosen by the shape of its input
-(see its docstring), and only a stack of series on an array leaves
-chebval's bits. clenshaw is numpy's Clenshaw loop on a plain list, for a
-scalar E on the map's own coefficient lists (fixedpoint.FixedPointMap).
-restrict01 re-expands a series on [0, r] over [0,1] (G's short series).
-The other basis operations are numpy.polynomial.chebyshev's.
+Every series is a plain array of shifted-Chebyshev coefficients in
+s = 2u - 1, u in [0,1] (u = (x - lo) / (hi - lo) on an interval), and only
+this module imports numpy.polynomial. eval01 evaluates one series or a
+stack of them as numpy's chebval(2u - 1, coeffs), through one loop over
+_BLOCK points (see its docstring). clenshaw is numpy's Clenshaw loop on a
+plain list, for a scalar E on the map's own coefficient lists
+(fixedpoint.FixedPointMap). restrict01 re-expands a series on [0, r] over
+[0,1] (G's short series). The other basis operations are
+numpy.polynomial.chebyshev's.
 On Chebyshev-Gauss grids of arbitrary intervals there are two routes to
 the same interpolant: interp_matrix, the barycentric cardinal matrix that
 maps node values to values at given points (the collocation matrices of
-the dimension engine), and gauss_series, the Chebyshev series of the
-interpolant, which also differentiates it.
+the dimension engine), and gauss_series, its coefficients.
 """
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
 
-_BLOCK = 4096   # points per T-table block of eval01's stacked route
+_BLOCK = 4096   # points per pass of eval01's loop
 
 
 def eval01(coeffs, u):
@@ -26,40 +25,42 @@ def eval01(coeffs, u):
 
     coeffs is one series of shape (m,), giving values of u's shape, or a
     stack of k series as columns of shape (m, k), giving shape (k, *u.shape).
-    The route follows the shape:
+    A scalar u runs numpy's chebval. An array u runs _BLOCK points at a
+    time, so that no temporary outgrows the cache on the long position
+    arrays of a Moran walk, and per block:
 
-    - one series, or any series at a scalar u: numpy's chebval, so the
+    - one series runs numpy's chebval, which works point by point, so the
       solver, its validation defect and the cached records do not move.
       Zero padding at the high end of a series is exact in Clenshaw's
       recurrence, so a padded series gives the unpadded bits.
-    - a stack of k >= 2 series on an array: one table of T_j(2u - 1)
-      serves every series. It is built in place, _BLOCK points at a time,
-      by the three-term recurrence (two ufunc calls per degree), then
-      coeffs.T @ T. Values agree with chebval to roundoff, not bit for
-      bit; stacked chebval gives the bits but runs one Clenshaw pass per
-      series and makes the certified rows at ell 2, 8 and 20 about 1.6x
-      slower.
+    - a stack of k >= 2 series shares one table of T_j(2u - 1), built in
+      place by the three-term recurrence (two ufunc calls per degree), then
+      coeffs.T @ T. Values agree with chebval to roundoff, not bit for bit;
+      stacked chebval gives the bits but runs one Clenshaw pass per series
+      and makes the certified rows at ell 2, 8 and 20 about 1.6x slower.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1 or coeffs.shape[1] == 1 or np.ndim(u) == 0:
+    if np.ndim(u) == 0:
         return _cheb.chebval(2.0 * np.asarray(u) - 1.0, coeffs)
-    u = np.asarray(u, dtype=float)
-    m, k = coeffs.shape
-    x = u.reshape(-1)
-    out = np.empty((k, x.size))
-    T = np.empty((m, min(x.size, _BLOCK)))
+    x = np.asarray(u, dtype=float).reshape(-1)
+    out = np.empty(coeffs.shape[1:] + x.shape)
+    stacked = out.ndim == 2 and out.shape[0] > 1
+    T = np.empty((len(coeffs), min(x.size, _BLOCK))) if stacked else None
     for start in range(0, x.size, _BLOCK):
-        t = T[:, :min(_BLOCK, x.size - start)]
+        s = 2.0 * x[start:start + _BLOCK] - 1.0
+        block = out[..., start:start + len(s)]
+        if not stacked:
+            block[...] = _cheb.chebval(s, coeffs)
+            continue
+        t = T[:, :len(s)]
         t[0] = 1.0
-        if m > 1:
-            np.multiply(x[start:start + t.shape[1]], 2.0, out=t[1])
-            t[1] -= 1.0
-            x2 = 2.0 * t[1]
-            for j in range(2, m):
-                np.multiply(x2, t[j - 1], out=t[j])
-                t[j] -= t[j - 2]
-        np.matmul(coeffs.T, t, out=out[:, start:start + t.shape[1]])
-    return out.reshape((k,) + u.shape)
+        t[1:2] = s      # empty for a stack of constants
+        s *= 2.0
+        for j in range(2, len(t)):
+            np.multiply(s, t[j - 1], out=t[j])
+            t[j] -= t[j - 2]
+        np.matmul(coeffs.T, t, out=block)
+    return out.reshape(coeffs.shape[1:] + np.shape(u))
 
 
 def clenshaw(c, x):
@@ -151,17 +152,18 @@ def interp_matrix(nodes, weights, pts):
     return M
 
 
-def gauss_series(a, b, fvals):
-    """Chebyshev series on [a,b] of the interpolant through cheb_points.
+def gauss_series(fvals):
+    """Shifted-Chebyshev coefficients of the interpolant through cheb_points.
 
-    fvals[k] is the value at cheb_points(a, b, n)[k] = cos(theta_k) mapped
-    to [a,b]; discrete orthogonality of T_j on the Gauss nodes gives the
-    coefficients in closed form. The series evaluates (and differentiates,
-    via .deriv()) the same polynomial barycentric interpolation does.
+    fvals[k] is the value at cheb_points(a, b, n)[k], that is at
+    u = (1 + cos(theta_k)) / 2 of any interval [a,b]; discrete
+    orthogonality of T_j on the Gauss nodes gives the coefficients in
+    closed form. eval01 at u = (x - a) / (b - a) evaluates (and der01
+    differentiates) the polynomial that barycentric interpolation gives.
     """
     fvals = np.asarray(fvals, dtype=float)
     n = len(fvals)
     theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
     coef = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ fvals)
     coef[0] *= 0.5
-    return _cheb.Chebyshev(coef, domain=[a, b])
+    return coef

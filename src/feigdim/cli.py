@@ -116,6 +116,8 @@ def _config_from(args, parser, argv):
     for flag, value in (("--K", args.K), ("--nc", args.nc)):
         if value is not None and value < 1:
             parser.error(f"{flag} must be >= 1, got {value}")
+    if args.degree < 10:
+        parser.error(f"--degree must be >= 10, got {args.degree}")
     if not args.tol > 0.0:
         parser.error(f"--tol must be > 0, got {args.tol}")
     args.ells = ells

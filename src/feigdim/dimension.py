@@ -15,11 +15,12 @@ system at O(K * grid) cost.
 Independent Moran-type sup/inf brackets over finite words (moran_oracle)
 cross-check the root, with the tail folded into the upper bracket as
 additive inflation. They are computed in an adapted conformal metric: a
-least-squares coboundary q, a Chebyshev series on I, flattens the
-per-branch derivative variation, which shrinks the sup/inf gap by more
+least-squares coboundary q (shifted-Chebyshev coefficients on I) flattens
+the per-branch derivative variation, which shrinks the sup/inf gap by more
 than an order of magnitude while every bound stays a bound (the dimension
 and the bracket property are metric-independent). The Moran tables and
-the conformal cylinder measure walk words the same way (_extend_words).
+the conformal cylinder measure share one word walk (_extend_words) of
+phi_w x and log|Dphi_w x|; q telescopes, so it is added after the walk.
 
 Every root in t (the Bowen root, the bracket's crossings, the Moran roots)
 is located by Brent's method (roots.brentq) on a sign-changing bracket.
@@ -35,9 +36,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Chebyshev
-from numpy.polynomial.chebyshev import chebvander
-from numpy.polynomial.polyutils import mapdomain
 
 from .cheb import (
     bary_weights,
@@ -46,6 +44,7 @@ from .cheb import (
     gauss_series,
     interp_matrix,
     jet_table,
+    vander01,
 )
 from .errors import (
     DomainError,
@@ -180,7 +179,7 @@ def _eigenfunction(pm, t):
     """
     _, v = _power_pair(pm.operator(t))
     lo, hi = pm.ifs.interval
-    table = jet_table(gauss_series(lo, hi, v).coef, 1)
+    table = jet_table(gauss_series(v), 1)
     table[:, 1] /= hi - lo      # d/dx = (d/du) / (hi - lo)
     return lambda x: eval01(table, (x - lo) / (hi - lo))
 
@@ -362,82 +361,72 @@ def _fit_adapted_metric(interval, xs, vals, lds):
 
     Solves min over (q, per-letter constants c_a) of the squared residuals
     log|psi_a'(x)| + q(psi_a x) - q(x) - c_a over letters and samples. q is
-    a _Q_TERMS-term Chebyshev series on I; its constant coefficient, the
-    mean of q over as many Chebyshev-Gauss nodes, is pinned to zero. q
-    comes back carrying delta_q, its oscillation on 512 points of I.
+    _Q_TERMS shifted-Chebyshev coefficients in u = (x - lo) / (hi - lo);
+    its constant coefficient, the mean of q over as many Chebyshev-Gauss
+    nodes, is pinned to zero. Returns (q, delta_q), delta_q being q's
+    oscillation on 512 points of I.
     """
     na, ns = lds.shape
+    lo, hi = interval
     deg = _Q_TERMS - 1
     rows = np.zeros((na * ns + 1, _Q_TERMS + na))
-    rows[:-1, :_Q_TERMS] = (
-        chebvander(mapdomain(vals, interval, (-1.0, 1.0)), deg)
-        - chebvander(mapdomain(xs, interval, (-1.0, 1.0)), deg)
-    ).reshape(na * ns, _Q_TERMS)
+    rows[:-1, :_Q_TERMS] = (vander01((vals - lo) / (hi - lo), deg)
+                            - vander01((xs - lo) / (hi - lo), deg)
+                            ).reshape(na * ns, _Q_TERMS)
     rows[np.arange(na * ns), _Q_TERMS + np.repeat(np.arange(na), ns)] = -1.0
     rows[-1, 0] = 1.0
     rhs = np.append(-lds.ravel(), 0.0)
-    q = Chebyshev(np.linalg.lstsq(rows, rhs, rcond=None)[0][:_Q_TERMS],
-                  domain=interval)
-    g = q(np.linspace(interval[0], interval[1], 512))
-    q.delta_q = float(g.max() - g.min())
-    return q
+    q = np.linalg.lstsq(rows, rhs, rcond=None)[0][:_Q_TERMS]
+    g = eval01(q, np.linspace(0.0, 1.0, 512))
+    return q, float(g.max() - g.min())
 
 
-def _extend_words(ifs, K, pos, acc, step):
+def _extend_words(ifs, K, pos, logd):
     """Prepend every letter of ifs.letters(K) to every word, letter-major.
 
-    Row w of pos holds phi_w at the sample points and row w of acc a
-    per-word quantity. Word a w lands in row a * len(pos) + w, so rows stay
-    in lexicographic order; its row of pos is psi_a(pos[w]) and its row of
-    acc is step(psi_a(pos), psi_a'(pos), acc)[w].
+    Row w of pos holds phi_w at the sample points and row w of logd
+    log|Dphi_w| there. Word a w lands in row a * len(pos) + w, so rows stay
+    in lexicographic order; its rows are psi_a(pos[w]) and
+    log|psi_a'(pos[w])| + logd[w] (the chain rule).
     """
     nw = pos.shape[0]
     new_pos = np.empty((len(ifs.letters(K)) * nw, pos.shape[1]))
-    new_acc = np.empty_like(new_pos)
+    new_logd = np.empty_like(new_pos)
     for a, (_, (val, der)) in enumerate(ifs.letter_jets(K, pos, 1)):
         block = slice(a * nw, (a + 1) * nw)
         new_pos[block] = val
-        new_acc[block] = step(val, der, acc)
-    return new_pos, new_acc
+        np.add(np.log(np.abs(der)), logd, out=new_logd[block])
+    return new_pos, new_logd
 
 
 def _word_tables(ifs, K, n, metric):
     """Per-word sup/inf of the (metric-weighted) log derivative at depth n.
 
-    Words are extended by prepending letters, so position arrays track
-    phi_w(x) at the sample points and the coboundary telescopes to
-    log|Dphi_w(x)| + q(phi_w x) - q(x). The adapted metric fits q; any
-    other metric is the Euclidean one, q = 0 with delta_q 0, which adds
-    exact zeros and so leaves the plain log derivatives' bits.
+    The walk prepends letters from the empty word, tracking phi_w(x) and
+    log|Dphi_w(x)| at the sample points. In the metric exp(q) the log
+    derivative is log|Dphi_w(x)| + q(phi_w x) - q(x), since q telescopes
+    along the word, so q is added once, after the walk. "adapted" fits q;
+    "euclid" is q = 0 (delta_q 0), which adds exact zeros. Returns the
+    depth-n sup and inf, the depth-1 sup, and delta_q.
     """
     na = len(ifs.letters(K))
     if na ** n > _WORD_BUDGET:
-        raise DomainError(
-            f"{na}^{n} words exceed the {_WORD_BUDGET} word budget"
-        )
+        raise DomainError(f"{na}^{n} words exceed the {_WORD_BUDGET} budget")
+    lo, hi = ifs.interval
     xs = _sample_points(ifs.interval, _MORAN_NSAMP)
-    tabs = [jets for _, jets in ifs.letter_jets(K, xs, 1)]
-    vals = np.stack([tab[0] for tab in tabs])
-    lds = np.log(np.abs(np.stack([tab[1] for tab in tabs])))
-
-    if metric == "adapted":
-        q = _fit_adapted_metric(ifs.interval, xs, vals, lds)
-    else:
-        q = Chebyshev([0.0], domain=ifs.interval)
-        q.delta_q = 0.0
-    lds = lds + q(vals) - q(xs)[None, :]
-
-    pos, ld = vals, lds
+    vals, lds = _extend_words(ifs, K, xs[None, :], np.zeros((1, xs.size)))
+    q, delta_q = (_fit_adapted_metric(ifs.interval, xs, vals, lds)
+                  if metric == "adapted" else (np.zeros(1), 0.0))
+    pos, logd = vals, lds.copy()   # logd takes q in place below
     for _ in range(n - 1):
-        q_pos = q(pos)
-
-        def step(val, der, ld):
-            # as one expression (temporaries reused in place) it timed slower
-            out = np.log(np.abs(der))
-            out = out + q(val) - q_pos
-            return out + ld
-        pos, ld = _extend_words(ifs, K, pos, ld, step)
-    return ld.max(axis=1), ld.min(axis=1), lds.max(axis=1), q
+        pos, logd = _extend_words(ifs, K, pos, logd)
+    qx = eval01(q, (xs - lo) / (hi - lo))
+    nw = len(pos) // na
+    for a in range(na):     # a letter's rows at a time: no third full table
+        rows = slice(a * nw, (a + 1) * nw)
+        logd[rows] += eval01(q, (pos[rows] - lo) / (hi - lo)) - qx
+    ld1 = eval01(q, (vals - lo) / (hi - lo)) - qx + lds
+    return logd.max(axis=1), logd.min(axis=1), ld1.max(axis=1), delta_q
 
 
 @dataclass(frozen=True)
@@ -491,9 +480,9 @@ def moran_oracle(ifs, n, K=None, metric="adapted"):
     metric)^t = 1. The truncated alphabet's missing letters inflate the
     sup-side sum by (p_1 + T)^n - p_1^n with T the tail bound carried into
     the adapted metric, so the upper root bounds the full-alphabet root.
-    metric "adapted" fits the coboundary q; any other value is Euclidean
-    (q = 0, delta_q 0). K defaults to min(24, Kmax). brentq places both
-    roots within 1e-10.
+    metric "adapted" fits the coboundary q and "euclid" is q = 0 (delta_q
+    0); any other value raises DomainError. K defaults to min(24, Kmax).
+    brentq places both roots within 1e-10.
     """
     if not 1 <= n <= 5:
         raise DomainError(f"moran_oracle needs 1 <= n <= 5, got {n}")
@@ -502,8 +491,9 @@ def moran_oracle(ifs, n, K=None, metric="adapted"):
         K = min(24, ifs.Kmax)
     if K > 64:
         raise DomainError(f"K = {K} exceeds the budget 64")
-    s_sup, s_inf, s1_sup, q = _word_tables(ifs, K, n, metric)
-    delta_q = q.delta_q
+    if metric not in ("adapted", "euclid"):
+        raise DomainError(f"metric must be adapted or euclid, got {metric!r}")
+    s_sup, s_inf, s1_sup, delta_q = _word_tables(ifs, K, n, metric)
 
     def p_inf(t):
         return _logsumexp(t * s_inf)
@@ -575,12 +565,12 @@ def cylinder_measure(pm, t_star, depth=3):
     if Z <= 0.0:
         raise EigenvectorSignFailure("left functional has non-positive mass")
 
-    pos, der = pm.imgs, pm.ders
+    pos, logd = pm.imgs, np.log(pm.ders)
     for _ in range(depth - 1):
-        pos, der = _extend_words(pm.ifs, pm.K, pos, der,
-                                 lambda val, d, acc: np.abs(d) * acc)
+        pos, logd = _extend_words(pm.ifs, pm.K, pos, logd)
 
-    core = der ** t_star
+    logd *= t_star      # in place: a temporary table here would raise peak RSS
+    core = np.exp(logd)
     weight = core @ nu
     raw = weight / (Z * lam ** depth)
     raw_mass = float(raw.sum())

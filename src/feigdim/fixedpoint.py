@@ -416,11 +416,12 @@ def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
     """The period-doubling fixed point at (ell, degree), through a cache.
 
     Returns (fp, path, hit). A record in cache_dir is loaded and
-    revalidated; one that fails to load, or whose revalidated residual is
-    not below tol, is reported by a UserWarning naming the path and the
-    error, then re-solved and overwritten. On a miss, when prev is the
-    fixed point at ell - 2 and of at least this degree (continue_in_ell may
-    have doubled it), the map is one continue_in_ell step from it, at
+    revalidated; one that fails to load, holds another ell or a lower
+    degree (a doubling files a higher one under the name), or whose
+    residual is not below tol, is reported by a UserWarning naming the path
+    and the error, then re-solved and overwritten. On a miss, when prev is
+    the fixed point at ell - 2 and of at least this degree (continue_in_ell
+    may have doubled it), the map is one continue_in_ell step from it, at
     prev's degree; otherwise Newton starts from initial_guess if given,
     else from the built-in seed. So a seed applies only to an ell with no
     previous map to continue from. cache_dir None solves without caching
@@ -432,9 +433,12 @@ def cached_solve(ell, degree, tol, cache_dir, prev=None, initial_guess=None):
         if os.path.exists(path):
             try:
                 fp = load_fixed_point(path)
-                if not fp.residual < tol:
-                    raise CorruptFile(f"{path} residual {fp.residual:.3e} "
-                                      f"does not meet tol {tol:.3e}")
+                if fp.ell != ell or fp.degree < degree or \
+                        not fp.residual < tol:
+                    raise CorruptFile(
+                        f"{path} holds ell {fp.ell}, degree {fp.degree}, "
+                        f"residual {fp.residual:.3e}; wanted ell {ell}, "
+                        f"degree >= {degree}, residual < {tol:.3e}")
                 return fp, path, True
             except FeigdimError as exc:
                 warnings.warn(f"cache entry {path} rejected "

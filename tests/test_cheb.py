@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import Chebyshev, chebval
@@ -77,14 +80,16 @@ def test_interp_matrix_exact_hit_gives_unit_row():
 def test_gauss_series_is_the_interpolant():
     a, b, n = 0.2, 0.7, 12
     nodes = cheb_points(a, b, n)
-    series = gauss_series(a, b, np.exp(nodes))
+    series = gauss_series(np.exp(nodes))
     xs = np.linspace(a, b, 41)
+    u = (xs - a) / (b - a)
     bary = interp_matrix(nodes, bary_weights(n), xs) @ np.exp(nodes)
-    assert np.max(np.abs(series(xs) - bary)) < 1e-14
+    assert np.max(np.abs(eval01(series, u) - bary)) < 1e-14
     # a polynomial of degree < n is reproduced with its derivative
-    poly = gauss_series(a, b, nodes ** 3 - 2.0 * nodes)
-    assert np.max(np.abs(poly(xs) - (xs ** 3 - 2.0 * xs))) < 1e-13
-    assert np.max(np.abs(poly.deriv()(xs) - (3.0 * xs ** 2 - 2.0))) < 1e-12
+    poly = gauss_series(nodes ** 3 - 2.0 * nodes)
+    assert np.max(np.abs(eval01(poly, u) - (xs ** 3 - 2.0 * xs))) < 1e-13
+    dpoly = eval01(der01(poly), u) / (b - a)     # d/dx = (d/du) / (b - a)
+    assert np.max(np.abs(dpoly - (3.0 * xs ** 2 - 2.0))) < 1e-12
 
 
 def _decaying_stack(m=41, k=4, seed=0):
@@ -107,14 +112,16 @@ def test_stacked_eval01_matches_chebval_per_column(shape):
 
 
 def test_one_series_on_an_array_is_chebval_bit_for_bit():
-    # a one-column stack and a zero-padded series keep chebval's bits
+    # a one-column stack and a zero-padded series keep chebval's bits, also
+    # across the boundaries of eval01's blocks of 4,096 points
     coeffs = _decaying_stack(k=1)
-    u = np.random.default_rng(2).random((3, 5))
-    want = chebval(2.0 * u - 1.0, coeffs[:, 0])
-    assert np.array_equal(eval01(coeffs[:, 0], u), want)
-    assert np.array_equal(eval01(coeffs, u), want[None])
     padded = np.append(coeffs[:, 0], np.zeros(3))
-    assert np.array_equal(eval01(padded, u), want)
+    for shape in ((3, 5), (10_000,)):
+        u = np.random.default_rng(2).random(shape)
+        want = chebval(2.0 * u - 1.0, coeffs[:, 0])
+        assert np.array_equal(eval01(coeffs[:, 0], u), want)
+        assert np.array_equal(eval01(coeffs, u), want[None])
+        assert np.array_equal(eval01(padded, u), want)
 
 
 def test_scalar_eval01_is_chebval_bit_for_bit():
@@ -142,3 +149,23 @@ def test_restrict01_is_the_convert_re_expansion(r):
     u = np.linspace(0.0, 1.0, 1001)
     err = np.abs(eval01(got, u) - eval01(coeffs, r * u))
     assert np.max(err) <= 1e-15 * np.sum(np.abs(coeffs))
+
+
+def test_only_cheb_imports_numpy_polynomial():
+    # every series is a coefficient array that cheb alone evaluates
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "feigdim"
+    users = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = ["numpy." + node.attr]     # np.polynomial.chebyshev
+            else:
+                continue
+            if any(name.startswith("numpy.polynomial") for name in names):
+                users.add(path.name)
+    assert users == {"cheb.py"}

@@ -134,6 +134,8 @@ def test_default_cache_dir(tmp_path, capsys):
     ["dim", "--ell", "2", "--nc", "0"],
     ["sweep", "--ells", "2:2:4", "--K", "0"],
     ["dim", "--ell", "2", "--tol", "0"],
+    ["dim", "--ell", "2", "--degree", "5"],
+    ["solve", "--ell", "2", "--degree", "0"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebval, chebvander
 from numpy.polynomial.polyutils import mapdomain
 
 from feigdim.dimension import (
@@ -23,10 +24,11 @@ from feigdim.dimension import (
     _eigenfunction,
     _fit_adapted_metric,
     _sample_points,
+    _word_tables,
 )
 import feigdim.dimension
 import feigdim.presentation
-from feigdim.cheb import bary_weights, cheb_points, interp_matrix
+from feigdim.cheb import bary_weights, cheb_points, eval01, interp_matrix
 from feigdim.errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -129,6 +131,8 @@ def test_moran_guards(ps2):
         moran_oracle(ps2, n=2, K=70)
     with pytest.raises(DomainError):
         moran_oracle(ps2, n=4, K=40)  # 40^4 words blow the budget
+    with pytest.raises(DomainError):
+        moran_oracle(ps2, n=2, metric="adaptive")
 
 
 def test_moran_euclid_metric_looser_but_valid(ps2, tstar2):
@@ -244,6 +248,21 @@ def test_sweep_resolves_unsupported_combinatorics_record(tmp_path, fp2):
     assert load_fixed_point(path).ell == 2
 
 
+def test_sweep_resolves_a_record_filed_under_another_ell(tmp_path, fp2):
+    # the ell-2 record copied to the ell-4 name is not the ell-4 map
+    path2 = save_fixed_point(fp2, str(tmp_path))
+    path4 = os.path.join(str(tmp_path), cache_filename((2, 4, 40)))
+    shutil.copyfile(path2, path4)
+    with pytest.warns(UserWarning) as caught:
+        report = sweep([2, 4, 6], cache_dir=str(tmp_path))
+    rejects = [w for w in caught if "rejected" in str(w.message)]
+    assert len(rejects) == 1
+    assert path4 in str(rejects[0].message)
+    assert not report.failures
+    assert [row["ell"] for row in report.rows] == [2, 4, 6]
+    assert load_fixed_point(path4).ell == 4
+
+
 def _adapted_metric_system(interval, xs, vals, lds, nq=16):
     """The fit's least-squares system, row by row: per letter a and sample
     x, q(psi_a x) - q(x) - c_a = -log|psi_a'(x)|; then q's mean = 0."""
@@ -263,15 +282,15 @@ def _adapted_metric_system(interval, xs, vals, lds, nq=16):
 
 def test_adapted_metric_fit_matches_svd_lstsq(ps2):
     xs = _sample_points(ps2.interval, 9)
-    vals, lds = _metric_samples(ps2, xs)
-    got = _fit_adapted_metric(ps2.interval, xs, vals, lds).coef
+    vals, lds = _metric_samples(ps2, xs, ps2.Kmax)
+    got, _ = _fit_adapted_metric(ps2.interval, xs, vals, lds)
     rows, rhs = _adapted_metric_system(ps2.interval, xs, vals, lds)
     want = np.linalg.lstsq(rows, rhs, rcond=None)[0][:16]
     assert float(np.max(np.abs(got - want))) <= 1e-10
 
 
-def _metric_samples(ps, xs):
-    jets = [jets for _, jets in ps.letter_jets(ps.Kmax, xs, 1)]
+def _metric_samples(ps, xs, K):
+    jets = [jets for _, jets in ps.letter_jets(K, xs, 1)]
     vals = np.stack([val for val, _ in jets])
     return vals, np.log(np.abs(np.stack([der for _, der in jets])))
 
@@ -280,8 +299,8 @@ def test_adapted_metric_series_matches_node_value_fit(ps2):
     # The same least-squares problem posed on q's values at 16 Gauss nodes,
     # evaluated by barycentric interpolation, with their mean pinned.
     xs = _sample_points(ps2.interval, 9)
-    vals, lds = _metric_samples(ps2, xs)
-    q = _fit_adapted_metric(ps2.interval, xs, vals, lds)
+    vals, lds = _metric_samples(ps2, xs, ps2.Kmax)
+    q, delta_q = _fit_adapted_metric(ps2.interval, xs, vals, lds)
     nq = 16
     qnodes, qw = cheb_points(*ps2.interval, nq), bary_weights(nq)
     na, ns = lds.shape
@@ -295,10 +314,47 @@ def test_adapted_metric_series_matches_node_value_fit(ps2):
         rhs[block] = -lds[a]
     rows[-1, :nq] = 1.0 / nq
     qvals = np.linalg.lstsq(rows, rhs, rcond=None)[0][:nq]
-    grid = np.linspace(*ps2.interval, 512)
+    lo, hi = ps2.interval
+    grid = np.linspace(lo, hi, 512)
     want = interp_matrix(qnodes, qw, grid) @ qvals
-    assert float(np.max(np.abs(q(grid) - want))) <= 1e-12
-    assert abs(q.delta_q - float(want.max() - want.min())) <= 1e-12
+    got = eval01(q, (grid - lo) / (hi - lo))
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+    assert abs(delta_q - float(want.max() - want.min())) <= 1e-12
+
+
+def _per_level_word_tables(ifs, K, n, q):
+    """Per-word sup/inf of the log derivative in the metric exp(q), walked
+    one letter at a time: prepending psi to a word whose positions are x
+    adds log|psi'(x)| + q(psi x) - q(x), with q evaluated by chebval."""
+    lo, hi = ifs.interval
+
+    def qv(x):
+        return chebval(2.0 * (x - lo) / (hi - lo) - 1.0, q)
+
+    pos = _sample_points(ifs.interval, 9)[None, :]
+    ld = np.zeros_like(pos)
+    for _ in range(n):
+        steps = [(val, np.log(np.abs(der)) + qv(val) - qv(pos) + ld)
+                 for _, (val, der) in ifs.letter_jets(K, pos, 1)]
+        pos = np.concatenate([val for val, _ in steps])
+        ld = np.concatenate([step for _, step in steps])
+    return ld.max(axis=1), ld.min(axis=1)
+
+
+@pytest.mark.parametrize("metric", ["adapted", "euclid"])
+def test_word_tables_add_the_metric_once(metric, ps2, toy):
+    # q telescopes along a word: added once after the walk, it matches the
+    # per-level sums word for word
+    for ifs, K, n in ((ps2, 24, 3), (toy, 2, 4)):
+        xs = _sample_points(ifs.interval, 9)
+        vals, lds = _metric_samples(ifs, xs, K)
+        q = (_fit_adapted_metric(ifs.interval, xs, vals, lds)[0]
+             if metric == "adapted" else np.zeros(1))
+        sup, inf, _, _ = _word_tables(ifs, K, n, metric)
+        want_sup, want_inf = _per_level_word_tables(ifs, K, n, q)
+        assert sup.shape == want_sup.shape == (K ** n,)
+        assert np.max(np.abs(sup - want_sup)) <= 1e-13
+        assert np.max(np.abs(inf - want_inf)) <= 1e-13
 
 
 def test_moran_bracket_of_the_toy_is_exact(toy):
