@@ -263,9 +263,7 @@ def _crossing(fn, t0):
 
 def _as_ifs(obj):
     if isinstance(obj, UnimodalSystem):
-        lam_tilde = obj.tau ** (-1.0 / obj.ell)
-        k_need = int(np.ceil(44.0 / abs(np.log(lam_tilde)))) + 20
-        return build_presentation(obj, Kmax=min(400, k_need))
+        return build_presentation(obj)
     return obj
 
 
@@ -283,12 +281,12 @@ class DimensionResult:
 def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     """Bowen root of the pressure plus a bracket certified on the operator.
 
-    Accepts a built UnimodalSystem (a presentation is constructed with
-    enough alphabet headroom) or any object exposing the IFS protocol
-    (interval, Kmax, letters, letter_jets, tail_bound). With K unset the
-    truncation starts at min(32, Kmax) and auto-escalates until the alphabet
-    tail at the root is below 1e-8, doubling K where the tail levels do not
-    decay yet (RatioNotContracting); only at Kmax does escalation fail, with
+    Accepts a built UnimodalSystem (its build_presentation is the IFS) or
+    any object exposing the IFS protocol (interval, Kmax, letters,
+    letter_jets, tail_bound). With K unset the truncation starts at
+    min(32, Kmax) and auto-escalates until the alphabet tail at the root
+    is below 1e-8, doubling K where the tail levels do not decay yet
+    (RatioNotContracting); only at Kmax does escalation fail, with
     TailTooFat or RatioNotContracting. An explicitly pinned K is honored as
     given. Escalation extends one node stream: each model reuses the node
     jets and interpolation rows of the letters earlier models walked.
@@ -481,7 +479,8 @@ def moran_oracle(ifs, n, K=None, metric="adapted"):
     sup-side sum by (p_1 + T)^n - p_1^n with T the tail bound carried into
     the adapted metric, so the upper root bounds the full-alphabet root.
     metric "adapted" fits the coboundary q and "euclid" is q = 0 (delta_q
-    0); any other value raises DomainError. K defaults to min(24, Kmax).
+    0); any other value raises DomainError. ifs is an IFS or a
+    UnimodalSystem (its build_presentation); K defaults to min(24, Kmax).
     brentq places both roots within 1e-10.
     """
     if not 1 <= n <= 5:

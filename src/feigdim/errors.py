@@ -67,7 +67,7 @@ class IndexOutOfAlphabet(FeigdimError):
 
 
 class NoContraction(FeigdimError):
-    """No certified contraction factor < 1 after enlarging J."""
+    """No certified contraction factor < 1 for the one J."""
 
 
 class RatioNotContracting(FeigdimError):

@@ -40,17 +40,17 @@ def claim2_scan(p, w0, sigma_grid, i_max=100_000):
     Closed-form orbits, evaluated in log space so large i and sigma near 1
     do not overflow; one row per sigma.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise DomainError(f"claim2_scan needs p > 1, got {p}")
-    if w0 <= 1.0:
+    if not w0 > 1.0:
         raise DomainError(f"claim2_scan needs w0 > 1, got {w0}")
-    if i_max > 1_000_000:
-        raise DomainError(f"i_max capped at 1e6, got {i_max}")
+    if not 1 <= i_max <= 1_000_000:
+        raise DomainError(f"i_max must be in 1..1e6, got {i_max}")
     rows = []
     i = np.arange(1, int(i_max) + 1, dtype=float)
     logi = np.log(i)
     for sigma in sigma_grid:
-        if sigma < 1.0:
+        if not sigma >= 1.0:
             raise DomainError(f"sigma grid must be >= 1, got {sigma}")
         if sigma == 1.0:
             log_m = p * (logi - np.log(w0 + i))

@@ -174,29 +174,27 @@ def psi(ps, k, x, deriv=0):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def build_presentation(sys, Kmax=40, j_margin=0.2):
-    """Construct the presentation system and verify its invariants.
+def build_presentation(sys, j_margin=0.2):
+    """Construct the certified presentation system and verify its invariants.
 
-    Kmax defaults to 40 letters at every ell, which certifies a dimension
-    at ell = 2 only (TailTooFat from ell = 4); hausdorff_dimension(sys)
-    sizes its own alphabet. Letter k has cylinder endpoints
-    c_{2^k} and c_{3*2^k}, so the critical orbit is stored to index
-    4*2^Kmax, clamped to DEFAULT_ORBIT_MAX; endpoint identities are checked
-    for every k whose orbit indexes fit that table and whose entries sit
-    below the table's measured roundoff floor.
+    Kmax = min(400, ceil(44 / |ln lam~|) + 20) letters, lam~ = tau^(-1/ell)
+    = |G'(x_c)|: 68 at ell = 2, 164 at ell = 8, 328 at ell = 20 and 400 from
+    ell = 26; a consumer that wants fewer letters passes its own K. Letter k
+    has cylinder endpoints c_{2^k} and c_{3*2^k}: endpoint identities are
+    checked for every k whose orbit indexes fit the DEFAULT_ORBIT_MAX table
+    and whose entries sit below the table's measured roundoff floor.
 
     The alphabet is walked once per grid: three scalar G-orbits give the
     cylinder table, and one iter_letter_jets pass gives tail_levels and the
     contraction certificate lambda_rho of the one J, I widened by j_margin
     times its width on each side; NoContraction when lambda_rho >= 1.
     """
-    if Kmax < 1:
-        raise DomainError(f"Kmax must be >= 1, got {Kmax}")
-    if j_margin <= 0.0:
+    if not j_margin > 0.0:
         raise DomainError(f"j_margin must be > 0, got {j_margin}")
+    lam_tilde = sys.tau ** (-1.0 / sys.ell)
+    Kmax = min(400, int(np.ceil(44.0 / abs(np.log(lam_tilde)))) + 20)
 
-    n_orbit = min(DEFAULT_ORBIT_MAX, 4 << Kmax)
-    orbit = critical_orbit(sys, n_orbit)
+    orbit = critical_orbit(sys, DEFAULT_ORBIT_MAX)
 
     lo, hi = sorted((orbit[2], orbit[4]))
     I = (float(lo), float(hi))
@@ -205,13 +203,13 @@ def build_presentation(sys, Kmax=40, j_margin=0.2):
     if dH.max() * dH.min() <= 0.0:
         raise BranchNotMonotone("H not monotone on the branch lap [c_1, c_3]")
 
-    k_fit = (n_orbit // 4).bit_length() - 1     # 1 <= k_fit <= Kmax
+    k_fit = (DEFAULT_ORBIT_MAX // 4).bit_length() - 1     # 10 < Kmax
 
     # Deep orbit entries accumulate roundoff (worse for large ell), so the
     # endpoint identity is only certifiable as far as the table's own noise
     # floor allows. The doubling defect |G(c_j) - c_{2j}| probes that floor
     # at index 2j; verification depth stops where it nears the tolerance.
-    half = np.arange(1, n_orbit // 2)
+    half = np.arange(1, DEFAULT_ORBIT_MAX // 2)
     doubled = _G_jets(sys, orbit[half], 0)[0]
     defect = np.abs(doubled - orbit[2 * half])
     k_verify = 0
@@ -324,7 +322,7 @@ def tail_bound(ps, K, t):
     I; sup_I |Dpsi_k| does not depend on t, and raising it to t > 0
     commutes with the sup.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"tail_bound needs t > 0, got {t}")
     if not 2 <= K <= ps.Kmax:
         raise DomainError(f"tail_bound needs 2 <= K <= Kmax={ps.Kmax}")
@@ -332,7 +330,7 @@ def tail_bound(ps, K, t):
     ratio = 1.1 * levels[1] / levels[0]
     if ratio >= 1.0:
         raise RatioNotContracting(
-            f"level ratio {ratio:.3f} >= 1 at K={K}, t={t}; increase Kmax"
+            f"level ratio {ratio:.3f} >= 1 at K={K}, t={t}; increase K"
         )
     return levels[1] * ratio / (1.0 - ratio)
 

@@ -179,6 +179,8 @@ def critical_orbit(sys, n):
     event. Each step is H = E^ell from one scalar E call: the loop's own
     escape check replaces eval_H's domain check.
     """
+    if n < 0:
+        raise DomainError(f"orbit length must be >= 0, got {n}")
     if n > DEFAULT_ORBIT_MAX:
         raise DomainError(
             f"orbit length {n} exceeds the configured max {DEFAULT_ORBIT_MAX}")

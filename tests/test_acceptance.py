@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from feigdim.dimension import (
-    _as_ifs,
     _bowen_root,
     build_pressure_model,
     conformality_residual,
@@ -54,7 +53,7 @@ def _system(ell):
 
 def _ifs(ell):
     if ell not in _IFS:
-        _IFS[ell] = _as_ifs(_system(ell))
+        _IFS[ell] = build_presentation(_system(ell))
     return _IFS[ell]
 
 
@@ -180,7 +179,7 @@ def test_criterion_07_independent_moran_bracket(capsys):
 
 
 def test_criterion_08_truncation_and_collocation_stability(capsys):
-    ps = build_presentation(_system(2), Kmax=70)
+    ps = build_presentation(_system(2))
     hd_k = [hausdorff_dimension(ps, K=K, with_bracket=False).hd
             for K in (40, 50)]
     dk = abs(hd_k[0] - hd_k[1])

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from feigdim.dimension import (
     sweep,
     _BRACKET_NX,
     _OperatorBounds,
-    _as_ifs,
     _bowen_root,
     _eigenfunction,
     _fit_adapted_metric,
@@ -280,9 +280,13 @@ def _adapted_metric_system(interval, xs, vals, lds, nq=16):
     return rows, rhs
 
 
+# the letters the fits are compared on; moran_oracle fits q on K <= 64
+_FIT_K = 40
+
+
 def test_adapted_metric_fit_matches_svd_lstsq(ps2):
     xs = _sample_points(ps2.interval, 9)
-    vals, lds = _metric_samples(ps2, xs, ps2.Kmax)
+    vals, lds = _metric_samples(ps2, xs, _FIT_K)
     got, _ = _fit_adapted_metric(ps2.interval, xs, vals, lds)
     rows, rhs = _adapted_metric_system(ps2.interval, xs, vals, lds)
     want = np.linalg.lstsq(rows, rhs, rcond=None)[0][:16]
@@ -299,7 +303,7 @@ def test_adapted_metric_series_matches_node_value_fit(ps2):
     # The same least-squares problem posed on q's values at 16 Gauss nodes,
     # evaluated by barycentric interpolation, with their mean pinned.
     xs = _sample_points(ps2.interval, 9)
-    vals, lds = _metric_samples(ps2, xs, ps2.Kmax)
+    vals, lds = _metric_samples(ps2, xs, _FIT_K)
     q, delta_q = _fit_adapted_metric(ps2.interval, xs, vals, lds)
     nq = 16
     qnodes, qw = cheb_points(*ps2.interval, nq), bary_weights(nq)
@@ -434,7 +438,7 @@ def test_operator_bracket_covers_the_dropped_letters(ps2, tstar2):
 
 @pytest.mark.parametrize("ell", [2, 20])
 def test_operator_bracket_slack_covers_a_finer_grid(ell, monkeypatch):
-    ifs = _as_ifs(build_system(solve_ell(ell)))
+    ifs = build_presentation(build_system(solve_ell(ell)))
     res = hausdorff_dimension(ifs, with_bracket=False)
     h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
     low, high = _OperatorBounds(ifs, res.K, h).envelope(res.hd)
@@ -478,13 +482,28 @@ class _UndecayedTail:
         raise RatioNotContracting(f"levels not decaying at K={K}")
 
 
-def test_default_presentation_is_too_short_from_ell_4():
-    # build_presentation's 40 letters certify ell 2 only; hausdorff_dimension
-    # of the system sizes its own alphabet (104 letters at ell 4)
-    ps4 = build_presentation(build_system(solve_ell(4)))
-    assert ps4.Kmax == 40
-    with pytest.raises(TailTooFat, match="exhausted at K=40"):
-        hausdorff_dimension(ps4)
+class _FatTail(_UndecayedTail):
+    """A presentation whose tail never falls below the budget."""
+
+    def tail_bound(self, K, t):
+        return 1.0
+
+
+def test_fat_tail_exhausts_the_alphabet_before_raising(ps2):
+    with pytest.raises(TailTooFat, match=f"exhausted at K={ps2.Kmax}"):
+        hausdorff_dimension(_FatTail(ps2))
+
+
+def test_default_presentation_is_the_certified_alphabet():
+    # the system and its build_presentation are one IFS to the engine
+    for ell, kmax in ((2, 68), (8, 164), (20, 328)):
+        assert build_presentation(build_system(solve_ell(ell))).Kmax == kmax
+    for ell in (4, 20):
+        sys = build_system(solve_ell(ell))
+        from_ps = hausdorff_dimension(build_presentation(sys))
+        from_sys = hausdorff_dimension(sys)
+        assert replace(from_ps, runtime_s=0.0) == \
+            replace(from_sys, runtime_s=0.0)
 
 
 def test_undecayed_tail_escalates_to_kmax_before_raising(ps2, monkeypatch):
@@ -498,7 +517,7 @@ def test_undecayed_tail_escalates_to_kmax_before_raising(ps2, monkeypatch):
     monkeypatch.setattr(feigdim.dimension, "build_pressure_model", counting)
     with pytest.raises(RatioNotContracting):
         hausdorff_dimension(_UndecayedTail(ps2))
-    assert built == [32, ps2.Kmax]
+    assert built == [32, 64, ps2.Kmax]
     built.clear()
     with pytest.raises(RatioNotContracting):
         hausdorff_dimension(_UndecayedTail(ps2), K=24)
@@ -509,7 +528,7 @@ def test_certified_row_walks_the_alphabet_once_per_grid(monkeypatch):
     # one pass over Kmax letters for the presentation's certificates and
     # tail levels, one node stream grown to K, one operator-bracket pass
     sys = build_system(solve_ell(20))
-    kmax = _as_ifs(sys).Kmax
+    kmax = build_presentation(sys).Kmax
     stream = feigdim.presentation.iter_letter_jets
     yielded = []
 
@@ -533,7 +552,7 @@ def test_grown_model_equals_a_fresh_one(monkeypatch, toy):
         return models[-1]
 
     monkeypatch.setattr(feigdim.dimension, "build_pressure_model", keep)
-    ifs = _as_ifs(build_system(solve_ell(20)))
+    ifs = build_presentation(build_system(solve_ell(20)))
     res = hausdorff_dimension(ifs, with_bracket=False)
     assert len(models) > 1 and models[-1].K == res.K == 209
     nodes = cheb_points(*toy.interval, 32)

@@ -79,8 +79,13 @@ def test_claim2_validation():
         claim2_scan(1.5, 1.0, [1.1])
     with pytest.raises(DomainError):
         claim2_scan(1.5, 2.0, [0.9])
-    with pytest.raises(DomainError):
-        claim2_scan(1.5, 2.0, [1.1], i_max=2_000_000)
+    for i_max in (2_000_000, 0):
+        with pytest.raises(DomainError):
+            claim2_scan(1.5, 2.0, [1.1], i_max=i_max)
+    nan = float("nan")
+    for p, w0, sigma in ((nan, 2.0, 1.1), (1.5, nan, 1.1), (1.5, 2.0, nan)):
+        with pytest.raises(DomainError):
+            claim2_scan(p, w0, [sigma])
 
 
 def test_claim2_csv_round_trip(tmp_path):

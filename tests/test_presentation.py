@@ -3,7 +3,6 @@ import csv
 import numpy as np
 import pytest
 
-from feigdim.dimension import _as_ifs
 from feigdim.errors import (
     DomainError,
     IndexOutOfAlphabet,
@@ -149,12 +148,12 @@ def test_contraction_certificate(ps2):
     assert abs(ps2.lambda_rho - 0.277105) < 1e-3
     assert abs(contraction_certificate(ps2) - ps2.lambda_rho) < 1e-12
     # the widest alphabet a certified row builds (Kmax 328 at ell 20)
-    ps20 = _as_ifs(build_system(solve_ell(20)))
+    ps20 = build_presentation(build_system(solve_ell(20)))
     assert 0.0 < ps20.lambda_rho < 1.0
     assert abs(contraction_certificate(ps20) - ps20.lambda_rho) < 1e-12
 
 
-@pytest.mark.parametrize("j_margin", [0.0, -0.05])
+@pytest.mark.parametrize("j_margin", [0.0, -0.05, float("nan")])
 def test_build_presentation_rejects_non_positive_j_margin(sys2, j_margin):
     # at 0 the density is infinite at the ends of I; below 0, J is inside I
     with pytest.raises(DomainError):
@@ -186,8 +185,9 @@ def test_tail_bound_behaviour(ps2):
 
 
 def test_tail_bound_guards(ps2):
-    with pytest.raises(DomainError):
-        tail_bound(ps2, 20, 0.0)
+    for t in (0.0, float("nan")):
+        with pytest.raises(DomainError):
+            tail_bound(ps2, 20, t)
     with pytest.raises(DomainError):
         tail_bound(ps2, 1, 0.5)
     with pytest.raises(DomainError):
@@ -205,13 +205,10 @@ def test_letter_jets_match_psi(ps2):
         assert np.allclose(der, psi(ps2, k, x, deriv=1), atol=1e-13)
 
 
-@pytest.mark.parametrize("Kmax, n_orbit", [(8, 4 * 2 ** 8),
-                                           (40, DEFAULT_ORBIT_MAX)])
-def test_orbit_table_length(sys2, Kmax, n_orbit):
-    # letter Kmax ends at c_{3*2^Kmax}: the table runs to index 4*2^Kmax,
-    # clamped to the orbit budget
-    ps = build_presentation(sys2, Kmax=Kmax)
-    assert len(ps.orbit) == n_orbit + 1
+def test_orbit_table_length(ps2):
+    # letter Kmax ends at c_{3*2^Kmax}, far past the orbit budget: the
+    # table always runs to index DEFAULT_ORBIT_MAX
+    assert len(ps2.orbit) == DEFAULT_ORBIT_MAX + 1
 
 
 def test_cylinders_csv_round_trip(ps2, tmp_path):
@@ -287,7 +284,7 @@ def test_letter_stream_matches_steps_on_E(ell):
     # against the same steps on E's full series. Observed at ell = 20:
     # 2e-14 on values and 6.4e-13 relative on derivatives, roundoff that
     # accumulates over 328 steps contracting by |G'(x_c)| = 0.87 only.
-    ps = _as_ifs(build_system(solve_ell(ell)))
+    ps = build_presentation(build_system(solve_ell(ell)))
     x = np.linspace(*ps.interval, 64)
     ref = letter_stream_on_E(ps, ps.Kmax, x)
     for k, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
@@ -314,7 +311,7 @@ def _two_walk_cylinders(sys, I, Kmax):
 @pytest.mark.parametrize("ell", range(2, 21, 2))
 def test_one_walk_cylinders_match_two_walks(ell):
     # the alphabet a certified row uses (Kmax 68 at ell 2, 328 at ell 20)
-    ps = _as_ifs(build_system(solve_ell(ell)))
+    ps = build_presentation(build_system(solve_ell(ell)))
     cylinders, mids = _two_walk_cylinders(ps.sys, ps.interval, ps.Kmax)
     assert float(np.max(np.abs(ps.cylinders - cylinders))) <= 1e-15
     # a midpoint within roundoff of x_c has no side of its own; the

@@ -60,8 +60,10 @@ def test_orbit_stays_in_unit_interval(sys2):
 
 
 def test_orbit_budget_enforced(sys2):
-    with pytest.raises(DomainError):
-        critical_orbit(sys2, 10_000)
+    for n in (10_000, -3):
+        with pytest.raises(DomainError):
+            critical_orbit(sys2, n)
+    assert critical_orbit(sys2, 0).tolist() == [sys2.x_c]
 
 
 def _drifting_system(delta):
