@@ -9,10 +9,9 @@ plain list, for a scalar E on the map's own coefficient lists
 (fixedpoint.FixedPointMap). restrict01 re-expands a series on [0, r] over
 [0,1] (G's short series). The other basis operations are
 numpy.polynomial.chebyshev's.
-On Chebyshev-Gauss grids of arbitrary intervals there are two routes to
-the same interpolant: interp_matrix, the barycentric cardinal matrix that
-maps node values to values at given points (the collocation matrices of
-the dimension engine), and gauss_series, its coefficients.
+On the Chebyshev-Gauss grid of any interval, gauss_series gives the
+coefficients of the interpolant through node values; the dimension engine
+reads both its collocation rows and its eigenfunction off it.
 """
 import numpy as np
 import numpy.polynomial.chebyshev as _cheb
@@ -127,31 +126,6 @@ def cheb_points(a, b, n):
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * n))
 
 
-def bary_weights(n):
-    """Barycentric weights for cheb_points, any interval (scale-free)."""
-    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
-    return (-1.0) ** np.arange(n) * np.sin(theta)
-
-
-def interp_matrix(nodes, weights, pts):
-    """Cardinal-function matrix M[i,j] = B_j(pts[i]).
-
-    Interpolation of node values f is then (M @ f)(pts). Points that hit a
-    node exactly get the corresponding unit row.
-    """
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    diff = pts[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = weights[None, :] / diff
-        M = terms / np.sum(terms, axis=1)[:, None]
-    rows = np.nonzero(hit.any(axis=1))[0]
-    for i in rows:
-        M[i] = 0.0
-        M[i, np.argmax(hit[i])] = 1.0
-    return M
-
-
 def gauss_series(fvals):
     """Shifted-Chebyshev coefficients of the interpolant through cheb_points.
 
@@ -159,7 +133,10 @@ def gauss_series(fvals):
     u = (1 + cos(theta_k)) / 2 of any interval [a,b]; discrete
     orthogonality of T_j on the Gauss nodes gives the coefficients in
     closed form. eval01 at u = (x - a) / (b - a) evaluates (and der01
-    differentiates) the polynomial that barycentric interpolation gives.
+    differentiates) the polynomial of degree n - 1 through the node values.
+    fvals may be a stack of node-value columns, shape (n, k), giving k
+    series as the columns of an (n, k) stack: gauss_series(np.eye(n))
+    holds the cardinal functions of the n nodes.
     """
     fvals = np.asarray(fvals, dtype=float)
     n = len(fvals)

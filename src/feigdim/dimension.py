@@ -37,15 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb import (
-    bary_weights,
-    cheb_points,
-    eval01,
-    gauss_series,
-    interp_matrix,
-    jet_table,
-    vander01,
-)
+from .cheb import cheb_points, eval01, gauss_series, jet_table, vander01
 from .errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -94,26 +86,30 @@ class PressureModel:
 
 
 def _node_rows(ifs, K, Nc):
-    """build_pressure_model's _rows: the Nc Chebyshev nodes of I, the
-    letter_jets stream of letters 1..K on them, and the rows walked so far."""
-    nodes = cheb_points(*ifs.interval, Nc)
-    return nodes, ifs.letter_jets(K, nodes, 1), []
+    """build_pressure_model's _rows: the letter_jets stream of letters
+    1..K on the Nc Chebyshev nodes of I, and the rows walked so far."""
+    return ifs.letter_jets(K, cheb_points(*ifs.interval, Nc), 1), []
 
 
 def build_pressure_model(ifs, K, Nc=32, _rows=None):
     """Collocated operator of the first K letters on Nc nodes of I.
 
-    _rows is an escalation's _node_rows: each model extends its stream to
-    its K instead of restarting at letter 1."""
-    if K < 1 or Nc < 1:
-        raise DomainError(f"K and Nc must be >= 1, got K={K}, Nc={Nc}")
-    nodes, stream, rows = _rows or _node_rows(ifs, K, Nc)
-    weights = bary_weights(Nc)
+    B[a, i, j] is the j-th node's cardinal function, the interpolant of
+    the j-th unit vector (gauss_series), at psi_a of the i-th node: one
+    eval01 pass over all images. _rows is an escalation's _node_rows: each
+    model extends its stream to its K instead of restarting at letter 1."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (K, Nc)):
+        raise DomainError(f"K and Nc must be integers >= 1, got K={K}, "
+                          f"Nc={Nc}")
+    stream, rows = _rows or _node_rows(ifs, K, Nc)
     for _, (val, der) in itertools.islice(stream, K - len(rows)):
-        rows.append((val, np.abs(der), interp_matrix(nodes, weights, val)))
-    imgs, ders, B = (np.stack(col) for col in zip(*rows[:K]))
+        rows.append((val, np.abs(der)))
+    imgs, ders = (np.stack(col) for col in zip(*rows[:K]))
     if not np.all(ders > 0.0):
         raise DomainError("vanishing branch derivative on the node grid")
+    lo, hi = ifs.interval
+    B = np.moveaxis(eval01(gauss_series(np.eye(Nc)), (imgs - lo) / (hi - lo)),
+                    0, -1)
     return PressureModel(ifs, K, Nc, imgs, ders, B)
 
 
@@ -289,7 +285,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     (RatioNotContracting); only at Kmax does escalation fail, with
     TailTooFat or RatioNotContracting. An explicitly pinned K is honored as
     given. Escalation extends one node stream: each model reuses the node
-    jets and interpolation rows of the letters earlier models walked.
+    jets of the letters earlier models walked.
 
     With with_bracket, [hd_lo, hd_hi] is the hull of hd and the
     Collatz-Wielandt bracket of the full system, tested with the final

@@ -167,7 +167,7 @@ def psi(ps, k, x, deriv=0):
         raise DomainError(f"deriv must be 0 or 1, got {deriv}")
     lo, hi = ps.I
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < lo - _X_SLACK) or np.any(x_arr > hi + _X_SLACK):
+    if not np.all((lo - _X_SLACK <= x_arr) & (x_arr <= hi + _X_SLACK)):
         raise DomainError(f"psi argument outside I = [{lo}, {hi}]")
     jets = _psi_jets(ps, k, x_arr, deriv)
     out = jets[deriv]
@@ -189,8 +189,8 @@ def build_presentation(sys, j_margin=0.2):
     contraction certificate lambda_rho of the one J, I widened by j_margin
     times its width on each side; NoContraction when lambda_rho >= 1.
     """
-    if not j_margin > 0.0:
-        raise DomainError(f"j_margin must be > 0, got {j_margin}")
+    if not 0.0 < j_margin < np.inf:
+        raise DomainError(f"j_margin must be finite and > 0, got {j_margin}")
     lam_tilde = sys.tau ** (-1.0 / sys.ell)
     Kmax = min(400, int(np.ceil(44.0 / abs(np.log(lam_tilde)))) + 20)
 
@@ -296,13 +296,9 @@ def contraction_certificate(ps):
 
 def word_map(ps, w, x):
     """phi_w = psi_{w_1} o ... o psi_{w_n} applied to x (empty word: x)."""
-    lo, hi = ps.I
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < lo - _X_SLACK) or np.any(x_arr > hi + _X_SLACK):
-        raise DomainError(f"word_map argument outside I = [{lo}, {hi}]")
     for k in reversed(list(w)):
-        x_arr = _psi_jets(ps, k, x_arr, 0)[0]
-    return float(x_arr[0]) if np.ndim(x) == 0 else x_arr
+        x = psi(ps, k, x)
+    return x
 
 
 def cylinder_of_word(ps, w):
@@ -322,8 +318,8 @@ def tail_bound(ps, K, t):
     I; sup_I |Dpsi_k| does not depend on t, and raising it to t > 0
     commutes with the sup.
     """
-    if not t > 0.0:
-        raise DomainError(f"tail_bound needs t > 0, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"tail_bound needs finite t > 0, got {t}")
     if not 2 <= K <= ps.Kmax:
         raise DomainError(f"tail_bound needs 2 <= K <= Kmax={ps.Kmax}")
     levels = [float(ps.tail_levels[kk - 1]) ** t for kk in (K - 1, K)]

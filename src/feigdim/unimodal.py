@@ -94,7 +94,8 @@ def _G_jets(sys, x, order):
 
 
 def _check_domain(x, lo, hi, what):
-    if np.any(np.asarray(x) < lo - _SLACK) or np.any(np.asarray(x) > hi + _SLACK):
+    x = np.asarray(x)
+    if not np.all((lo - _SLACK <= x) & (x <= hi + _SLACK)):
         raise DomainError(f"{what} argument outside [{lo}, {hi}]")
 
 
@@ -179,8 +180,8 @@ def critical_orbit(sys, n):
     event. Each step is H = E^ell from one scalar E call: the loop's own
     escape check replaces eval_H's domain check.
     """
-    if n < 0:
-        raise DomainError(f"orbit length must be >= 0, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"orbit length must be an integer >= 0, got {n}")
     if n > DEFAULT_ORBIT_MAX:
         raise DomainError(
             f"orbit length {n} exceeds the configured max {DEFAULT_ORBIT_MAX}")

@@ -28,7 +28,7 @@ from feigdim.dimension import (
 )
 import feigdim.dimension
 import feigdim.presentation
-from feigdim.cheb import bary_weights, cheb_points, eval01, interp_matrix
+from feigdim.cheb import cheb_points, eval01
 from feigdim.errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -96,6 +96,35 @@ def test_hausdorff_from_system(sys2):
 def test_empty_model_raises_domain_error(ps2, kwargs):
     with pytest.raises(DomainError):
         hausdorff_dimension(ps2, **kwargs)
+
+
+def test_non_integer_truncation_raises_domain_error(sys2, ps2):
+    with pytest.raises(DomainError):
+        build_pressure_model(ps2, K=2.5)
+    with pytest.raises(DomainError):
+        hausdorff_dimension(sys2, K=2.5)
+
+
+def test_collocation_rows_are_the_barycentric_cardinal_functions():
+    # B[a, i, j] is node j's cardinal function at psi_a of node i; the
+    # 209 * Nc images span two or three of eval01's 4,096-point blocks
+    interpolator = pytest.importorskip("scipy.interpolate")
+    ps = build_presentation(build_system(solve_ell(20)))
+    lo, hi = ps.interval
+    for Nc in (24, 32, 48):
+        pm = build_pressure_model(ps, K=209, Nc=Nc)
+        nodes = cheb_points(lo, hi, Nc)
+        cardinal = interpolator.BarycentricInterpolator(nodes, np.eye(Nc))
+        assert pm.B.shape == (209, Nc, Nc)
+        assert np.max(np.abs(pm.B - cardinal(pm.imgs))) <= 1e-12
+
+        def poly(x):    # degree Nc - 1, of order 1 on I
+            u = (x - lo) / (hi - lo)
+            return u ** (Nc - 1) - 0.5 * u
+
+        got = np.einsum("aij,j->ai", pm.B, poly(nodes))
+        assert np.max(np.abs(got - poly(pm.imgs))) <= 1e-13
+        assert np.max(np.abs(pm.B.sum(axis=2) - 1.0)) <= 1e-13
 
 
 def test_truncation_and_collocation_stability(ps2, tstar2):
@@ -301,26 +330,27 @@ def _metric_samples(ps, xs, K):
 
 def test_adapted_metric_series_matches_node_value_fit(ps2):
     # The same least-squares problem posed on q's values at 16 Gauss nodes,
-    # evaluated by barycentric interpolation, with their mean pinned.
+    # evaluated by scipy's barycentric interpolation, with their mean pinned.
+    interpolator = pytest.importorskip("scipy.interpolate")
     xs = _sample_points(ps2.interval, 9)
     vals, lds = _metric_samples(ps2, xs, _FIT_K)
     q, delta_q = _fit_adapted_metric(ps2.interval, xs, vals, lds)
     nq = 16
-    qnodes, qw = cheb_points(*ps2.interval, nq), bary_weights(nq)
+    qnodes = cheb_points(*ps2.interval, nq)
+    cardinal = interpolator.BarycentricInterpolator(qnodes, np.eye(nq))
     na, ns = lds.shape
     rows = np.zeros((na * ns + 1, nq + na))
     rhs = np.zeros(na * ns + 1)
     for a in range(na):
         block = slice(a * ns, (a + 1) * ns)
-        rows[block, :nq] = (interp_matrix(qnodes, qw, vals[a])
-                            - interp_matrix(qnodes, qw, xs))
+        rows[block, :nq] = cardinal(vals[a]) - cardinal(xs)
         rows[block, nq + a] = -1.0
         rhs[block] = -lds[a]
     rows[-1, :nq] = 1.0 / nq
     qvals = np.linalg.lstsq(rows, rhs, rcond=None)[0][:nq]
     lo, hi = ps2.interval
     grid = np.linspace(lo, hi, 512)
-    want = interp_matrix(qnodes, qw, grid) @ qvals
+    want = cardinal(grid) @ qvals
     got = eval01(q, (grid - lo) / (hi - lo))
     assert float(np.max(np.abs(got - want))) <= 1e-12
     assert abs(delta_q - float(want.max() - want.min())) <= 1e-12
@@ -555,8 +585,7 @@ def test_grown_model_equals_a_fresh_one(monkeypatch, toy):
     ifs = build_presentation(build_system(solve_ell(20)))
     res = hausdorff_dimension(ifs, with_bracket=False)
     assert len(models) > 1 and models[-1].K == res.K == 209
-    nodes = cheb_points(*toy.interval, 32)
-    rows = (nodes, toy.letter_jets(2, nodes, 1), [])
+    rows = (toy.letter_jets(2, cheb_points(*toy.interval, 32), 1), [])
     build(toy, K=1, Nc=32, _rows=rows)
     pairs = [(models[-1], build(ifs, K=res.K)),
              (build(toy, K=2, Nc=32, _rows=rows), build(toy, K=2, Nc=32))]

@@ -102,6 +102,11 @@ def test_psi_rejects_x_outside_I(ps2):
         psi(ps2, 1, 0.3)
     with pytest.raises(DomainError):
         psi(ps2, 1, 1.2)
+    # NaN is in no interval
+    with pytest.raises(DomainError):
+        psi(ps2, 1, float("nan"))
+    with pytest.raises(DomainError):
+        word_map(ps2, [1], float("nan"))
 
 
 _LETTER_CALLS = {
@@ -153,9 +158,11 @@ def test_contraction_certificate(ps2):
     assert abs(contraction_certificate(ps20) - ps20.lambda_rho) < 1e-12
 
 
-@pytest.mark.parametrize("j_margin", [0.0, -0.05, float("nan")])
+@pytest.mark.parametrize("j_margin",
+                         [0.0, -0.05, float("nan"), float("inf")])
 def test_build_presentation_rejects_non_positive_j_margin(sys2, j_margin):
-    # at 0 the density is infinite at the ends of I; below 0, J is inside I
+    # at 0 the density is infinite at the ends of I; below 0, J is inside
+    # I; an infinite J has no hyperbolic density
     with pytest.raises(DomainError):
         build_presentation(sys2, j_margin=j_margin)
 
@@ -185,7 +192,7 @@ def test_tail_bound_behaviour(ps2):
 
 
 def test_tail_bound_guards(ps2):
-    for t in (0.0, float("nan")):
+    for t in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             tail_bound(ps2, 20, t)
     with pytest.raises(DomainError):

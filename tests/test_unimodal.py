@@ -60,7 +60,7 @@ def test_orbit_stays_in_unit_interval(sys2):
 
 
 def test_orbit_budget_enforced(sys2):
-    for n in (10_000, -3):
+    for n in (10_000, -3, 2.5, float("nan")):
         with pytest.raises(DomainError):
             critical_orbit(sys2, n)
     assert critical_orbit(sys2, 0).tolist() == [sys2.x_c]
@@ -150,6 +150,13 @@ def test_eval_G_domain_guard(sys2):
         eval_G(sys2, 1.0 + 1e-9)
     with pytest.raises(DomainError):
         eval_G(sys2, sys2.tau + 1.0)
+
+
+@pytest.mark.parametrize("evaluate", [eval_G, eval_H])
+def test_nan_is_outside_every_domain(sys2, evaluate):
+    for x in (float("nan"), np.array([0.5, float("nan")])):
+        with pytest.raises(DomainError):
+            evaluate(sys2, x)
 
 
 @pytest.mark.parametrize("ell", [*range(2, 21, 2), 64])
