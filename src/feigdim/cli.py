@@ -120,6 +120,14 @@ def _config_from(args, parser, argv):
         parser.error(f"--degree must be >= 10, got {args.degree}")
     if not args.tol > 0.0:
         parser.error(f"--tol must be > 0, got {args.tol}")
+    # a bad --out fails here, not after the solves
+    if args.command == "diagnose" and os.path.isfile(args.out or "."):
+        parser.error(f"--out {args.out!r} is a file, not a directory")
+    if args.command != "diagnose" and args.out is not None and (
+            os.path.isdir(args.out)
+            or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        parser.error(f"--out {args.out!r} is not a file path in an "
+                     "existing directory")
     args.ells = ells
     args.cache_dir = (os.environ.get("FEIGDIM_CACHE") or args.cache
                       or DEFAULT_CACHE)

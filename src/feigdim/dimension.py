@@ -49,7 +49,7 @@ from .errors import (
     TailTooFat,
 )
 from .fixedpoint import cached_solve, write_csv
-from .presentation import build_presentation
+from .presentation import build_presentation, stack_letter_jets
 from .roots import brentq
 from .unimodal import UnimodalSystem, build_system
 
@@ -204,17 +204,18 @@ class _OperatorBounds:
         self.dx = float(np.max(np.diff(x)))
         self.spread = float(hx.max() / hx.min())
         self.dlog_h = dhx / hx
-        # per letter: log|psi'|, h(psi x) / h(x), and curv, slope with
-        # d/dx |psi'|^t h(psi x) / h(x) = |psi'|^t (t * curv + slope)
-        logd, hv, curv, slope = [], [], [], []
-        for _, (val, d1, d2) in ifs.letter_jets(K, x, 2):
-            hval, dhval = h(val)
-            logd.append(np.log(np.abs(d1)))
-            hv.append(hval / hx)
-            curv.append(d2 / d1 * hval / hx)
-            slope.append(d1 * dhval / hx)
-        self.logd, self.hv, self.curv, self.slope = (
-            np.stack(a) for a in (logd, hv, curv, slope))
+        # (letters x grid) tables of log|psi'|, h(psi x) / h(x), and curv,
+        # slope with d/dx |psi'|^t h(psi x) / h(x) = |psi'|^t (t * curv +
+        # slope), each formed in place of a jet table it no longer needs
+        val, d1, d2 = stack_letter_jets(ifs, K, x, 2)
+        hval, dhval = h(val)
+        self.logd = np.log(np.abs(d1, out=val), out=val)
+        self.curv = np.divide(d2, d1, out=d2)
+        self.curv *= hval
+        self.curv /= hx
+        self.hv = np.divide(hval, hx, out=hval)
+        self.slope = np.multiply(d1, dhval, out=d1)
+        self.slope /= hx
 
     def ratio(self, t):
         """(r_t, r_t') on the grid, over the first K letters."""

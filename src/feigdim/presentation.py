@@ -154,6 +154,16 @@ def iter_letter_jets(ps, K, x, nder=1):
         yield k, jets
 
 
+def stack_letter_jets(ifs, K, x, nder=1):
+    """The jets of letters 1..K at the points x from one letter_jets pass,
+    stacked: item j is the (K, len(x)) table of every letter's j-th jet."""
+    out = np.empty((nder + 1, K, len(x)))
+    for a, (_, jets) in enumerate(ifs.letter_jets(K, x, nder)):
+        for table, jet in zip(out, jets):
+            table[a] = jet
+    return out
+
+
 def _psi_jets(ps, k, x, nder):
     """Jets of the single letter psi_k: the k-th item of iter_letter_jets."""
     for _, jets in iter_letter_jets(ps, k, x, nder):
@@ -181,20 +191,36 @@ def build_presentation(sys, j_margin=0.2):
     = |G'(x_c)|: 68 at ell = 2, 164 at ell = 8, 328 at ell = 20 and 400 from
     ell = 26; a consumer that wants fewer letters passes its own K. Letter k
     has cylinder endpoints c_{2^k} and c_{3*2^k}: endpoint identities are
-    checked for every k whose orbit indexes fit the DEFAULT_ORBIT_MAX table
-    and whose entries sit below the table's measured roundoff floor.
+    checked for k = 1..k_verify <= k_fit = 10, as deep as the critical
+    orbit's doubling defect stays below tolerance. The orbit is only as deep
+    as that check reads (4,097 entries at ell 2, 513 at 8, 129 at 16-22),
+    and its clamp warnings cover only those entries.
 
     The alphabet is walked once per grid: three scalar G-orbits give the
-    cylinder table, and one iter_letter_jets pass gives tail_levels and the
-    contraction certificate lambda_rho of the one J, I widened by j_margin
-    times its width on each side; NoContraction when lambda_rho >= 1.
+    cylinder table, and one stacked jet table (stack_letter_jets) gives
+    tail_levels and the contraction certificate lambda_rho of the one J,
+    I widened by j_margin times its width on each side; NoContraction when
+    lambda_rho >= 1.
     """
     if not 0.0 < j_margin < np.inf:
         raise DomainError(f"j_margin must be finite and > 0, got {j_margin}")
     lam_tilde = sys.tau ** (-1.0 / sys.ell)
     Kmax = min(400, int(np.ceil(44.0 / abs(np.log(lam_tilde)))) + 20)
 
-    orbit = critical_orbit(sys, DEFAULT_ORBIT_MAX)
+    # Deep orbit entries accumulate roundoff (worse for large ell), so the
+    # endpoint identity is only certifiable as far as the table's own noise
+    # floor allows. The doubling defect |G(c_j) - c_{2j}|, j = 1..n/2,
+    # probes that floor up to index n = 2^(k+3); verification depth stops
+    # where it nears the tolerance, and the orbit grows only that deep.
+    k_fit = (DEFAULT_ORBIT_MAX // 4).bit_length() - 1     # 10 < Kmax
+    orbit, k_verify = None, 0
+    while k_verify < k_fit:
+        orbit = critical_orbit(sys, 8 << k_verify, orbit)
+        half = np.arange(1, len(orbit) // 2 + 1)
+        defect = np.abs(_G_jets(sys, orbit[half], 0)[0] - orbit[2 * half])
+        if not defect.max() < 0.25e-8:
+            break
+        k_verify += 1
 
     lo, hi = sorted((orbit[2], orbit[4]))
     I = (float(lo), float(hi))
@@ -203,21 +229,9 @@ def build_presentation(sys, j_margin=0.2):
     if dH.max() * dH.min() <= 0.0:
         raise BranchNotMonotone("H not monotone on the branch lap [c_1, c_3]")
 
-    k_fit = (DEFAULT_ORBIT_MAX // 4).bit_length() - 1     # 10 < Kmax
-
-    # Deep orbit entries accumulate roundoff (worse for large ell), so the
-    # endpoint identity is only certifiable as far as the table's own noise
-    # floor allows. The doubling defect |G(c_j) - c_{2j}| probes that floor
-    # at index 2j; verification depth stops where it nears the tolerance.
-    half = np.arange(1, DEFAULT_ORBIT_MAX // 2)
-    doubled = _G_jets(sys, orbit[half], 0)[0]
-    defect = np.abs(doubled - orbit[2 * half])
-    k_verify = 0
-    while k_verify < k_fit and defect[:2 ** (k_verify + 2)].max() < 0.25e-8:
-        k_verify += 1
     if k_verify == 0:
         raise InvariantViolation(
-            f"orbit doubling defect {defect[:4].max():.2e} already "
+            f"orbit doubling defect {defect.max():.2e} already "
             "exceeds the endpoint tolerance at k=1"
         )
 
@@ -258,15 +272,13 @@ def build_presentation(sys, j_margin=0.2):
                             cylinders=cylinders, branch_side=sides,
                             k_verify=k_verify, tail_levels=None)
     x = np.concatenate([np.linspace(*I, _CERT_NX), np.linspace(*I, _TAIL_NX)])
-    rho_x = _rho_density(J, x[:_CERT_NX])
-    worst, levels = 0.0, np.empty(Kmax)
-    for k, (val, der) in iter_letter_jets(ps, Kmax, x):
-        ratio = _contraction_ratio(J, rho_x, val[:_CERT_NX], der[:_CERT_NX])
-        worst = np.maximum(worst, ratio.max())     # NaN propagates
-        levels[k - 1] = np.max(np.abs(der[_CERT_NX:]))
+    jets = stack_letter_jets(ps, Kmax, x)
+    val, der = jets[..., :_CERT_NX]
+    worst = _contraction_ratio(J, x[:_CERT_NX], val, der).max()  # NaN kept
     if not worst < 1.0:
         raise NoContraction(
             f"lambda_rho = {worst:.6g} >= 1 at J margin {j_margin}")
+    levels = np.max(np.abs(jets[1, :, _CERT_NX:]), axis=1)
     levels.flags.writeable = False
     return replace(ps, lambda_rho=float(worst), tail_levels=levels)
 
@@ -277,21 +289,17 @@ def _rho_density(J, x):
     return 1.0 / ((x - A) * (B - x))
 
 
-def _contraction_ratio(J, rho_x, val, der):
-    """|psi'(x)| rho(psi x) / rho(x), from the letter's jets at x."""
-    return np.abs(der) * _rho_density(J, val) / rho_x
+def _contraction_ratio(J, x, val, der):
+    """|psi'(x)| rho(psi x) / rho(x), from the letters' jets at x."""
+    return np.abs(der) * _rho_density(J, val) / _rho_density(J, x)
 
 
 def contraction_certificate(ps):
     """sup over the alphabet and x in I of |psi'(x)| rho(psi x)/rho(x),
     rho being the hyperbolic density of the disk with diameter ps.J."""
     x = np.linspace(*ps.I, _CERT_NX)
-    rho_x = _rho_density(ps.J, x)
-    worst = 0.0
-    for _, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
-        worst = max(worst,
-                    float(_contraction_ratio(ps.J, rho_x, val, der).max()))
-    return worst
+    val, der = stack_letter_jets(ps, ps.Kmax, x)
+    return float(_contraction_ratio(ps.J, x, val, der).max())
 
 
 def word_map(ps, w, x):
@@ -336,9 +344,8 @@ def cylinders_csv(ps, path):
     64-point tail grid of I."""
     header = ["k", "left", "right", "sup_deriv", "min_deriv"]
     x = np.linspace(*ps.I, _TAIL_NX)
-    rows = []
-    for k, (_, der) in iter_letter_jets(ps, ps.Kmax, x):
-        der = np.abs(der)
-        cells = (k, *ps.cylinders[k - 1], der.max(), der.min())
-        rows.append(dict(zip(header, cells)))
+    der = np.abs(stack_letter_jets(ps, ps.Kmax, x)[1])
+    rows = [dict(zip(header, (k, *ps.cylinders[k - 1], top, low)))
+            for k, top, low in zip(ps.letters(ps.Kmax), der.max(axis=1),
+                                   der.min(axis=1))]
     return write_csv(path, header, rows)

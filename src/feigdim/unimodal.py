@@ -170,13 +170,14 @@ def conjugacy_residual(sys):
     return float(np.max(np.abs(sys.tau * hh - eval_H(sys, sys.tau * x))))
 
 
-def critical_orbit(sys, n):
+def critical_orbit(sys, n, head=None):
     """Orbit [c_0 ... c_n] with c_0 = x_c and c_{j+1} = H(c_j).
 
-    Drift out of [0,1] up to 1e-12 is clamped (with a warning); anything
-    larger raises OrbitEscaped. Since H = E^ell with ell even, H >= 0 and
-    drift can only go above 1. Whether any drift happens at all depends on
-    floating-point roundoff, so the warning is a guard, not an expected
+    An earlier orbit head = [c_0 ... c_m], m <= n, is continued bit for
+    bit. Drift out of [0,1] up to 1e-12 is clamped, with a warning on the
+    entries this call computes; more raises OrbitEscaped. Since H = E^ell
+    with ell even, H >= 0 and drift can only go above 1; whether it happens
+    at all depends on roundoff, so the warning is a guard, not an expected
     event. Each step is H = E^ell from one scalar E call: the loop's own
     escape check replaces eval_H's domain check.
     """
@@ -185,11 +186,14 @@ def critical_orbit(sys, n):
     if n > DEFAULT_ORBIT_MAX:
         raise DomainError(
             f"orbit length {n} exceeds the configured max {DEFAULT_ORBIT_MAX}")
+    head = np.array([sys.x_c]) if head is None else np.asarray(head)
+    if not 1 <= len(head) <= n + 1:
+        raise DomainError(f"head of {len(head)} entries for orbit {n + 1}")
     c = np.empty(n + 1)
-    c[0] = sys.x_c
+    c[:len(head)] = head
     drift = 0.0
     E, ell = sys.fp.E, sys.fp.ell
-    for j in range(n):
+    for j in range(len(head) - 1, n):
         nxt = float(E(c[j]) ** ell)
         if nxt < -_SLACK or nxt > 1.0 + _SLACK:
             raise OrbitEscaped(f"c_{j + 1} = {nxt} left [0,1]")

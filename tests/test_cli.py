@@ -136,12 +136,21 @@ def test_default_cache_dir(tmp_path, capsys):
     ["dim", "--ell", "2", "--tol", "0"],
     ["dim", "--ell", "2", "--degree", "5"],
     ["solve", "--ell", "2", "--degree", "0"],
+    # an --out that cannot be written fails before any solve
+    ["dim", "--ell", "2", "--out", "missing/x.csv", "--cache", "c"],
+    ["sweep", "--ells", "2:2:4", "--out", "missing/x.csv", "--cache", "c"],
+    ["sweep", "--ells", "2:2:4", "--out", ".", "--cache", "c"],
+    ["diagnose", "--ells", "2:2:4", "--out", "taken", "--cache", "c"],
 ])
-def test_usage_errors_exit_1(argv, capsys):
+def test_usage_errors_exit_1(argv, tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
+    # nothing was solved: no cache directory, named or default
+    assert not (tmp_path / "c").exists()
+    assert not (tmp_path / ".feigdim-cache").exists()
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

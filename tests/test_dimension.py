@@ -479,6 +479,35 @@ def test_operator_bracket_slack_covers_a_finer_grid(ell, monkeypatch):
     assert low <= float(r.min()) and float(r.max()) <= high
 
 
+def _per_letter_bracket_tables(ifs, K, h):
+    """_OperatorBounds' four tables built one letter at a time and stacked
+    at the end: the reference for the stacked, in-place build."""
+    x = np.linspace(*ifs.interval, _BRACKET_NX)
+    hx, _ = h(x)
+    logd, hv, curv, slope = [], [], [], []
+    for _, (val, d1, d2) in ifs.letter_jets(K, x, 2):
+        hval, dhval = h(val)
+        logd.append(np.log(np.abs(d1)))
+        hv.append(hval / hx)
+        curv.append(d2 / d1 * hval / hx)
+        slope.append(d1 * dhval / hx)
+    return [np.stack(a) for a in (logd, hv, curv, slope)]
+
+
+@pytest.mark.parametrize("ell", [2, 20])
+def test_operator_bracket_tables_match_a_per_letter_loop(ell):
+    # the row's own K and h: at ell 20 that is 209 letters, whose stacked
+    # images cross many of eval01's point blocks
+    ifs = build_presentation(build_system(solve_ell(ell)))
+    res = hausdorff_dimension(ifs, with_bracket=False)
+    h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
+    bounds = _OperatorBounds(ifs, res.K, h)
+    got = (bounds.logd, bounds.hv, bounds.curv, bounds.slope)
+    for table, want in zip(got, _per_letter_bracket_tables(ifs, res.K, h)):
+        assert table.shape == (res.K, _BRACKET_NX)
+        assert np.array_equal(table, want)
+
+
 def test_operator_bracket_rejects_sign_changing_test_function(pm2):
     mid = 0.5 * sum(pm2.ifs.interval)
     with pytest.raises(EigenvectorSignFailure):

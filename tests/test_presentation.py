@@ -13,6 +13,7 @@ from feigdim.presentation import (
     _X_SLACK,
     _h_inverse_jets,
     _psi_jets,
+    _rho_density,
     _solve_e_decreasing,
     build_presentation,
     contraction_certificate,
@@ -23,7 +24,12 @@ from feigdim.presentation import (
     tail_bound,
     word_map,
 )
-from feigdim.unimodal import DEFAULT_ORBIT_MAX, _G_jets, build_system
+from feigdim.unimodal import (
+    DEFAULT_ORBIT_MAX,
+    _G_jets,
+    build_system,
+    critical_orbit,
+)
 
 from conftest import solve_ell
 from oracles import (
@@ -212,10 +218,32 @@ def test_letter_jets_match_psi(ps2):
         assert np.allclose(der, psi(ps2, k, x, deriv=1), atol=1e-13)
 
 
-def test_orbit_table_length(ps2):
-    # letter Kmax ends at c_{3*2^Kmax}, far past the orbit budget: the
-    # table always runs to index DEFAULT_ORBIT_MAX
-    assert len(ps2.orbit) == DEFAULT_ORBIT_MAX + 1
+def test_orbit_table_length():
+    # the orbit is as deep as the doubling-defect scan reads: index
+    # 2^(k_verify + 3) where the scan stops below k_fit = 10, and the whole
+    # DEFAULT_ORBIT_MAX budget once k_verify reaches k_fit
+    for ell, entries in ((2, 4097), (8, 513), (20, 129)):
+        sys = build_system(solve_ell(ell))
+        ps = build_presentation(sys)
+        n = DEFAULT_ORBIT_MAX if ps.k_verify == 10 else 8 << ps.k_verify
+        assert len(ps.orbit) == n + 1 == entries
+        assert np.array_equal(ps.orbit, critical_orbit(sys, n))
+
+
+@pytest.mark.parametrize("ell", [2, 20])
+def test_certificate_matches_a_per_letter_loop(ell):
+    # the stacked certificate and tail levels against the letter-by-letter
+    # running maximum they replace, on the same 200 + 64 point grid
+    ps = build_presentation(build_system(solve_ell(ell)))
+    x = np.concatenate([np.linspace(*ps.I, 200), np.linspace(*ps.I, 64)])
+    rho_x = _rho_density(ps.J, x[:200])
+    worst, levels = 0.0, np.empty(ps.Kmax)
+    for k, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
+        ratio = np.abs(der[:200]) * _rho_density(ps.J, val[:200]) / rho_x
+        worst = np.maximum(worst, ratio.max())
+        levels[k - 1] = np.max(np.abs(der[200:]))
+    assert ps.lambda_rho == float(worst)
+    assert np.array_equal(ps.tail_levels, levels)
 
 
 def test_cylinders_csv_round_trip(ps2, tmp_path):

@@ -66,6 +66,25 @@ def test_orbit_budget_enforced(sys2):
     assert critical_orbit(sys2, 0).tolist() == [sys2.x_c]
 
 
+@pytest.mark.parametrize("ell", [2, 20])
+def test_orbit_continues_its_head_bit_for_bit(ell):
+    sys = build_system(solve_ell(ell))
+    n = 300
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = critical_orbit(sys, n)
+        for m in (0, 37, n):
+            got = critical_orbit(sys, n, head=critical_orbit(sys, m))
+            assert np.array_equal(got, want)
+
+
+def test_orbit_head_must_start_the_orbit(sys2):
+    head = critical_orbit(sys2, 40)
+    for n, bad in ((39, head), (40, head[:0])):
+        with pytest.raises(DomainError):
+            critical_orbit(sys2, n, head=bad)
+
+
 def _drifting_system(delta):
     """Stand-in map with ell = 2 and E = sqrt(1 + delta), so H = 1 + delta
     everywhere: every orbit step lands delta above 1. The orbit reads H
@@ -83,6 +102,15 @@ def test_deep_orbit_clamps_with_warning():
     drift = float(str(record[0].message).rsplit(" ", 1)[1])
     assert drift == pytest.approx(1e-13, rel=1e-2)
     assert np.all((orbit >= 0.0) & (orbit <= 1.0))
+
+
+def test_clamp_warning_covers_only_computed_entries():
+    sys = _drifting_system(1e-13)
+    with pytest.warns(UserWarning, match="critical orbit clamped"):
+        head = critical_orbit(sys, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(critical_orbit(sys, 8, head=head), head)
 
 
 def test_orbit_drift_beyond_slack_escapes():
