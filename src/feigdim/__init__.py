@@ -60,7 +60,6 @@ from .presentation import (
     build_presentation,
     contraction_certificate,
     cylinder_of_word,
-    cylinders_csv,
     iter_letter_jets,
     psi,
     tail_bound,

@@ -70,7 +70,8 @@ _COMMANDS = {
     "solve": ("solve fixed points and populate the cache",
               ("--ell", "--ells", "--degree", "--tol", "--cache",
                "--seed-file")),
-    "dim": ("Hausdorff dimension at one ell", tuple(_FLAGS)),
+    "dim": ("Hausdorff dimension at one ell",
+            tuple(flag for flag in _FLAGS if flag != "--ells")),
     "sweep": ("dimension sweep over an ell range",
               ("--ells", "--degree", "--K", "--nc", "--tol", "--cache",
                "--out")),
@@ -109,8 +110,6 @@ def _config_from(args, parser, argv):
             "sweep": "an --ells range", "diagnose": "an --ells range"}
     if ells is None:
         parser.error(f"{args.command} requires {need[args.command]}")
-    if args.command == "dim" and len(ells) != 1:
-        parser.error("dim takes a single --ell")
     if args.command in ("sweep", "diagnose") and len(ells) < 2:
         parser.error(f"{args.command} needs at least two ells")
     for flag, value in (("--K", args.K), ("--nc", args.nc)):
@@ -120,9 +119,7 @@ def _config_from(args, parser, argv):
         parser.error(f"--degree must be >= 10, got {args.degree}")
     if not args.tol > 0.0:
         parser.error(f"--tol must be > 0, got {args.tol}")
-    # a bad --out fails here, not after the solves
-    if args.command == "diagnose" and os.path.isfile(args.out or "."):
-        parser.error(f"--out {args.out!r} is a file, not a directory")
+    # a bad --out or cache directory fails here, not after the solves
     if args.command != "diagnose" and args.out is not None and (
             os.path.isdir(args.out)
             or not os.path.isdir(os.path.dirname(args.out) or ".")):
@@ -131,6 +128,15 @@ def _config_from(args, parser, argv):
     args.ells = ells
     args.cache_dir = (os.environ.get("FEIGDIM_CACHE") or args.cache
                       or DEFAULT_CACHE)
+    dirs = {"cache directory": args.cache_dir}
+    if args.command == "diagnose":
+        dirs["--out"] = args.out or "."
+    for what, path in dirs.items():
+        probe = os.path.abspath(path)   # or its nearest existing ancestor
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            parser.error(f"{what} {path!r}: {probe!r} is not a directory")
     args.argv = argv
     return args
 

@@ -26,10 +26,10 @@ Every root in t (the Bowen root, the bracket's crossings, the Moran roots)
 is located by Brent's method (roots.brentq) on a sign-changing bracket.
 
 The engine consumes any object with the IFS protocol: `interval` (lo, hi),
-`Kmax` (alphabet size), `letters(K)` (the first K letters),
-`letter_jets(K, x, nder)` (yields (letter, jets) over letters(K), the
-jets being the map's value and nder derivatives at x) and
-`tail_bound(K, t)` (bound on the letters beyond K).
+`Kmax` (alphabet size), `letter_jets(K, x, nder)` (yields the jets of
+letters 1..K in order, each the map's value and nder derivatives at x) and
+`tail_bound(K, t)` (bound on the letters beyond K). A truncation K is the
+number of letters, and every table the engine builds has K letter rows.
 """
 import itertools
 import time
@@ -102,7 +102,7 @@ def build_pressure_model(ifs, K, Nc=32, _rows=None):
         raise DomainError(f"K and Nc must be integers >= 1, got K={K}, "
                           f"Nc={Nc}")
     stream, rows = _rows or _node_rows(ifs, K, Nc)
-    for _, (val, der) in itertools.islice(stream, K - len(rows)):
+    for val, der in itertools.islice(stream, K - len(rows)):
         rows.append((val, np.abs(der)))
     imgs, ders = (np.stack(col) for col in zip(*rows[:K]))
     if not np.all(ders > 0.0):
@@ -258,12 +258,6 @@ def _crossing(fn, t0):
     raise RootNotBracketed(f"bracket bound never crosses 1 in (0, {2 * t0})")
 
 
-def _as_ifs(obj):
-    if isinstance(obj, UnimodalSystem):
-        return build_presentation(obj)
-    return obj
-
-
 @dataclass(frozen=True)
 class DimensionResult:
     hd: float
@@ -279,14 +273,14 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     """Bowen root of the pressure plus a bracket certified on the operator.
 
     Accepts a built UnimodalSystem (its build_presentation is the IFS) or
-    any object exposing the IFS protocol (interval, Kmax, letters,
-    letter_jets, tail_bound). With K unset the truncation starts at
-    min(32, Kmax) and auto-escalates until the alphabet tail at the root
-    is below 1e-8, doubling K where the tail levels do not decay yet
-    (RatioNotContracting); only at Kmax does escalation fail, with
-    TailTooFat or RatioNotContracting. An explicitly pinned K is honored as
-    given. Escalation extends one node stream: each model reuses the node
-    jets of the letters earlier models walked.
+    any object with the IFS protocol (interval, Kmax, letter_jets,
+    tail_bound). With K unset the truncation starts at min(32, Kmax) and
+    auto-escalates until the alphabet tail at the root is below 1e-8,
+    doubling K where the tail levels do not decay yet (RatioNotContracting);
+    only at Kmax does escalation fail, with TailTooFat or
+    RatioNotContracting. An explicitly pinned K is honored as given.
+    Escalation extends one node stream: each model reuses the node jets of
+    the letters earlier models walked.
 
     With with_bracket, [hd_lo, hd_hi] is the hull of hd and the
     Collatz-Wielandt bracket of the full system, tested with the final
@@ -294,7 +288,7 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     bracket raises InvariantViolation. Without it hd_lo = hd_hi = hd.
     """
     t_start = time.perf_counter()
-    ifs = _as_ifs(obj)
+    ifs = build_presentation(obj) if isinstance(obj, UnimodalSystem) else obj
     pinned = K is not None
     if K is None:
         K = min(32, ifs.Kmax)
@@ -377,47 +371,42 @@ def _fit_adapted_metric(interval, xs, vals, lds):
 
 
 def _extend_words(ifs, K, pos, logd):
-    """Prepend every letter of ifs.letters(K) to every word, letter-major.
+    """Prepend each of the letters 1..K to every word, letter-major.
 
     Row w of pos holds phi_w at the sample points and row w of logd
     log|Dphi_w| there. Word a w lands in row a * len(pos) + w, so rows stay
     in lexicographic order; its rows are psi_a(pos[w]) and
-    log|psi_a'(pos[w])| + logd[w] (the chain rule).
+    log|psi_a'(pos[w])| + logd[w] (the chain rule), from one jet table.
     """
-    nw = pos.shape[0]
-    new_pos = np.empty((len(ifs.letters(K)) * nw, pos.shape[1]))
-    new_logd = np.empty_like(new_pos)
-    for a, (_, (val, der)) in enumerate(ifs.letter_jets(K, pos, 1)):
-        block = slice(a * nw, (a + 1) * nw)
-        new_pos[block] = val
-        np.add(np.log(np.abs(der)), logd, out=new_logd[block])
-    return new_pos, new_logd
+    nw, ns = pos.shape
+    val, der = stack_letter_jets(ifs, K, pos.ravel())
+    new_logd = np.log(np.abs(der, out=der), out=der).reshape(K, nw, ns)
+    new_logd += logd
+    return val.reshape(K * nw, ns), new_logd.reshape(K * nw, ns)
 
 
-def _word_tables(ifs, K, n, metric):
-    """Per-word sup/inf of the (metric-weighted) log derivative at depth n.
+def _word_tables(ifs, K, n):
+    """Per-word sup/inf of the adapted-metric log derivative at depth n.
 
     The walk prepends letters from the empty word, tracking phi_w(x) and
     log|Dphi_w(x)| at the sample points. In the metric exp(q) the log
     derivative is log|Dphi_w(x)| + q(phi_w x) - q(x), since q telescopes
-    along the word, so q is added once, after the walk. "adapted" fits q;
-    "euclid" is q = 0 (delta_q 0), which adds exact zeros. Returns the
-    depth-n sup and inf, the depth-1 sup, and delta_q.
+    along the word, so q, fitted on the depth-1 tables, is added once,
+    after the walk. Returns the depth-n sup and inf, the depth-1 sup, and
+    delta_q.
     """
-    na = len(ifs.letters(K))
-    if na ** n > _WORD_BUDGET:
-        raise DomainError(f"{na}^{n} words exceed the {_WORD_BUDGET} budget")
+    if K ** n > _WORD_BUDGET:
+        raise DomainError(f"{K}^{n} words exceed the {_WORD_BUDGET} budget")
     lo, hi = ifs.interval
     xs = _sample_points(ifs.interval, _MORAN_NSAMP)
     vals, lds = _extend_words(ifs, K, xs[None, :], np.zeros((1, xs.size)))
-    q, delta_q = (_fit_adapted_metric(ifs.interval, xs, vals, lds)
-                  if metric == "adapted" else (np.zeros(1), 0.0))
+    q, delta_q = _fit_adapted_metric(ifs.interval, xs, vals, lds)
     pos, logd = vals, lds.copy()   # logd takes q in place below
     for _ in range(n - 1):
         pos, logd = _extend_words(ifs, K, pos, logd)
     qx = eval01(q, (xs - lo) / (hi - lo))
-    nw = len(pos) // na
-    for a in range(na):     # a letter's rows at a time: no third full table
+    nw = len(pos) // K
+    for a in range(K):      # a letter's rows at a time: no third full table
         rows = slice(a * nw, (a + 1) * nw)
         logd[rows] += eval01(q, (pos[rows] - lo) / (hi - lo)) - qx
     ld1 = eval01(q, (vals - lo) / (hi - lo)) - qx + lds
@@ -430,7 +419,6 @@ class MoranBracket:
     t_hi: float
     n: int
     K: int
-    metric: str
     delta_q: float
 
     def __iter__(self):
@@ -468,28 +456,24 @@ def _log_root(fn):
     raise RootNotBracketed("Moran sum never crosses 1 on the scan range")
 
 
-def moran_oracle(ifs, n, K=None, metric="adapted"):
+def moran_oracle(ifs, n, K=None):
     """Independent dimension bracket from depth-n sup/inf Moran sums.
 
-    Roots t of sum over words of (sup resp. inf of |Dphi_w| in the chosen
-    metric)^t = 1. The truncated alphabet's missing letters inflate the
-    sup-side sum by (p_1 + T)^n - p_1^n with T the tail bound carried into
-    the adapted metric, so the upper root bounds the full-alphabet root.
-    metric "adapted" fits the coboundary q and "euclid" is q = 0 (delta_q
-    0); any other value raises DomainError. ifs is an IFS or a
-    UnimodalSystem (its build_presentation); K defaults to min(24, Kmax).
-    brentq places both roots within 1e-10.
+    Roots t of sum over words of (sup resp. inf of |Dphi_w| in the adapted
+    metric exp(q), delta_q the oscillation of q on I)^t = 1. The truncated
+    alphabet's missing letters inflate the sup-side sum by
+    (p_1 + T)^n - p_1^n with T the tail bound carried into the adapted
+    metric, so the upper root bounds the full-alphabet root. ifs is an IFS,
+    not a UnimodalSystem; K defaults to min(24, Kmax). brentq places both
+    roots within 1e-10.
     """
     if not 1 <= n <= 5:
         raise DomainError(f"moran_oracle needs 1 <= n <= 5, got {n}")
-    ifs = _as_ifs(ifs)
     if K is None:
         K = min(24, ifs.Kmax)
     if K > 64:
         raise DomainError(f"K = {K} exceeds the budget 64")
-    if metric not in ("adapted", "euclid"):
-        raise DomainError(f"metric must be adapted or euclid, got {metric!r}")
-    s_sup, s_inf, s1_sup, delta_q = _word_tables(ifs, K, n, metric)
+    s_sup, s_inf, s1_sup, delta_q = _word_tables(ifs, K, n)
 
     def p_inf(t):
         return _logsumexp(t * s_inf)
@@ -508,12 +492,11 @@ def moran_oracle(ifs, n, K=None, metric="adapted"):
         raise InvariantViolation(
             f"Moran roots inverted: t_lo={t_lo} > t_hi={t_hi}"
         )
-    return MoranBracket(t_lo, t_hi, n, K, metric, delta_q)
+    return MoranBracket(t_lo, t_hi, n, K, delta_q)
 
 
 @dataclass(frozen=True)
 class CylinderMeasure:
-    words: list
     mu: np.ndarray
     xbar: np.ndarray
     m2: np.ndarray
@@ -545,16 +528,15 @@ def cylinder_measure(pm, t_star, depth=3):
     cylinder masses are realized exactly through the change of variables
     m(cyl(w)) = lam^{-|w|} <nu, |Dphi_w|^t> / <nu, 1>.  Barycenters and
     central second moments of m on every cylinder come along for free and
-    feed the quadrature in the conformality check.
+    feed the quadrature in the conformality check. The rows are the
+    K^depth words over letters 1..K, K = pm.K, in lexicographic order.
     """
     if not 1 <= depth <= 4:
         raise DomainError(
             f"cylinder_measure needs 1 <= depth <= 4, got {depth}")
-    letters = pm.ifs.letters(pm.K)
-    na = len(letters)
-    if na ** depth * pm.Nc > 8_000_000:
+    if pm.K ** depth * pm.Nc > 8_000_000:
         raise DomainError(
-            f"{na}^{depth} cylinders on {pm.Nc} nodes exceed the budget"
+            f"{pm.K}^{depth} cylinders on {pm.Nc} nodes exceed the budget"
         )
     lam, h, nu = _leading_pair_both(pm, t_star)
     Z = float(nu.sum())
@@ -575,8 +557,7 @@ def cylinder_measure(pm, t_star, depth=3):
     mu = raw / raw_mass
     xbar = (core * pos) @ nu / weight
     m2 = (core * (pos - xbar[:, None]) ** 2) @ nu / weight
-    words = list(itertools.product(letters, repeat=depth))
-    return CylinderMeasure(words, mu, xbar, m2, lam, raw_mass)
+    return CylinderMeasure(mu, xbar, m2, lam, raw_mass)
 
 
 def conformality_residual(pm, t_star, depth=3):
@@ -591,18 +572,17 @@ def conformality_residual(pm, t_star, depth=3):
     if depth < 2:
         raise DomainError("conformality check needs depth >= 2")
     fine = cylinder_measure(pm, t_star, depth)
-    na = len(pm.ifs.letters(pm.K))
-    # words are lexicographic: row u of raw.reshape(-1, na) holds the
-    # children u j of u, and row i of raw.reshape(na, -1) the words i u
+    # words are lexicographic: row u of raw.reshape(-1, K) holds the
+    # children u j of u, and row i of raw.reshape(K, -1) the words i u
     raw = fine.mu * fine.raw_mass
     worst = 0.0
-    for i, (_, (_, d1, d2, d3)) in enumerate(
+    for i, (_, d1, d2, d3) in enumerate(
             pm.ifs.letter_jets(pm.K, fine.xbar, 3)):
         F = np.abs(d1) ** t_star
         F2 = F * t_star * ((t_star - 1.0) * (d2 / d1) ** 2 + d3 / d1)
         term = (F + 0.5 * F2 * fine.m2) * raw
-        rhs = term.reshape(-1, na).sum(axis=1)
-        lhs = fine.lam * raw.reshape(na, -1)[i]
+        rhs = term.reshape(-1, pm.K).sum(axis=1)
+        lhs = fine.lam * raw.reshape(pm.K, -1)[i]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

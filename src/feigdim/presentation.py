@@ -3,9 +3,9 @@
 Period doubling has one inverse branch H^{-1}, so a letter is its depth
 k = 1..Kmax: a countable conformal IFS indexed by k alone.
 PresentationSystem implements the IFS protocol of the dimension engine
-(interval, Kmax, letters, letter_jets, tail_bound); its letter_jets is
-iter_letter_jets, the one stream of jets over the alphabet, and a single
-letter's jets are that stream's k-th item.
+(interval, Kmax, letter_jets, tail_bound); its letter_jets is
+iter_letter_jets, the one stream of jets over letters 1..K in order, and a
+single letter's jets are that stream's k-th item.
 
 The branch H^{-1} maps I onto [0, 1/tau]: a bisection-Newton solve of
 e(w) = x^(1/ell) on G's series e(w) = E(w/tau), with z = w/tau. G^k is k
@@ -28,7 +28,6 @@ from .errors import (
     NoContraction,
     RatioNotContracting,
 )
-from .fixedpoint import write_csv
 from .unimodal import DEFAULT_ORBIT_MAX, _G_jets, critical_orbit, eval_H
 
 _X_SLACK = 1e-9
@@ -60,10 +59,6 @@ class PresentationSystem:
     @property
     def interval(self):
         return self.I
-
-    def letters(self, K):
-        _check_letter(self, K)
-        return list(range(1, K + 1))
 
     def letter_jets(self, K, x, nder=1):
         return iter_letter_jets(self, K, x, nder)
@@ -140,7 +135,7 @@ def _g_step_jets(sys, jets, nder):
 
 
 def iter_letter_jets(ps, K, x, nder=1):
-    """Yield (k, jets) for k = 1..K, sharing the G-iteration.
+    """Yield psi_k's jets at x for k = 1..K in order, sharing the G-iteration.
 
     The only whole-alphabet jet path: one branch inversion and K
     contraction steps cover the alphabet, and callers that stream the
@@ -149,16 +144,18 @@ def iter_letter_jets(ps, K, x, nder=1):
     _check_letter(ps, K)
     x = np.asarray(x, dtype=float)
     jets = _h_inverse_jets(ps.sys, x, nder)
-    for k in range(1, K + 1):
+    for _ in range(K):
         jets = _g_step_jets(ps.sys, jets, nder)
-        yield k, jets
+        yield jets
 
 
 def stack_letter_jets(ifs, K, x, nder=1):
     """The jets of letters 1..K at the points x from one letter_jets pass,
     stacked: item j is the (K, len(x)) table of every letter's j-th jet."""
-    out = np.empty((nder + 1, K, len(x)))
-    for a, (_, jets) in enumerate(ifs.letter_jets(K, x, nder)):
+    # an array per table: freeing a 3-d stack over 32 MB (a depth-4 Moran
+    # walk's) leaves glibc's mmap threshold low, so temporaries page-fault
+    out = tuple(np.empty((K, len(x))) for _ in range(nder + 1))
+    for a, jets in enumerate(ifs.letter_jets(K, x, nder)):
         for table, jet in zip(out, jets):
             table[a] = jet
     return out
@@ -166,7 +163,7 @@ def stack_letter_jets(ifs, K, x, nder=1):
 
 def _psi_jets(ps, k, x, nder):
     """Jets of the single letter psi_k: the k-th item of iter_letter_jets."""
-    for _, jets in iter_letter_jets(ps, k, x, nder):
+    for jets in iter_letter_jets(ps, k, x, nder):
         pass
     return jets
 
@@ -273,12 +270,12 @@ def build_presentation(sys, j_margin=0.2):
                             k_verify=k_verify, tail_levels=None)
     x = np.concatenate([np.linspace(*I, _CERT_NX), np.linspace(*I, _TAIL_NX)])
     jets = stack_letter_jets(ps, Kmax, x)
-    val, der = jets[..., :_CERT_NX]
+    val, der = (jet[:, :_CERT_NX] for jet in jets)
     worst = _contraction_ratio(J, x[:_CERT_NX], val, der).max()  # NaN kept
     if not worst < 1.0:
         raise NoContraction(
             f"lambda_rho = {worst:.6g} >= 1 at J margin {j_margin}")
-    levels = np.max(np.abs(jets[1, :, _CERT_NX:]), axis=1)
+    levels = np.max(np.abs(jets[1][:, _CERT_NX:]), axis=1)
     levels.flags.writeable = False
     return replace(ps, lambda_rho=float(worst), tail_levels=levels)
 
@@ -338,14 +335,3 @@ def tail_bound(ps, K, t):
         )
     return levels[1] * ratio / (1.0 - ratio)
 
-
-def cylinders_csv(ps, path):
-    """Dump the cylinder table with per-letter derivative ranges on the
-    64-point tail grid of I."""
-    header = ["k", "left", "right", "sup_deriv", "min_deriv"]
-    x = np.linspace(*ps.I, _TAIL_NX)
-    der = np.abs(stack_letter_jets(ps, ps.Kmax, x)[1])
-    rows = [dict(zip(header, (k, *ps.cylinders[k - 1], top, low)))
-            for k, top, low in zip(ps.letters(ps.Kmax), der.max(axis=1),
-                                   der.min(axis=1))]
-    return write_csv(path, header, rows)

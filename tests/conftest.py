@@ -47,23 +47,21 @@ class ToyIFS:
     """Two affine maps of ratio 1/3 on [0,1]: the middle-thirds Cantor set.
 
     Implements the duck-typed IFS protocol the dimension engine consumes,
-    with exact zero tail (the alphabet really is finite).
+    and nothing else: interval, Kmax, letter_jets over the first K <= 2
+    maps and an exact zero tail (the alphabet really is finite).
     """
 
     interval = (0.0, 1.0)
     Kmax = 2
 
-    def letters(self, K):
-        return [0, 1]
-
     def letter_jets(self, K, x, nder=1):
         x = np.asarray(x, dtype=float)
-        for letter in self.letters(K):
-            val = x / 3.0 if letter == 0 else x / 3.0 + 2.0 / 3.0
+        for a in range(K):
+            val = x / 3.0 if a == 0 else x / 3.0 + 2.0 / 3.0
             jets = [val, np.full_like(x, 1.0 / 3.0)]
             while len(jets) < nder + 1:
                 jets.append(np.zeros_like(x))
-            yield letter, tuple(jets)
+            yield tuple(jets)
 
     def tail_bound(self, K, t):
         return 0.0

@@ -117,6 +117,7 @@ def test_default_cache_dir(tmp_path, capsys):
     ["dim"],
     ["dim", "--ell", "3"],
     ["dim", "--ells", "2:2:4"],
+    ["dim", "--ells", "2:2:2"],
     ["solve", "--ell", "-2"],
     ["sweep", "--ell", "2"],
     ["sweep", "--ells", "2"],
@@ -141,6 +142,11 @@ def test_default_cache_dir(tmp_path, capsys):
     ["sweep", "--ells", "2:2:4", "--out", "missing/x.csv", "--cache", "c"],
     ["sweep", "--ells", "2:2:4", "--out", ".", "--cache", "c"],
     ["diagnose", "--ells", "2:2:4", "--out", "taken", "--cache", "c"],
+    # a directory argument that cannot be a directory fails before any solve
+    ["diagnose", "--ells", "2:2:4", "--out", "taken/sub", "--cache", "c"],
+    ["dim", "--ell", "2", "--cache", "taken"],
+    ["solve", "--ell", "2", "--cache", "taken/sub"],
+    ["sweep", "--ells", "2:2:4", "--cache", "taken", "--out", "s.csv"],
 ])
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
     (tmp_path / "taken").write_text("")
@@ -150,6 +156,18 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     # nothing was solved: no cache directory, named or default
     assert not (tmp_path / "c").exists()
+    assert not (tmp_path / ".feigdim-cache").exists()
+
+
+def test_cache_env_that_cannot_be_a_directory_exits_1(tmp_path, monkeypatch,
+                                                       capsys):
+    (tmp_path / "taken").write_text("")
+    for cache in ("taken", "taken/sub"):
+        monkeypatch.setenv("FEIGDIM_CACHE", cache)
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--ell", "2"])
+        assert exc.value.code == 1
+        assert f"cache directory '{cache}'" in capsys.readouterr().err
     assert not (tmp_path / ".feigdim-cache").exists()
 
 

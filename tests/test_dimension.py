@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import shutil
@@ -22,6 +23,7 @@ from feigdim.dimension import (
     _OperatorBounds,
     _bowen_root,
     _eigenfunction,
+    _extend_words,
     _fit_adapted_metric,
     _sample_points,
     _word_tables,
@@ -160,15 +162,6 @@ def test_moran_guards(ps2):
         moran_oracle(ps2, n=2, K=70)
     with pytest.raises(DomainError):
         moran_oracle(ps2, n=4, K=40)  # 40^4 words blow the budget
-    with pytest.raises(DomainError):
-        moran_oracle(ps2, n=2, metric="adaptive")
-
-
-def test_moran_euclid_metric_looser_but_valid(ps2, tstar2):
-    br = moran_oracle(ps2, n=3, K=24, metric="euclid")
-    assert br.t_lo <= tstar2 <= br.t_hi
-    assert br.width >= moran_oracle(ps2, n=3, K=24).width
-    assert br.delta_q == 0.0
 
 
 def test_cylinder_measure_is_a_measure(pm2, tstar2):
@@ -185,9 +178,10 @@ def test_cylinder_measure_is_a_measure(pm2, tstar2):
     # appending a letter refines: masses of children sum to the parent
     raw1 = cm1.mu * cm1.raw_mass
     raw2 = cm2.mu * cm2.raw_mass
-    idx = {w: i for i, w in enumerate(cm2.words)}
-    letters = pm2.ifs.letters(pm2.K)
-    for i, w in enumerate(cm1.words):
+    # rows are lexicographic over the letters 1..K
+    letters = range(1, pm2.K + 1)
+    idx = {w: i for i, w in enumerate(itertools.product(letters, repeat=2))}
+    for i, w in enumerate(itertools.product(letters, repeat=1)):
         child_sum = sum(raw2[idx[w + (a,)]] for a in letters)
         assert abs(child_sum - raw1[i]) < 1e-10
     # barycenters sit inside their cylinders, inside I
@@ -323,7 +317,7 @@ def test_adapted_metric_fit_matches_svd_lstsq(ps2):
 
 
 def _metric_samples(ps, xs, K):
-    jets = [jets for _, jets in ps.letter_jets(K, xs, 1)]
+    jets = list(ps.letter_jets(K, xs, 1))
     vals = np.stack([val for val, _ in jets])
     return vals, np.log(np.abs(np.stack([der for _, der in jets])))
 
@@ -369,26 +363,51 @@ def _per_level_word_tables(ifs, K, n, q):
     ld = np.zeros_like(pos)
     for _ in range(n):
         steps = [(val, np.log(np.abs(der)) + qv(val) - qv(pos) + ld)
-                 for _, (val, der) in ifs.letter_jets(K, pos, 1)]
+                 for val, der in ifs.letter_jets(K, pos, 1)]
         pos = np.concatenate([val for val, _ in steps])
         ld = np.concatenate([step for _, step in steps])
     return ld.max(axis=1), ld.min(axis=1)
 
 
-@pytest.mark.parametrize("metric", ["adapted", "euclid"])
-def test_word_tables_add_the_metric_once(metric, ps2, toy):
+def test_word_tables_add_the_metric_once(ps2, toy):
     # q telescopes along a word: added once after the walk, it matches the
     # per-level sums word for word
     for ifs, K, n in ((ps2, 24, 3), (toy, 2, 4)):
         xs = _sample_points(ifs.interval, 9)
         vals, lds = _metric_samples(ifs, xs, K)
-        q = (_fit_adapted_metric(ifs.interval, xs, vals, lds)[0]
-             if metric == "adapted" else np.zeros(1))
-        sup, inf, _, _ = _word_tables(ifs, K, n, metric)
+        q = _fit_adapted_metric(ifs.interval, xs, vals, lds)[0]
+        sup, inf, _, _ = _word_tables(ifs, K, n)
         want_sup, want_inf = _per_level_word_tables(ifs, K, n, q)
         assert sup.shape == want_sup.shape == (K ** n,)
         assert np.max(np.abs(sup - want_sup)) <= 1e-13
         assert np.max(np.abs(inf - want_inf)) <= 1e-13
+
+
+def _per_letter_extend_words(ifs, K, pos, logd):
+    """_extend_words filled one letter's block of rows at a time: the
+    reference for the stacked fill."""
+    nw = pos.shape[0]
+    new_pos = np.empty((K * nw, pos.shape[1]))
+    new_logd = np.empty_like(new_pos)
+    for a, (val, der) in enumerate(ifs.letter_jets(K, pos, 1)):
+        block = slice(a * nw, (a + 1) * nw)
+        new_pos[block] = val
+        np.add(np.log(np.abs(der)), logd, out=new_logd[block])
+    return new_pos, new_logd
+
+
+@pytest.mark.parametrize("ell", [2, 20])
+def test_word_walk_matches_a_per_letter_loop(ell):
+    # the Moran walk's alphabet (K = 24) from the empty word to depth 3
+    ps = build_presentation(build_system(solve_ell(ell)))
+    xs = _sample_points(ps.interval, 9)[None, :]
+    got = want = (xs, np.zeros_like(xs))
+    for depth in (1, 2, 3):
+        got = _extend_words(ps, 24, *got)
+        want = _per_letter_extend_words(ps, 24, *want)
+        for table, ref in zip(got, want):
+            assert table.shape == (24 ** depth, 9)
+            assert np.array_equal(table, ref)
 
 
 def test_moran_bracket_of_the_toy_is_exact(toy):
@@ -401,14 +420,15 @@ def test_moran_bracket_of_the_toy_is_exact(toy):
 def _conformality_by_word_index(pm, t_star, depth):
     """conformality_residual as a dict from words to rows, tuple by tuple."""
     fine = cylinder_measure(pm, t_star, depth)
-    letters = pm.ifs.letters(pm.K)
-    na = len(letters)
-    index = {w: n for n, w in enumerate(fine.words)}
-    prefixes = [w[1:] for w in fine.words[: na ** (depth - 1)]]
+    letters = range(1, pm.K + 1)
+    words = list(itertools.product(letters, repeat=depth))
+    index = {w: n for n, w in enumerate(words)}
+    prefixes = [w[1:] for w in words[: pm.K ** (depth - 1)]]
     idx_app = np.array([[index[u + (j,)] for j in letters] for u in prefixes])
     raw = fine.mu * fine.raw_mass
     worst = 0.0
-    for i, (_, d1, d2, d3) in pm.ifs.letter_jets(pm.K, fine.xbar, 3):
+    for i, (_, d1, d2, d3) in zip(letters,
+                                  pm.ifs.letter_jets(pm.K, fine.xbar, 3)):
         F = np.abs(d1) ** t_star
         F2 = F * t_star * ((t_star - 1.0) * (d2 / d1) ** 2 + d3 / d1)
         term = (F + 0.5 * F2 * fine.m2) * raw
@@ -485,7 +505,7 @@ def _per_letter_bracket_tables(ifs, K, h):
     x = np.linspace(*ifs.interval, _BRACKET_NX)
     hx, _ = h(x)
     logd, hv, curv, slope = [], [], [], []
-    for _, (val, d1, d2) in ifs.letter_jets(K, x, 2):
+    for val, d1, d2 in ifs.letter_jets(K, x, 2):
         hval, dhval = h(val)
         logd.append(np.log(np.abs(d1)))
         hv.append(hval / hx)
@@ -529,13 +549,10 @@ class _UndecayedTail:
     """A presentation whose tail levels never decay: tail_bound raises."""
 
     def __init__(self, ps):
-        self.ps, self.interval, self.Kmax = ps, ps.interval, ps.Kmax
-
-    def letters(self, K):
-        return self.ps.letters(K)
+        self._ps, self.interval, self.Kmax = ps, ps.interval, ps.Kmax
 
     def letter_jets(self, K, x, nder=1):
-        return self.ps.letter_jets(K, x, nder)
+        return self._ps.letter_jets(K, x, nder)
 
     def tail_bound(self, K, t):
         raise RatioNotContracting(f"levels not decaying at K={K}")
@@ -546,6 +563,15 @@ class _FatTail(_UndecayedTail):
 
     def tail_bound(self, K, t):
         return 1.0
+
+
+def test_fakes_carry_only_the_protocol(toy, ps2):
+    # the engine reads interval, Kmax, letter_jets and tail_bound; the fakes
+    # that stand in for a presentation offer nothing else
+    protocol = {"interval", "Kmax", "letter_jets", "tail_bound"}
+    for fake in (toy, _UndecayedTail(ps2)):
+        assert {m for m in dir(fake) if not m.startswith("_")} == protocol
+    assert [len(list(toy.letter_jets(K, [0.5]))) for K in (1, 2)] == [1, 2]
 
 
 def test_fat_tail_exhausts_the_alphabet_before_raising(ps2):
@@ -589,17 +615,18 @@ def test_certified_row_walks_the_alphabet_once_per_grid(monkeypatch):
     sys = build_system(solve_ell(20))
     kmax = build_presentation(sys).Kmax
     stream = feigdim.presentation.iter_letter_jets
-    yielded = []
+    yielded = 0
 
     def counting(ps, K, x, nder=1):
-        for item in stream(ps, K, x, nder):
-            yielded.append(item[0])
-            yield item
+        nonlocal yielded
+        for jets in stream(ps, K, x, nder):
+            yielded += 1
+            yield jets
 
     monkeypatch.setattr(feigdim.presentation, "iter_letter_jets", counting)
     res = hausdorff_dimension(sys)
     assert res.K == 209
-    assert len(yielded) <= kmax + 2 * res.K
+    assert yielded <= kmax + 2 * res.K
 
 
 def test_grown_model_equals_a_fresh_one(monkeypatch, toy):

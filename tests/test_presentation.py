@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from feigdim.presentation import (
     build_presentation,
     contraction_certificate,
     cylinder_of_word,
-    cylinders_csv,
     iter_letter_jets,
     psi,
     tail_bound,
@@ -49,9 +46,16 @@ def test_interval_endpoints(ps2):
 
 
 def test_letters_order_and_length(ps2):
-    letters = ps2.letters(7)
-    assert letters == list(range(1, 8))
-    assert len(ps2.letters(ps2.Kmax)) == ps2.Kmax
+    # the stream yields one jet tuple per letter, letters 1..K in order:
+    # the k-th tuple is psi_k's
+    x = np.linspace(*ps2.interval, 5)
+    for deriv in (0, 1):
+        stream = list(iter_letter_jets(ps2, 7, x, deriv))
+        assert len(stream) == 7
+        for k, jets in enumerate(stream, 1):
+            assert len(jets) == deriv + 1
+            assert np.array_equal(jets[deriv], psi(ps2, k, x, deriv))
+    assert len(list(iter_letter_jets(ps2, ps2.Kmax, x, 0))) == ps2.Kmax
 
 
 def test_cylinder_endpoints_match_orbit(ps2):
@@ -98,7 +102,7 @@ def test_psi_derivative_vs_finite_differences(ps2):
 
 def test_letter_jets_method_matches_psi(ps2):
     x = np.array([0.6, 0.8, 0.97])
-    val, der = dict(ps2.letter_jets(3, x, nder=1))[2]
+    val, der = list(ps2.letter_jets(3, x, nder=1))[1]
     assert np.allclose(val, psi(ps2, 2, x))
     assert np.allclose(der, psi(ps2, 2, x, deriv=1))
 
@@ -118,7 +122,6 @@ def test_psi_rejects_x_outside_I(ps2):
 _LETTER_CALLS = {
     "psi": lambda ps, k: psi(ps, k, 0.7),
     "word_map": lambda ps, k: word_map(ps, [1, k], 0.7),
-    "letters": lambda ps, k: ps.letters(k),
 }
 
 
@@ -134,9 +137,9 @@ def test_psi_is_the_kth_item_of_the_jet_stream(ell):
     ps = build_presentation(build_system(solve_ell(ell)))
     x = np.linspace(*ps.interval, 9)
     for deriv in (0, 1):
-        stream = dict(iter_letter_jets(ps, ps.Kmax, x, deriv))
+        stream = list(iter_letter_jets(ps, ps.Kmax, x, deriv))
         for k in (1, 7, ps.Kmax):
-            assert np.array_equal(psi(ps, k, x, deriv), stream[k][deriv])
+            assert np.array_equal(psi(ps, k, x, deriv), stream[k - 1][deriv])
 
 
 def test_word_map_composition(ps2):
@@ -212,8 +215,8 @@ def test_tail_bound_guards(ps2):
 def test_letter_jets_match_psi(ps2):
     x = np.linspace(*ps2.interval, 9)
     stream = list(iter_letter_jets(ps2, 5, x, nder=1))
-    assert [letter for letter, _ in stream] == ps2.letters(5)
-    for k, (val, der) in stream:
+    assert len(stream) == 5
+    for k, (val, der) in enumerate(stream, 1):
         assert np.allclose(val, psi(ps2, k, x), atol=1e-13)
         assert np.allclose(der, psi(ps2, k, x, deriv=1), atol=1e-13)
 
@@ -238,25 +241,12 @@ def test_certificate_matches_a_per_letter_loop(ell):
     x = np.concatenate([np.linspace(*ps.I, 200), np.linspace(*ps.I, 64)])
     rho_x = _rho_density(ps.J, x[:200])
     worst, levels = 0.0, np.empty(ps.Kmax)
-    for k, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
+    for k, (val, der) in enumerate(iter_letter_jets(ps, ps.Kmax, x), 1):
         ratio = np.abs(der[:200]) * _rho_density(ps.J, val[:200]) / rho_x
         worst = np.maximum(worst, ratio.max())
         levels[k - 1] = np.max(np.abs(der[200:]))
     assert ps.lambda_rho == float(worst)
     assert np.array_equal(ps.tail_levels, levels)
-
-
-def test_cylinders_csv_round_trip(ps2, tmp_path):
-    path = str(tmp_path / "cyl.csv")
-    cylinders_csv(ps2, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["k", "left", "right", "sup_deriv", "min_deriv"]
-    assert [int(row["k"]) for row in rows] == ps2.letters(ps2.Kmax)
-    cylinders = [[float(row["left"]), float(row["right"])] for row in rows]
-    assert np.array_equal(cylinders, ps2.cylinders)
-    for row in rows:
-        assert float(row["sup_deriv"]) >= float(row["min_deriv"]) > 0.0
 
 
 def test_tail_levels_match_psi_jets(ps2):
@@ -322,7 +312,7 @@ def test_letter_stream_matches_steps_on_E(ell):
     ps = build_presentation(build_system(solve_ell(ell)))
     x = np.linspace(*ps.interval, 64)
     ref = letter_stream_on_E(ps, ps.Kmax, x)
-    for k, (val, der) in iter_letter_jets(ps, ps.Kmax, x):
+    for k, (val, der) in enumerate(iter_letter_jets(ps, ps.Kmax, x), 1):
         want_val, want_der = ref[k - 1]
         assert float(np.max(np.abs(val - want_val))) <= 1e-13
         assert float(np.max(np.abs(der / want_der - 1.0))) <= 4e-12
