@@ -19,8 +19,11 @@ least-squares coboundary q (shifted-Chebyshev coefficients on I) flattens
 the per-branch derivative variation, which shrinks the sup/inf gap by more
 than an order of magnitude while every bound stays a bound (the dimension
 and the bracket property are metric-independent). The Moran tables and
-the conformal cylinder measure share one word walk (_extend_words) of
-phi_w x and log|Dphi_w x|; q telescopes, so it is added after the walk.
+the conformal cylinder measure share one word walk of phi_w x and
+log|Dphi_w x|: _extend_words tables every level but the last, which
+_letter_blocks streams one letter's words at a time, each block reduced
+to its per-word results at once, so no table has K^n word rows; q
+telescopes, so it is added after the walk.
 
 Every root in t (the Bowen root, the bracket's crossings, the Moran roots)
 is located by Brent's method (roots.brentq) on a sign-changing bracket.
@@ -385,6 +388,21 @@ def _extend_words(ifs, K, pos, logd):
     return val.reshape(K * nw, ns), new_logd.reshape(K * nw, ns)
 
 
+def _letter_blocks(ifs, K, pos, logd):
+    """_extend_words(ifs, K, pos, logd) one letter at a time, same bits.
+
+    Yields letter a's block of len(pos) words, rows a * len(pos) ...
+    (a + 1) * len(pos) of the tables _extend_words returns, so that a walk's
+    last level is reduced per letter and never held whole. The jets are
+    read, never written: the stream steps from them to the next letter.
+    """
+    nw, ns = pos.shape
+    for val, der in ifs.letter_jets(K, pos.ravel()):
+        new_logd = np.log(np.abs(der)).reshape(nw, ns)
+        new_logd += logd
+        yield val.reshape(nw, ns), new_logd
+
+
 def _word_tables(ifs, K, n):
     """Per-word sup/inf of the adapted-metric log derivative at depth n.
 
@@ -392,8 +410,9 @@ def _word_tables(ifs, K, n):
     log|Dphi_w(x)| at the sample points. In the metric exp(q) the log
     derivative is log|Dphi_w(x)| + q(phi_w x) - q(x), since q telescopes
     along the word, so q, fitted on the depth-1 tables, is added once,
-    after the walk. Returns the depth-n sup and inf, the depth-1 sup, and
-    delta_q.
+    after the walk. The last level streams letter by letter
+    (_letter_blocks), each block reduced to its words' sup and inf at once.
+    Returns the depth-n sup and inf, the depth-1 sup, and delta_q.
     """
     if K ** n > _WORD_BUDGET:
         raise DomainError(f"{K}^{n} words exceed the {_WORD_BUDGET} budget")
@@ -401,16 +420,22 @@ def _word_tables(ifs, K, n):
     xs = _sample_points(ifs.interval, _MORAN_NSAMP)
     vals, lds = _extend_words(ifs, K, xs[None, :], np.zeros((1, xs.size)))
     q, delta_q = _fit_adapted_metric(ifs.interval, xs, vals, lds)
-    pos, logd = vals, lds.copy()   # logd takes q in place below
-    for _ in range(n - 1):
-        pos, logd = _extend_words(ifs, K, pos, logd)
     qx = eval01(q, (xs - lo) / (hi - lo))
-    nw = len(pos) // K
-    for a in range(K):      # a letter's rows at a time: no third full table
-        rows = slice(a * nw, (a + 1) * nw)
-        logd[rows] += eval01(q, (pos[rows] - lo) / (hi - lo)) - qx
     ld1 = eval01(q, (vals - lo) / (hi - lo)) - qx + lds
-    return logd.max(axis=1), logd.min(axis=1), ld1.max(axis=1), delta_q
+    s1_sup = ld1.max(axis=1)
+    if n == 1:
+        return s1_sup, ld1.min(axis=1), s1_sup, delta_q
+    pos, logd = vals, lds
+    for _ in range(n - 2):
+        pos, logd = _extend_words(ifs, K, pos, logd)
+    nw = len(pos)
+    sup, inf = np.empty(K * nw), np.empty(K * nw)
+    for a, (val, ld) in enumerate(_letter_blocks(ifs, K, pos, logd)):
+        ld += eval01(q, (val - lo) / (hi - lo)) - qx
+        rows = slice(a * nw, (a + 1) * nw)
+        ld.max(axis=1, out=sup[rows])
+        ld.min(axis=1, out=inf[rows])
+    return sup, inf, s1_sup, delta_q
 
 
 @dataclass(frozen=True)
@@ -429,16 +454,23 @@ class MoranBracket:
         return self.t_hi - self.t_lo
 
 
-def _logsumexp(a):
+def _logsumexp(a, out=None):
     """log sum exp(a) over a 1-d array, as scipy.special.logsumexp rounds.
 
     The m entries equal to the maximum are counted apart from the rest:
-    log1p(sum of the rest's exp(a - a_max) / m) + log m + a_max.
+    log1p(sum of the rest's exp(a - a_max) / m) + log m + a_max. out, a
+    buffer of a's shape (a itself too), holds the terms instead of fresh
+    temporaries.
     """
     a_max = a.max()
     top = a == a_max
     m = np.count_nonzero(top)
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
+    if out is None:
+        out = np.empty_like(a)
+    np.copyto(out, a)
+    out[top] = -np.inf
+    out -= a_max
+    s = np.exp(out, out=out).sum() / m
     return float(np.log1p(s) + np.log(m) + a_max)
 
 
@@ -474,12 +506,13 @@ def moran_oracle(ifs, n, K=None):
     if K > 64:
         raise DomainError(f"K = {K} exceeds the budget 64")
     s_sup, s_inf, s1_sup, delta_q = _word_tables(ifs, K, n)
+    buf = np.empty_like(s_sup)      # the scan's terms, one table for all t
 
     def p_inf(t):
-        return _logsumexp(t * s_inf)
+        return _logsumexp(np.multiply(t, s_inf, out=buf), out=buf)
 
     def p_sup(t):
-        base = _logsumexp(t * s_sup)
+        base = _logsumexp(np.multiply(t, s_sup, out=buf), out=buf)
         tail = ifs.tail_bound(K, t) * np.exp(t * delta_q)
         if tail == 0.0:
             return base
@@ -543,20 +576,28 @@ def cylinder_measure(pm, t_star, depth=3):
     if Z <= 0.0:
         raise EigenvectorSignFailure("left functional has non-positive mass")
 
+    # the last level's blocks of words: the model's own rows at depth 1,
+    # else one letter's words at a time, so no (K^depth, Nc) table is built
     pos, logd = pm.imgs, np.log(pm.ders)
-    for _ in range(depth - 1):
-        pos, logd = _extend_words(pm.ifs, pm.K, pos, logd)
-
-    logd *= t_star      # in place: a temporary table here would raise peak RSS
-    core = np.exp(logd)
-    weight = core @ nu
+    blocks = [(pos, logd)]
+    if depth > 1:
+        for _ in range(depth - 2):
+            pos, logd = _extend_words(pm.ifs, pm.K, pos, logd)
+        blocks = _letter_blocks(pm.ifs, pm.K, pos, logd)
+    weight, xbar, m2 = (np.empty(pm.K ** depth) for _ in range(3))
+    for a, (val, ld) in enumerate(blocks):
+        rows = slice(a * len(val), (a + 1) * len(val))
+        ld *= t_star
+        core = np.exp(ld, out=ld)
+        weight[rows] = core @ nu
+        xbar[rows] = (core * val) @ nu / weight[rows]
+        m2[rows] = ((core * (val - xbar[rows, None]) ** 2) @ nu
+                    / weight[rows])
     raw = weight / (Z * lam ** depth)
     raw_mass = float(raw.sum())
     if np.any(raw <= 0.0):
         raise EigenvectorSignFailure("non-positive cylinder weight")
     mu = raw / raw_mass
-    xbar = (core * pos) @ nu / weight
-    m2 = (core * (pos - xbar[:, None]) ** 2) @ nu / weight
     return CylinderMeasure(mu, xbar, m2, lam, raw_mass)
 
 

@@ -73,26 +73,40 @@ def _check_letter(ps, k):
         raise IndexOutOfAlphabet(f"{k} is not a letter of 1..{ps.Kmax}")
 
 
+def _bisection_grid(sys):
+    """The 2^_NBIS + 1 points that _NBIS bisection steps on
+    [-_W_PAD, 1 + _W_PAD] can reach, each an exact dyadic, and e on them.
+
+    Step by step, bisection keeps a when e(mid) > target, so it ends in the
+    cell [grid[j - 1], grid[j]] whose j counts the grid points with
+    e > target, clipped to 1..2^_NBIS: a lookup in the strictly decreasing
+    table gives that cell bit for bit.
+    """
+    n = 2 ** _NBIS
+    grid = -_W_PAD + np.arange(n + 1) * ((1.0 + 2.0 * _W_PAD) / n)
+    eg = cheb.eval01(sys.g_tables[0][:, 0], grid)
+    if not np.all(np.diff(eg) < 0.0):
+        raise InvariantViolation(
+            "G's series e is not strictly decreasing on the bisection grid")
+    return grid, eg
+
+
 def _solve_e_decreasing(sys, targets):
     """Solve e(w) = target on G's series, decreasing and positive on
     [-_W_PAD, 1 + _W_PAD]: the pad holds the roots for all of I widened by
     _X_SLACK (within 1e-8 of [0, 1]), so no x psi accepts is clipped.
 
-    A few bisection steps shrink that to a bracket [a, b] of the root, then
-    Newton polishes the midpoint, each iterate clipped to [a, b].
+    The bracket [a, b] of the root is the cell of _bisection_grid that
+    _NBIS bisection steps would reach, found by one lookup; Newton polishes
+    the midpoint, each iterate clipped to [a, b].
     """
-    values, jets = sys.g_tables[0][:, 0], sys.g_tables[1]
     targets = np.asarray(targets, dtype=float)
-    a = np.full(targets.shape, -_W_PAD)
-    b = np.full(targets.shape, 1.0 + _W_PAD)
-    for _ in range(_NBIS):
-        mid = 0.5 * (a + b)
-        high = cheb.eval01(values, mid) > targets
-        a = np.where(high, mid, a)
-        b = np.where(high, b, mid)
+    grid, eg = _bisection_grid(sys)
+    cell = np.clip(np.searchsorted(-eg, -targets, side="left"), 1, len(eg) - 1)
+    a, b = grid[cell - 1], grid[cell]
     w = 0.5 * (a + b)
     for _ in range(_NNEWT):
-        e, e1 = cheb.eval01(jets, w)
+        e, e1 = cheb.eval01(sys.g_tables[1], w)
         w = np.clip(w - (e - targets) / e1, a, b)
     return w
 
@@ -114,8 +128,9 @@ def _h_inverse_jets(sys, x, nder):
         h2 = tau ** 2 * jets[2]
         out.append(-h2 * out[1] ** 3)
     if nder >= 3:
-        h3 = tau ** 3 * jets[3]
-        out.append((3.0 * h2 ** 2 - h1 * h3) * out[1] ** 5)
+        h3 = tau * tau * tau * jets[3]
+        sq = out[1] * out[1]
+        out.append((3.0 * h2 ** 2 - h1 * h3) * (sq * sq * out[1]))
     return tuple(out)
 
 
@@ -127,9 +142,10 @@ def _g_step_jets(sys, jets, nder):
     if nder >= 1:
         out.append(g[1] * jets[1])
     if nder >= 2:
-        out.append(g[2] * jets[1] ** 2 + g[1] * jets[2])
+        sq = jets[1] ** 2
+        out.append(g[2] * sq + g[1] * jets[2])
     if nder >= 3:
-        out.append(g[3] * jets[1] ** 3 + 3.0 * g[2] * jets[1] * jets[2]
+        out.append(g[3] * (sq * jets[1]) + 3.0 * g[2] * jets[1] * jets[2]
                    + g[1] * jets[3])
     return tuple(out)
 
@@ -152,8 +168,8 @@ def iter_letter_jets(ps, K, x, nder=1):
 def stack_letter_jets(ifs, K, x, nder=1):
     """The jets of letters 1..K at the points x from one letter_jets pass,
     stacked: item j is the (K, len(x)) table of every letter's j-th jet."""
-    # an array per table: freeing a 3-d stack over 32 MB (a depth-4 Moran
-    # walk's) leaves glibc's mmap threshold low, so temporaries page-fault
+    # an array per table: callers take the tables apart and reuse each in
+    # place; the word walks stream their last level instead of stacking it
     out = tuple(np.empty((K, len(x))) for _ in range(nder + 1))
     for a, jets in enumerate(ifs.letter_jets(K, x, nder)):
         for table, jet in zip(out, jets):

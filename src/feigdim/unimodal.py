@@ -81,7 +81,7 @@ def _power_jets(ej, ell):
     if order >= 3:
         e3 = ej[3]
         c3 = ell * (ell - 1) * (ell - 2)
-        lead = c3 * e ** (ell - 3) * e1 ** 3 if c3 else 0.0
+        lead = c3 * e ** (ell - 3) * (e1 * e1 * e1) if c3 else 0.0
         out.append(lead + 3 * ell * (ell - 1) * e ** (ell - 2) * e1 * e2
                    + ell * e ** (ell - 1) * e3)
     return out
@@ -125,7 +125,7 @@ def jet_compose(outer, inner):
     g1, g2, g3 = inner
     return (f1 * g1,
             f1 * g2 + f2 * g1 ** 2,
-            f1 * g3 + 2 * f2 * g1 * g2 + f3 * g1 ** 3)
+            f1 * g3 + 2 * f2 * g1 * g2 + f3 * (g1 * g1 * g1))
 
 
 def build_system(fp):

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,8 @@ from feigdim.dimension import (
     _eigenfunction,
     _extend_words,
     _fit_adapted_metric,
+    _leading_pair_both,
+    _logsumexp,
     _sample_points,
     _word_tables,
 )
@@ -408,6 +411,96 @@ def test_word_walk_matches_a_per_letter_loop(ell):
         for table, ref in zip(got, want):
             assert table.shape == (24 ** depth, 9)
             assert np.array_equal(table, ref)
+
+
+def _full_word_tables(ifs, K, n):
+    """_word_tables with every level's (K^level, 9) tables built whole by
+    _extend_words and q added one letter's rows at a time: the reference
+    for the streamed last level."""
+    lo, hi = ifs.interval
+    xs = _sample_points(ifs.interval, 9)
+    vals, lds = _extend_words(ifs, K, xs[None, :], np.zeros((1, xs.size)))
+    q = _fit_adapted_metric(ifs.interval, xs, vals, lds)[0]
+    pos, logd = vals, lds.copy()
+    for _ in range(n - 1):
+        pos, logd = _extend_words(ifs, K, pos, logd)
+    qx = eval01(q, (xs - lo) / (hi - lo))
+    nw = len(pos) // K
+    for a in range(K):
+        rows = slice(a * nw, (a + 1) * nw)
+        logd[rows] += eval01(q, (pos[rows] - lo) / (hi - lo)) - qx
+    ld1 = eval01(q, (vals - lo) / (hi - lo)) - qx + lds
+    return logd.max(axis=1), logd.min(axis=1), ld1.max(axis=1)
+
+
+@pytest.mark.parametrize("ell", [2, 20])
+def test_streamed_word_tables_match_the_full_tables(ell):
+    ps = build_presentation(build_system(solve_ell(ell)))
+    for n in (1, 2, 4):
+        got = _word_tables(ps, 24, n)[:3]
+        want = _full_word_tables(ps, 24, n)
+        for table, ref in zip(got, want):
+            assert table.shape == ref.shape
+            assert np.array_equal(table, ref)
+
+
+def _full_cylinder_measure(pm, t_star, depth):
+    """cylinder_measure on the whole (K^depth, Nc) tables of _extend_words:
+    the reference for the per-letter last level."""
+    lam, _, nu = _leading_pair_both(pm, t_star)
+    Z = float(nu.sum())
+    pos, logd = pm.imgs, np.log(pm.ders)
+    for _ in range(depth - 1):
+        pos, logd = _extend_words(pm.ifs, pm.K, pos, logd)
+    core = np.exp(logd * t_star)
+    weight = core @ nu
+    raw = weight / (Z * lam ** depth)
+    raw_mass = float(raw.sum())
+    xbar = (core * pos) @ nu / weight
+    m2 = (core * (pos - xbar[:, None]) ** 2) @ nu / weight
+    return raw / raw_mass, xbar, m2, lam, raw_mass
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_streamed_cylinder_measure_matches_the_full_tables(pm2, tstar2,
+                                                           depth):
+    cm = cylinder_measure(pm2, tstar2, depth)
+    want = _full_cylinder_measure(pm2, tstar2, depth)
+    for got, ref in zip((cm.mu, cm.xbar, cm.m2, cm.lam, cm.raw_mass), want):
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref)
+
+
+def test_logsumexp_in_a_buffer_matches_fresh_temporaries():
+    rng = np.random.default_rng(7)
+    for a in (rng.normal(size=1000) * 40.0, np.array([3.0, -1.0, 3.0, 2.5]),
+              np.array([-np.inf, 0.5, 0.5]), np.array([1.5])):
+        want = _logsumexp(a)
+        keep = a.copy()
+        assert _logsumexp(a, out=np.empty_like(a)) == want
+        assert np.array_equal(a, keep)
+        assert _logsumexp(a, out=a) == want     # a buffer may be a itself
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_depth_4_moran_bracket_stays_in_bounded_memory():
+    # the whole depth-4 tables, 24^4 words x 9 samples, are 24 MB each;
+    # the streamed last level keeps the peak under one of them
+    ps20 = build_presentation(build_system(solve_ell(20)))
+    assert _traced_peak_mb(moran_oracle, ps20, 4) <= 24.0
+
+
+def test_depth_3_conformality_check_stays_in_bounded_memory(pm2, tstar2):
+    # 40^3 cylinders on 32 nodes: each whole table would be 16 MB
+    assert _traced_peak_mb(conformality_residual, pm2, tstar2, 3) <= 24.0
 
 
 def test_moran_bracket_of_the_toy_is_exact(toy):

@@ -1,9 +1,14 @@
+import ast
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from feigdim.cheb import eval01
 from feigdim.errors import (
     DomainError,
     IndexOutOfAlphabet,
+    InvariantViolation,
     NoContraction,
     RatioNotContracting,
 )
@@ -288,6 +293,72 @@ def test_bracketed_newton_matches_bisection(ell):
     assert np.all((z >= lo - 2e-15) & (z <= hi + 2e-15))
     assert float(np.max(np.abs(z - ref))) <= 2e-15
     assert float(np.max(np.abs(fp.E(z) - targets))) <= 2e-15
+
+
+def _bisected_newton(sys, targets):
+    """_solve_e_decreasing's bracket by 8 bisection steps on
+    [-2^-10, 1 + 2^-10], then its 4 clipped Newton steps: the reference
+    for the one-lookup bracket."""
+    values, jets = sys.g_tables[0][:, 0], sys.g_tables[1]
+    a = np.full(targets.shape, -2.0 ** -10)
+    b = np.full(targets.shape, 1.0 + 2.0 ** -10)
+    for _ in range(8):
+        mid = 0.5 * (a + b)
+        high = eval01(values, mid) > targets
+        a = np.where(high, mid, a)
+        b = np.where(high, b, mid)
+    w = 0.5 * (a + b)
+    for _ in range(4):
+        e, e1 = eval01(jets, w)
+        w = np.clip(w - (e - targets) / e1, a, b)
+    return w
+
+
+@pytest.mark.parametrize("ell", range(2, 23, 2))
+def test_lookup_bracket_matches_eight_bisection_steps(ell):
+    # every x psi accepts, the ends of I widened by 1e-9, e at every point
+    # the bisection can reach (ties, where e(mid) > target decides), and
+    # targets past both ends of e's range
+    ps = build_presentation(build_system(solve_ell(ell)))
+    lo, hi = ps.interval
+    x = np.concatenate([np.linspace(lo - 1e-9, hi + 1e-9, 20001),
+                        [lo - 1e-9, lo, hi, hi + 1e-9]])
+    pad = 2.0 ** -10
+    grid = -pad + np.arange(257) * ((1.0 + 2.0 * pad) / 256)
+    eg = eval01(ps.sys.g_tables[0][:, 0], grid)
+    targets = np.concatenate([x ** (1.0 / ell), eg, [eg[0] + 1.0, -1.0]])
+    assert np.array_equal(_solve_e_decreasing(ps.sys, targets),
+                          _bisected_newton(ps.sys, targets))
+
+
+def test_lookup_bracket_needs_a_decreasing_series(sys2):
+    flat = np.zeros_like(sys2.g_tables[0])
+    bad = replace(sys2, g_tables=(flat,) + sys2.g_tables[1:])
+    with pytest.raises(InvariantViolation):
+        _solve_e_decreasing(bad, np.array([0.5]))
+
+
+def _odd_literal_powers(path):
+    """Source of every x ** n in a module, n an odd integer literal >= 3."""
+    src = open(path).read()
+    return [ast.get_source_segment(src, node)
+            for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant)
+            and type(node.right.value) is int
+            and node.right.value >= 3 and node.right.value % 2]
+
+
+def test_jets_take_odd_powers_by_products():
+    # numpy's x ** 3 calls libm pow, which takes 9.3 ms on 64,000 negative
+    # floats against 0.08 ms for x * x * x (numpy 2.4.6, glibc 2.36), and
+    # derivatives alternate in sign along the letter stream. The one power
+    # kept is H^-1's second-order jet, whose bits the operator bracket of
+    # every certified row reads.
+    import feigdim.presentation as presentation
+    import feigdim.unimodal as unimodal
+    assert _odd_literal_powers(presentation.__file__) == ["out[1] ** 3"]
+    assert _odd_literal_powers(unimodal.__file__) == []
 
 
 @pytest.mark.parametrize("ell", [2, 8, 20])
