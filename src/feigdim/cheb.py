@@ -6,9 +6,10 @@ this module imports numpy.polynomial. eval01 evaluates one series or a
 stack of them as numpy's chebval(2u - 1, coeffs), through one loop over
 _BLOCK points (see its docstring). clenshaw is numpy's Clenshaw loop on a
 plain list, for a scalar E on the map's own coefficient lists
-(fixedpoint.FixedPointMap). restrict01 re-expands a series on [0, r] over
-[0,1] (G's short series). The other basis operations are
-numpy.polynomial.chebyshev's.
+(fixedpoint.FixedPointMap). restrict01 re-expands a series or a stack on
+any [a, b] over [0,1] and chop cuts it to the head that matters to 2^-52:
+G's short series, its levels in the letter stream and q on a Moran block.
+The other basis operations are numpy.polynomial.chebyshev's.
 On the Chebyshev-Gauss grid of any interval, gauss_series gives the
 coefficients of the interpolant through node values; the dimension engine
 reads both its collocation rows and its eigenfunction off it.
@@ -89,25 +90,36 @@ def jet_table(coeffs, order):
     return table
 
 
-def restrict01(coeffs, r):
-    """Shifted-Chebyshev coefficients of u -> p(r u), p the series of
-    coeffs and 0 < r <= 1: numpy's Chebyshev.convert to [0, r], exact up to
-    roundoff, by Clenshaw's recurrence on series (2ru - 1 is r T_1 + r - 1)
-    in a fraction of its milliseconds."""
+def restrict01(coeffs, a, b):
+    """Shifted-Chebyshev coefficients of u -> p(a + (b - a) u), p the series
+    of coeffs (one, or a stack of columns, each on its own a <= b if a and
+    b are arrays): numpy's Chebyshev.convert to [a, b], exact up to
+    roundoff, by Clenshaw's recurrence on series (2(a + (b - a) u) - 1 is
+    (b - a) T_1 + a + b - 1) in a fraction of its milliseconds."""
     c = np.asarray(coeffs, dtype=float)
+    shift, scale = a + b - 1.0, b - a
 
     def times_x(s):     # s's top coefficient is 0, so nothing spills over
-        out = (r - 1.0) * s
-        out[1] += r * s[0]
-        out[2:] += 0.5 * r * s[1:-1]
-        out[:-1] += 0.5 * r * s[1:]
+        out = shift * s
+        out[1:2] += scale * s[0]    # empty for a constant series
+        out[2:] += 0.5 * scale * s[1:-1]
+        out[:-1] += 0.5 * scale * s[1:]
         return out
 
-    b1, b2 = np.zeros(len(c)), np.zeros(len(c))
+    b1, b2 = np.zeros(c.shape), np.zeros(c.shape)
     for ck in c[::-1]:
         b1, b2 = 2.0 * times_x(b1) - b2, b1
         b1[0] += ck
     return b1 - times_x(b2)
+
+
+def chop(coeffs):
+    """A series cut to the shortest head whose dropped tail sums to at most
+    2^-52 of its absolute sum, which bounds the values' error by that share;
+    a stack is cut to its columns' longest head, never below one row."""
+    tails = np.cumsum(np.abs(coeffs[::-1]), axis=0)[::-1]
+    heads = np.sum(tails > 2.0 ** -52 * tails[0], axis=0)
+    return coeffs[:np.max(heads, initial=1)]
 
 
 def vander01(u, degree):

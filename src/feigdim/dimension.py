@@ -23,7 +23,8 @@ the conformal cylinder measure share one word walk of phi_w x and
 log|Dphi_w x|: _extend_words tables every level but the last, which
 _letter_blocks streams one letter's words at a time, each block reduced
 to its per-word results at once, so no table has K^n word rows; q
-telescopes, so it is added after the walk.
+telescopes, so it is added after the walk, on each block re-expanded on
+the span of its positions.
 
 Every root in t (the Bowen root, the bracket's crossings, the Moran roots)
 is located by Brent's method (roots.brentq) on a sign-changing bracket.
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb import cheb_points, eval01, gauss_series, jet_table, vander01
+from .cheb import (cheb_points, chop, eval01, gauss_series, jet_table,
+                   restrict01, vander01)
 from .errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -403,6 +405,18 @@ def _letter_blocks(ifs, K, pos, logd):
         yield val.reshape(nw, ns), new_logd
 
 
+def _q_on_span(q, interval, val):
+    """q at the positions val, re-expanded on their span [v0, v1]: a
+    letter's words fill its cylinder, so deep letters read few terms."""
+    lo, hi = interval
+    v0, v1 = val.min(), val.max()
+    qa = chop(restrict01(q, (v0 - lo) / (hi - lo), (v1 - lo) / (hi - lo)))
+    u = val - v0
+    if v1 > v0:     # else every position is v0, and u = 0 reads q(v0)
+        u /= v1 - v0
+    return eval01(qa, u)
+
+
 def _word_tables(ifs, K, n):
     """Per-word sup/inf of the adapted-metric log derivative at depth n.
 
@@ -411,7 +425,8 @@ def _word_tables(ifs, K, n):
     derivative is log|Dphi_w(x)| + q(phi_w x) - q(x), since q telescopes
     along the word, so q, fitted on the depth-1 tables, is added once,
     after the walk. The last level streams letter by letter
-    (_letter_blocks), each block reduced to its words' sup and inf at once.
+    (_letter_blocks), each block reduced to its words' sup and inf at once,
+    with q read on the span of the block's positions (_q_on_span).
     Returns the depth-n sup and inf, the depth-1 sup, and delta_q.
     """
     if K ** n > _WORD_BUDGET:
@@ -431,7 +446,7 @@ def _word_tables(ifs, K, n):
     nw = len(pos)
     sup, inf = np.empty(K * nw), np.empty(K * nw)
     for a, (val, ld) in enumerate(_letter_blocks(ifs, K, pos, logd)):
-        ld += eval01(q, (val - lo) / (hi - lo)) - qx
+        ld += _q_on_span(q, ifs.interval, val) - qx
         rows = slice(a * nw, (a + 1) * nw)
         ld.max(axis=1, out=sup[rows])
         ld.min(axis=1, out=inf[rows])

@@ -9,9 +9,10 @@ single letter's jets are that stream's k-th item.
 
 The branch H^{-1} maps I onto [0, 1/tau]: a bisection-Newton solve of
 e(w) = x^(1/ell) on G's series e(w) = E(w/tau), with z = w/tau. G^k is k
-explicit contraction steps on the same series, numerically stable for
-every k because the cylinders accumulate at the attracting fixed point
-x_c of G. The alternative composition form
+explicit contraction steps, numerically stable for every k because the
+cylinders accumulate at the attracting fixed point x_c of G; step k reads
+G's series re-expanded on a hull of the cylinders it can reach (g_levels),
+a few terms long for the deep letters. The alternative composition form
 psi_k = H^{-1} o tau^{-k}, well conditioned only for shallow k, is the
 test suite's independent reference (tests/oracles.py).
 """
@@ -28,7 +29,8 @@ from .errors import (
     NoContraction,
     RatioNotContracting,
 )
-from .unimodal import DEFAULT_ORBIT_MAX, _G_jets, critical_orbit, eval_H
+from .unimodal import (DEFAULT_ORBIT_MAX, _G_jets, _power_jets,
+                       critical_orbit, eval_H)
 
 _X_SLACK = 1e-9
 _W_PAD = 2.0 ** -10
@@ -43,6 +45,8 @@ class PresentationSystem:
     """Built presentation IFS with cylinder table and contraction data.
 
     tail_levels[k - 1] is sup |Dpsi_k| on a 64-point grid of I (read-only).
+    g_levels[j] = (a, b, tables): sys.g_tables re-expanded on [a, b], read
+    by step k of the letter stream when j = (k - 1).bit_length().
     """
 
     sys: object
@@ -55,6 +59,7 @@ class PresentationSystem:
     branch_side: np.ndarray
     k_verify: int
     tail_levels: np.ndarray
+    g_levels: tuple
 
     @property
     def interval(self):
@@ -68,8 +73,8 @@ class PresentationSystem:
 
 
 def _check_letter(ps, k):
-    """A letter, or a truncation K, is a depth in 1..Kmax."""
-    if not 1 <= k <= ps.Kmax:
+    """A letter, or a truncation K, is an integer depth in 1..Kmax."""
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= ps.Kmax):
         raise IndexOutOfAlphabet(f"{k} is not a letter of 1..{ps.Kmax}")
 
 
@@ -134,10 +139,13 @@ def _h_inverse_jets(sys, x, nder):
     return tuple(out)
 
 
-def _g_step_jets(sys, jets, nder):
-    """Push jets of a map through one application of G."""
-    y = jets[0]
-    g = _G_jets(sys, y, min(nder, 3))
+def _g_step_jets(ps, k, jets, nder):
+    """Push jets of a map through step k of the letter stream: one
+    application of G, read on that step's level table."""
+    a, b, tables = ps.g_levels[(k - 1).bit_length()]
+    # left unnamed, the series values and their argument are freed first
+    g = _power_jets(
+        cheb.eval01(tables[min(nder, 3)], (jets[0] - a) / (b - a)), ps.sys.ell)
     out = [g[0]]
     if nder >= 1:
         out.append(g[1] * jets[1])
@@ -155,13 +163,20 @@ def iter_letter_jets(ps, K, x, nder=1):
 
     The only whole-alphabet jet path: one branch inversion and K
     contraction steps cover the alphabet, and callers that stream the
-    letters keep memory at a single jet tuple.
+    letters keep memory at a single jet tuple. x outside I widened by
+    _X_SLACK raises DomainError, so step k reads G inside its level: at
+    H^{-1}(x) in the branch lap (where Newton is clipped) for k = 1, else at
+    psi_{k-1}(x), within _X_SLACK of cylinder k - 1 = psi_{k-1}(I) as every
+    letter contracts (tail_levels < 1), so in the widened hull of cylinders
+    c..Kmax, c <= k - 1, up to the roundoff of the scalar cylinder walk.
     """
     _check_letter(ps, K)
     x = np.asarray(x, dtype=float)
+    if not np.all((ps.I[0] - _X_SLACK <= x) & (x <= ps.I[1] + _X_SLACK)):
+        raise DomainError(f"letter argument outside I = {list(ps.I)}")
     jets = _h_inverse_jets(ps.sys, x, nder)
-    for _ in range(K):
-        jets = _g_step_jets(ps.sys, jets, nder)
+    for k in range(1, K + 1):
+        jets = _g_step_jets(ps, k, jets, nder)
         yield jets
 
 
@@ -188,12 +203,8 @@ def psi(ps, k, x, deriv=0):
     """psi_k(x) or its first derivative, x in I."""
     if deriv not in (0, 1):
         raise DomainError(f"deriv must be 0 or 1, got {deriv}")
-    lo, hi = ps.I
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((lo - _X_SLACK <= x_arr) & (x_arr <= hi + _X_SLACK)):
-        raise DomainError(f"psi argument outside I = [{lo}, {hi}]")
-    jets = _psi_jets(ps, k, x_arr, deriv)
-    out = jets[deriv]
+    out = _psi_jets(ps, k, x_arr, deriv)[deriv]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -283,7 +294,8 @@ def build_presentation(sys, j_margin=0.2):
     J = (I[0] - j_margin * width, I[1] + j_margin * width)
     ps = PresentationSystem(sys, I, orbit, Kmax, J, lambda_rho=1.0,
                             cylinders=cylinders, branch_side=sides,
-                            k_verify=k_verify, tail_levels=None)
+                            k_verify=k_verify, tail_levels=None,
+                            g_levels=_g_levels(sys, cylinders))
     x = np.concatenate([np.linspace(*I, _CERT_NX), np.linspace(*I, _TAIL_NX)])
     jets = stack_letter_jets(ps, Kmax, x)
     val, der = (jet[:, :_CERT_NX] for jet in jets)
@@ -294,6 +306,21 @@ def build_presentation(sys, j_margin=0.2):
     levels = np.max(np.abs(jets[1][:, _CERT_NX:]), axis=1)
     levels.flags.writeable = False
     return replace(ps, lambda_rho=float(worst), tail_levels=levels)
+
+
+def _g_levels(sys, cylinders):
+    """G's jet tables (g_levels), all re-expanded by one recurrence, on the
+    branch lap and the hulls of cylinders c..Kmax, c = 1, 2, 4, ... < Kmax,
+    widened by _X_SLACK; cylinder k is about lam~^k as wide as I."""
+    lo, hi = [-_W_PAD / sys.tau], [(1.0 + _W_PAD) / sys.tau]
+    for j in range((len(cylinders) - 1).bit_length()):
+        hull = cylinders[(1 << j) - 1:]
+        lo.append(hull[:, 0].min() - _X_SLACK)
+        hi.append(hull[:, 1].max() + _X_SLACK)
+    table = cheb.restrict01(np.tile(sys.g_tables[3], len(lo)),
+                            np.repeat(lo, 4), np.repeat(hi, 4))
+    return tuple((a, b, tuple(cheb.chop(t[:, :q + 1]) for q in range(4)))
+                 for a, b, t in zip(lo, hi, np.hsplit(table, len(lo))))
 
 
 def _rho_density(J, x):
@@ -341,8 +368,8 @@ def tail_bound(ps, K, t):
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"tail_bound needs finite t > 0, got {t}")
-    if not 2 <= K <= ps.Kmax:
-        raise DomainError(f"tail_bound needs 2 <= K <= Kmax={ps.Kmax}")
+    if not (isinstance(K, (int, np.integer)) and 2 <= K <= ps.Kmax):
+        raise DomainError(f"tail_bound needs integer K in 2..{ps.Kmax}")
     levels = [float(ps.tail_levels[kk - 1]) ** t for kk in (K - 1, K)]
     ratio = 1.1 * levels[1] / levels[0]
     if ratio >= 1.0:

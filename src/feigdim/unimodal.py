@@ -4,7 +4,8 @@ H(x) = |E(x)|^ell on [0,1] (ell even, so H = E^ell with no branch issues),
 tau = |alpha|^ell, and the microscope map G(x) = H(x/tau), which fixes the
 critical point x_c and contracts toward it. G = e^ell runs on its own
 short series e(w) = E(w/tau) on [0, 1], built once per system by
-build_system; H keeps E's full series. Period doubling reverses
+build_system (the presentation's letter stream reads it re-expanded on
+shorter intervals); H keeps E's full series. Period doubling reverses
 orientation at x_c (G'(x_c) < 0), so the Taylor data at x_c are those of
 G^2. x_c is the root of E, located by Brent's method (roots.brentq). The
 critical orbit and the jets of H and G feed the presentation IFS; the
@@ -52,17 +53,12 @@ class UnimodalSystem:
 def _g_tables(fp):
     """G's series e(w) = E(w/tau), w in [0, 1], and three derivatives.
 
-    Column j of the jet table of E re-expanded on [0, 1/tau] keeps the
-    shortest head whose dropped tail sums to at most 2^-52 of the column's
-    absolute sum, which bounds e^(j)'s error by that share. Item q is
-    columns 0..q on their longest head (15, 19, 22, 24 rows for q = 0..3
-    at ell = 2; 10, 13, 15, 17 at ell = 20).
+    Item q is columns 0..q of the jet table of E re-expanded on
+    [0, 1/tau], cut by cheb.chop: 15, 19, 22, 24 rows for q = 0..3 at
+    ell = 2; 10, 13, 15, 17 at ell = 20.
     """
-    table = cheb.jet_table(cheb.restrict01(fp.e_coeffs, 1.0 / fp.tau), 3)
-    tails = np.cumsum(np.abs(table[::-1]), axis=0)[::-1]
-    heads = np.sum(tails > 2.0 ** -52 * tails[0], axis=0)
-    rows = np.maximum.accumulate(heads)
-    return tuple(table[:rows[q], :q + 1] for q in range(4))
+    table = cheb.jet_table(cheb.restrict01(fp.e_coeffs, 0.0, 1.0 / fp.tau), 3)
+    return tuple(cheb.chop(table[:, :q + 1]) for q in range(4))
 
 
 def _power_jets(ej, ell):

@@ -3,10 +3,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import Chebyshev, chebval
 
 from feigdim.cheb import (
     cheb_points,
+    chop,
     der01,
     eval01,
     fit01,
@@ -121,13 +124,86 @@ def test_restrict01_is_the_convert_re_expansion(r):
     # u -> p(r u) on [0,1] is p on [0, r]: numpy's convert to roundoff,
     # and the same values at every u
     coeffs = _decaying_stack(k=1)[:, 0]
-    got = restrict01(coeffs, r)
+    got = restrict01(coeffs, 0.0, r)
     want = Chebyshev(coeffs, domain=[0, 1]).convert(domain=[0, r]).coef
     assert got.shape == coeffs.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(coeffs))
     u = np.linspace(0.0, 1.0, 1001)
     err = np.abs(eval01(got, u) - eval01(coeffs, r * u))
     assert np.max(err) <= 1e-15 * np.sum(np.abs(coeffs))
+
+
+def _restrict_0r(c, r):
+    """The [0, r] recurrence written with r alone, operation by operation:
+    the bits G's series (unimodal._g_tables) is built with."""
+    def times_x(s):
+        out = (r - 1.0) * s
+        out[1] += r * s[0]
+        out[2:] += 0.5 * r * s[1:-1]
+        out[:-1] += 0.5 * r * s[1:]
+        return out
+
+    b1, b2 = np.zeros(len(c)), np.zeros(len(c))
+    for ck in c[::-1]:
+        b1, b2 = 2.0 * times_x(b1) - b2, b1
+        b1[0] += ck
+    return b1 - times_x(b2)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, 1.0 / 6.26, 1.0 / 18.1])
+def test_restrict01_keeps_the_bits_of_the_0_r_case(r):
+    # G's series (unimodal._g_tables) is E's on [0, 1/tau]; a stack is
+    # re-expanded column by column with the same operations
+    stack = _decaying_stack()
+    for j in range(stack.shape[1]):
+        assert np.array_equal(restrict01(stack[:, j], 0.0, r),
+                              _restrict_0r(stack[:, j], r))
+        assert np.array_equal(restrict01(stack, 0.0, r)[:, j],
+                              _restrict_0r(stack[:, j], r))
+
+
+_EPS = np.finfo(float).eps
+_UNIT = np.linspace(0.0, 1.0, 101)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_restrict01_and_chop_on_random_series(coeffs, ends):
+    # the restricted series at u is the series at a + (b - a) u to a few
+    # m eps sum|c|, plus the rounding of that argument times sup |p'|
+    # (Markov: T_j' <= j^2, times 2 for u); its chop drops a tail of at
+    # most 2^-52 of its absolute sum (and never the whole series)
+    a, b = sorted(ends)
+    assume(a < b)
+    c = np.array(coeffs)
+    m, j = len(c), np.arange(len(c))
+    got = restrict01(c, a, b)
+    assert got.shape == c.shape
+    want = eval01(c, a + (b - a) * _UNIT)
+    bound = 4.0 * m * _EPS * np.sum(np.abs(c)) \
+        + 4.0 * _EPS * np.sum(j * j * np.abs(c))
+    assert np.max(np.abs(eval01(got, _UNIT) - want)) <= bound
+    head = chop(got)
+    assert 1 <= len(head) <= m
+    assert np.array_equal(head, got[:len(head)])
+    scale = np.sum(np.abs(got))
+    assert np.sum(np.abs(got[len(head):])) <= 2.0 ** -52 * scale
+    err = np.max(np.abs(eval01(head, _UNIT) - eval01(got, _UNIT)))
+    assert err <= 2.0 ** -52 * scale + m * _EPS * scale
+
+
+def test_chop_cuts_a_stack_to_its_longest_column_head():
+    # the shortest heads of the columns are 3 and 5 rows; a zero series
+    # keeps one row
+    stack = np.zeros((8, 2))
+    stack[:3, 0] = [1.0, 0.5, 0.25]
+    stack[:5, 1] = [1.0, -1.0, 1.0, -1.0, 1e-3]
+    stack[7] = 1e-18
+    assert chop(stack[:, 0]).shape == (3,)
+    assert chop(stack).shape == (5, 2)
+    assert np.array_equal(chop(stack), stack[:5])
+    assert chop(np.zeros(6)).shape == (1,)
 
 
 def test_only_cheb_imports_numpy_polynomial():

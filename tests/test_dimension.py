@@ -33,7 +33,7 @@ from feigdim.dimension import (
 )
 import feigdim.dimension
 import feigdim.presentation
-from feigdim.cheb import cheb_points, eval01
+from feigdim.cheb import cheb_points, chop, eval01, restrict01
 from feigdim.errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -413,10 +413,12 @@ def test_word_walk_matches_a_per_letter_loop(ell):
             assert np.array_equal(table, ref)
 
 
-def _full_word_tables(ifs, K, n):
+def _full_word_tables(ifs, K, n, whole_q=False):
     """_word_tables with every level's (K^level, 9) tables built whole by
     _extend_words and q added one letter's rows at a time: the reference
-    for the streamed last level."""
+    for the streamed last level. From depth 2 on, each letter's rows read
+    q re-expanded on the span of their positions, as the streamed level
+    does; whole_q reads q on all of I instead."""
     lo, hi = ifs.interval
     xs = _sample_points(ifs.interval, 9)
     vals, lds = _extend_words(ifs, K, xs[None, :], np.zeros((1, xs.size)))
@@ -428,20 +430,31 @@ def _full_word_tables(ifs, K, n):
     nw = len(pos) // K
     for a in range(K):
         rows = slice(a * nw, (a + 1) * nw)
-        logd[rows] += eval01(q, (pos[rows] - lo) / (hi - lo)) - qx
+        val = pos[rows]
+        if n == 1 or whole_q:
+            qv = eval01(q, (val - lo) / (hi - lo))
+        else:
+            v0, v1 = val.min(), val.max()
+            span = restrict01(q, (v0 - lo) / (hi - lo), (v1 - lo) / (hi - lo))
+            qv = eval01(chop(span), (val - v0) / (v1 - v0))
+        logd[rows] += qv - qx
     ld1 = eval01(q, (vals - lo) / (hi - lo)) - qx + lds
     return logd.max(axis=1), logd.min(axis=1), ld1.max(axis=1)
 
 
 @pytest.mark.parametrize("ell", [2, 20])
 def test_streamed_word_tables_match_the_full_tables(ell):
+    # bit for bit against the reference with q re-expanded per letter
+    # block, and to roundoff against q read on all of I
     ps = build_presentation(build_system(solve_ell(ell)))
     for n in (1, 2, 4):
         got = _word_tables(ps, 24, n)[:3]
         want = _full_word_tables(ps, 24, n)
-        for table, ref in zip(got, want):
+        whole = _full_word_tables(ps, 24, n, whole_q=True)
+        for table, ref, ref_whole in zip(got, want, whole):
             assert table.shape == ref.shape
             assert np.array_equal(table, ref)
+            assert np.max(np.abs(table - ref_whole)) <= 1e-13
 
 
 def _full_cylinder_measure(pm, t_star, depth):

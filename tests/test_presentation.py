@@ -13,7 +13,9 @@ from feigdim.errors import (
     RatioNotContracting,
 )
 from feigdim.presentation import (
+    _W_PAD,
     _X_SLACK,
+    _g_step_jets,
     _h_inverse_jets,
     _psi_jets,
     _rho_density,
@@ -127,14 +129,16 @@ def test_psi_rejects_x_outside_I(ps2):
 _LETTER_CALLS = {
     "psi": lambda ps, k: psi(ps, k, 0.7),
     "word_map": lambda ps, k: word_map(ps, [1, k], 0.7),
+    "iter_letter_jets": lambda ps, k: next(iter_letter_jets(ps, k, [0.7])),
 }
 
 
-@pytest.mark.parametrize("k", ["0", "Kmax+1"])
+@pytest.mark.parametrize("k", ["0", "Kmax+1", "2.5"])
 @pytest.mark.parametrize("call", list(_LETTER_CALLS))
 def test_letter_outside_the_alphabet_raises(ps2, call, k):
+    # a letter is an integer depth: 2.5 is no letter, not a TypeError
     with pytest.raises(IndexOutOfAlphabet):
-        _LETTER_CALLS[call](ps2, 0 if k == "0" else ps2.Kmax + 1)
+        _LETTER_CALLS[call](ps2, {"0": 0, "2.5": 2.5}.get(k, ps2.Kmax + 1))
 
 
 @pytest.mark.parametrize("ell", [2, 20])
@@ -215,6 +219,13 @@ def test_tail_bound_guards(ps2):
         tail_bound(ps2, ps2.Kmax + 5, 0.5)
     with pytest.raises(RatioNotContracting):
         tail_bound(ps2, 20, 1e-4)
+
+
+@pytest.mark.parametrize("K", [10.5, 20.0])
+def test_tail_bound_needs_an_integer_truncation(ps2, K):
+    # a truncation counts letters: 10.5 is a usage error, not an IndexError
+    with pytest.raises(DomainError):
+        tail_bound(ps2, K, 0.5)
 
 
 def test_letter_jets_match_psi(ps2):
@@ -417,3 +428,76 @@ def test_one_walk_cylinders_match_two_walks(ell):
     assert resolved[:20].all()
     assert np.array_equal(ps.branch_side[resolved], sides[resolved])
     assert np.all(ps.branch_side[1:] == -ps.branch_side[:-1])
+
+
+def test_letter_stream_refuses_points_outside_the_slack(ps2):
+    # the level tables hold the stream's points for x within _X_SLACK of I
+    lo, hi = ps2.interval
+    for x in ([0.7, hi + 2e-9], [lo - 2e-9], [float("nan")]):
+        with pytest.raises(DomainError):
+            next(iter_letter_jets(ps2, 3, np.array(x)))
+    jets = list(iter_letter_jets(ps2, ps2.Kmax, np.array([hi + 5e-10])))
+    assert len(jets) == ps2.Kmax
+    assert np.all(np.isfinite(jets[-1]))
+
+
+@pytest.mark.parametrize("ell", range(2, 23, 2))
+def test_level_tables_are_G_series_on_their_intervals(ell):
+    # each level's column j against G's full column on [a, b], within the
+    # chop's 2^-52 of the level column's absolute sum plus m eps of the
+    # full column's (observed: at most 0.28 of that). The branch lap comes
+    # first, then one hull per power of 2 below Kmax, the last a few rows
+    ps = build_presentation(build_system(solve_ell(ell)))
+    full = ps.sys.g_tables[3]
+    u = np.linspace(0.0, 1.0, 2001)
+    eps = np.finfo(float).eps
+    assert len(ps.g_levels) == 1 + (ps.Kmax - 1).bit_length()
+    assert ps.g_levels[0][:2] == (-_W_PAD / ps.sys.tau,
+                                  (1.0 + _W_PAD) / ps.sys.tau)
+    assert len(ps.g_levels[-1][2][3]) <= 5
+    for a, b, tables in ps.g_levels:
+        want = eval01(full, a + (b - a) * u)
+        for q, table in enumerate(tables):
+            assert table.shape[1] == q + 1 and len(table) <= len(full)
+            got = eval01(table, u).reshape(q + 1, -1)
+            for j in range(q + 1):
+                bound = (2.0 ** -52 * np.sum(np.abs(table[:, j]))
+                         + len(full) * eps * np.sum(np.abs(full[:, j])))
+                assert np.max(np.abs(got[j] - want[j])) <= bound
+
+
+def _slack_grid(ps):
+    lo, hi = ps.interval
+    return np.linspace(lo - _X_SLACK, hi + _X_SLACK, 1001)
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_every_stream_step_reads_inside_its_level(ell):
+    # step k reads G at psi_{k-1}(x), or at H^{-1}(x) for k = 1
+    ps = build_presentation(build_system(solve_ell(ell)))
+    x = _slack_grid(ps)
+    y = _h_inverse_jets(ps.sys, x, 0)[0]
+    for k, (val,) in enumerate(iter_letter_jets(ps, ps.Kmax, x, 0), 1):
+        a, b, _ = ps.g_levels[(k - 1).bit_length()]
+        assert a <= y.min() and y.max() <= b
+        y = val
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_level_jets_match_steps_on_the_full_series(ell):
+    # the third-order stream against _g_step_jets with every level G's
+    # full series on [0, 1]: relative 1e-13 over the letters a certified
+    # row reads (K = 42, 98, 209) and 1e-12 over the alphabet, whose deep
+    # letters add roundoff step by step (observed at ell 20: 7.2e-14 and
+    # 1.6e-13)
+    ps = build_presentation(build_system(solve_ell(ell)))
+    whole = ((0.0, 1.0, ps.sys.g_tables),) * len(ps.g_levels)
+    full = replace(ps, g_levels=whole)
+    x = _slack_grid(ps)
+    ref = _h_inverse_jets(ps.sys, x, 3)
+    k_row = {2: 42, 8: 98, 20: 209}[ell]
+    for k, jets in enumerate(iter_letter_jets(ps, ps.Kmax, x, 3), 1):
+        ref = _g_step_jets(full, k, ref, 3)
+        rtol = 1e-13 if k <= k_row else 1e-12
+        for got, want in zip(jets, ref):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= rtol
