@@ -29,38 +29,69 @@ def eval01(coeffs, u):
     time, so that no temporary outgrows the cache on the long position
     arrays of a Moran walk, and per block:
 
-    - one series runs numpy's chebval, which works point by point, so the
-      solver, its validation defect and the cached records do not move.
-      Zero padding at the high end of a series is exact in Clenshaw's
-      recurrence, so a padded series gives the unpadded bits.
+    - one series of 3 or more terms runs chebval's Clenshaw recurrence in
+      place (_chebval_into): the same operations in the same order, so the
+      same bits, in three rows of work space instead of three fresh arrays
+      per term. A shorter series runs chebval itself. Either works point by
+      point, so the solver, its validation defect and the cached records
+      do not move. Zero padding at the high end of a series is exact in
+      Clenshaw's recurrence, so a padded series gives the unpadded bits.
     - a stack of k >= 2 series shares one table of T_j(2u - 1), built in
       place by the three-term recurrence (two ufunc calls per degree), then
       coeffs.T @ T. Values agree with chebval to roundoff, not bit for bit;
       stacked chebval gives the bits but runs one Clenshaw pass per series
       and makes the certified rows at ell 2, 8 and 20 about 1.6x slower.
+
+    u is only read.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if np.ndim(u) == 0:
         return _cheb.chebval(2.0 * np.asarray(u) - 1.0, coeffs)
     x = np.asarray(u, dtype=float).reshape(-1)
-    out = np.empty(coeffs.shape[1:] + x.shape)
-    stacked = out.ndim == 2 and out.shape[0] > 1
-    T = np.empty((len(coeffs), min(x.size, _BLOCK))) if stacked else None
+    series = coeffs.reshape(len(coeffs), -1)
+    out = np.empty((series.shape[1], x.size))
+    n = min(x.size, _BLOCK)
+    stacked = series.shape[1] != 1
+    # rows: 2u - 1, then the Clenshaw rows (one series) or T (a stack)
+    work = np.empty((1 + (len(series) if stacked else 3), n))
     for start in range(0, x.size, _BLOCK):
-        s = 2.0 * x[start:start + _BLOCK] - 1.0
-        block = out[..., start:start + len(s)]
+        stop = min(start + _BLOCK, x.size)
+        s = np.multiply(x[start:stop], 2.0, out=work[0, :stop - start])
+        s -= 1.0
+        block = out[:, start:stop]
         if not stacked:
-            block[...] = _cheb.chebval(s, coeffs)
+            if len(series) >= 3:
+                _chebval_into(series[:, 0], s, block[0], work[1:])
+            else:
+                block[0] = _cheb.chebval(s, series[:, 0])
             continue
-        t = T[:, :len(s)]
+        t = work[1:, :len(s)]
         t[0] = 1.0
         t[1:2] = s      # empty for a stack of constants
         s *= 2.0
         for j in range(2, len(t)):
             np.multiply(s, t[j - 1], out=t[j])
             t[j] -= t[j - 2]
-        np.matmul(coeffs.T, t, out=block)
+        np.matmul(series.T, t, out=block)
     return out.reshape(coeffs.shape[1:] + np.shape(u))
+
+
+def _chebval_into(c, s, out, work):
+    """out = chebval(s, c) for a series c of 3 or more terms: numpy's
+    Clenshaw loop, operation for operation, with c0 kept in out and c1,
+    its update and 2s in the rows of work."""
+    x2, c1, tmp = work[:, :len(s)]
+    np.multiply(s, 2.0, out=x2)
+    c0 = c[-3] - c[-1]
+    np.multiply(x2, c[-1], out=c1)
+    c1 += c[-2]
+    for ck in c[-4::-1]:
+        np.multiply(c1, x2, out=tmp)
+        tmp += c0
+        c0 = np.subtract(ck, c1, out=out)
+        c1, tmp = tmp, c1
+    c1 *= s
+    np.add(c0, c1, out=out)
 
 
 def clenshaw(c, x):

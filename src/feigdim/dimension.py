@@ -22,9 +22,11 @@ and the bracket property are metric-independent). The Moran tables and
 the conformal cylinder measure share one word walk of phi_w x and
 log|Dphi_w x|: _extend_words tables every level but the last, which
 _letter_blocks streams one letter's words at a time, each block reduced
-to its per-word results at once, so no table has K^n word rows; q
+to its per-word results at once, so no table has K^n words; q
 telescopes, so it is added after the walk, on each block re-expanded on
-the span of its positions.
+the span of its positions. The walk's tables are (samples, words), one
+column per word in lexicographic order, so a word's sup, inf or
+quadrature reduces along axis 0 over long contiguous rows.
 
 Every root in t (the Bowen root, the bracket's crossings, the Moran roots)
 is located by Brent's method (roots.brentq) on a sign-changing bracket.
@@ -90,6 +92,11 @@ class PressureModel:
         return np.einsum("ai,aij->ij", self.ders ** t, self.B)
 
 
+def _is_count(n):
+    """n is an integer, a numpy one too, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _node_rows(ifs, K, Nc):
     """build_pressure_model's _rows: the letter_jets stream of letters
     1..K on the Nc Chebyshev nodes of I, and the rows walked so far."""
@@ -103,7 +110,7 @@ def build_pressure_model(ifs, K, Nc=32, _rows=None):
     the j-th unit vector (gauss_series), at psi_a of the i-th node: one
     eval01 pass over all images. _rows is an escalation's _node_rows: each
     model extends its stream to its K instead of restarting at letter 1."""
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (K, Nc)):
+    if not all(_is_count(n) and n >= 1 for n in (K, Nc)):
         raise DomainError(f"K and Nc must be integers >= 1, got K={K}, "
                           f"Nc={Nc}")
     stream, rows = _rows or _node_rows(ifs, K, Nc)
@@ -378,31 +385,33 @@ def _fit_adapted_metric(interval, xs, vals, lds):
 def _extend_words(ifs, K, pos, logd):
     """Prepend each of the letters 1..K to every word, letter-major.
 
-    Row w of pos holds phi_w at the sample points and row w of logd
-    log|Dphi_w| there. Word a w lands in row a * len(pos) + w, so rows stay
-    in lexicographic order; its rows are psi_a(pos[w]) and
-    log|psi_a'(pos[w])| + logd[w] (the chain rule), from one jet table.
+    Column w of pos holds phi_w at the sample points and column w of logd
+    log|Dphi_w| there. Word a w lands in column a * nw + w, nw being the
+    number of words, so columns stay in lexicographic order; it holds
+    psi_a(pos[:, w]) and log|psi_a'(pos[:, w])| + logd[:, w] (the chain
+    rule), letter a's block of _letter_blocks.
     """
-    nw, ns = pos.shape
-    val, der = stack_letter_jets(ifs, K, pos.ravel())
-    new_logd = np.log(np.abs(der, out=der), out=der).reshape(K, nw, ns)
-    new_logd += logd
-    return val.reshape(K * nw, ns), new_logd.reshape(K * nw, ns)
+    ns, nw = pos.shape
+    new_pos, new_logd = np.empty((ns, K, nw)), np.empty((ns, K, nw))
+    for a, (val, ld) in enumerate(_letter_blocks(ifs, K, pos, logd)):
+        new_pos[:, a] = val
+        new_logd[:, a] = ld
+    return new_pos.reshape(ns, K * nw), new_logd.reshape(ns, K * nw)
 
 
 def _letter_blocks(ifs, K, pos, logd):
-    """_extend_words(ifs, K, pos, logd) one letter at a time, same bits.
-
-    Yields letter a's block of len(pos) words, rows a * len(pos) ...
-    (a + 1) * len(pos) of the tables _extend_words returns, so that a walk's
-    last level is reduced per letter and never held whole. The jets are
-    read, never written: the stream steps from them to the next letter.
+    """The words a w of _extend_words(ifs, K, pos, logd), one letter a at a
+    time: (samples, words) blocks of psi_a(pos) and log|psi_a'(pos)| + logd,
+    columns a * nw ... (a + 1) * nw of the tables _extend_words returns, so
+    that a walk's last level is reduced per letter and never held whole.
+    The jets are read, never written: the stream steps from them to the
+    next letter.
     """
-    nw, ns = pos.shape
+    ns, nw = pos.shape
     for val, der in ifs.letter_jets(K, pos.ravel()):
-        new_logd = np.log(np.abs(der)).reshape(nw, ns)
+        new_logd = np.log(np.abs(der)).reshape(ns, nw)
         new_logd += logd
-        yield val.reshape(nw, ns), new_logd
+        yield val.reshape(ns, nw), new_logd
 
 
 def _q_on_span(q, interval, val):
@@ -433,23 +442,23 @@ def _word_tables(ifs, K, n):
         raise DomainError(f"{K}^{n} words exceed the {_WORD_BUDGET} budget")
     lo, hi = ifs.interval
     xs = _sample_points(ifs.interval, _MORAN_NSAMP)
-    vals, lds = _extend_words(ifs, K, xs[None, :], np.zeros((1, xs.size)))
-    q, delta_q = _fit_adapted_metric(ifs.interval, xs, vals, lds)
-    qx = eval01(q, (xs - lo) / (hi - lo))
+    vals, lds = _extend_words(ifs, K, xs[:, None], np.zeros((xs.size, 1)))
+    q, delta_q = _fit_adapted_metric(ifs.interval, xs, vals.T, lds.T)
+    qx = eval01(q, (xs - lo) / (hi - lo))[:, None]
     ld1 = eval01(q, (vals - lo) / (hi - lo)) - qx + lds
-    s1_sup = ld1.max(axis=1)
+    s1_sup = ld1.max(axis=0)
     if n == 1:
-        return s1_sup, ld1.min(axis=1), s1_sup, delta_q
+        return s1_sup, ld1.min(axis=0), s1_sup, delta_q
     pos, logd = vals, lds
     for _ in range(n - 2):
         pos, logd = _extend_words(ifs, K, pos, logd)
-    nw = len(pos)
+    nw = pos.shape[1]
     sup, inf = np.empty(K * nw), np.empty(K * nw)
     for a, (val, ld) in enumerate(_letter_blocks(ifs, K, pos, logd)):
         ld += _q_on_span(q, ifs.interval, val) - qx
-        rows = slice(a * nw, (a + 1) * nw)
-        ld.max(axis=1, out=sup[rows])
-        ld.min(axis=1, out=inf[rows])
+        words = slice(a * nw, (a + 1) * nw)
+        ld.max(axis=0, out=sup[words])
+        ld.min(axis=0, out=inf[words])
     return sup, inf, s1_sup, delta_q
 
 
@@ -489,9 +498,19 @@ def _logsumexp(a, out=None):
     return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def _log_root(fn):
+def _log_root(fn, t_floor):
+    """First root of fn on the _MORAN_SCAN grid, placed by brentq.
+
+    fn is positive below t_floor, so no scan point below it can end a sign
+    change: the scan starts two grid points below the first point at or
+    above t_floor (one to bracket a root just above the floor, one to
+    spare for the floor's roundoff) and finds the bracket a full scan
+    finds. A point where fn raises RatioNotContracting or OverflowError
+    brackets nothing.
+    """
+    start = max(int(np.searchsorted(_MORAN_SCAN, t_floor)) - 2, 0)
     prev_t, prev_v = None, None
-    for t in _MORAN_SCAN:
+    for t in _MORAN_SCAN[start:]:
         try:
             v = fn(t)
         except (RatioNotContracting, OverflowError):
@@ -511,15 +530,25 @@ def moran_oracle(ifs, n, K=None):
     alphabet's missing letters inflate the sup-side sum by
     (p_1 + T)^n - p_1^n with T the tail bound carried into the adapted
     metric, so the upper root bounds the full-alphabet root. ifs is an IFS,
-    not a UnimodalSystem; K defaults to min(24, Kmax). brentq places both
-    roots within 1e-10.
+    not a UnimodalSystem; n is an integer in 1..5 and K one in
+    1..min(64, Kmax), by default min(24, Kmax). brentq places both roots
+    within 1e-10.
+
+    The root scans start from proven floors. By Jensen, the log of the
+    inf-side sum over N words is at least log N + t * mean(s_inf), which is
+    positive below log N / -mean(s_inf). The sup-side sum is at least the
+    inf-side one (s_sup >= s_inf word by word), and that one is positive
+    below t_lo, since its log is convex in t and positive at 0.
     """
-    if not 1 <= n <= 5:
-        raise DomainError(f"moran_oracle needs 1 <= n <= 5, got {n}")
+    if not _is_count(n) or not 1 <= n <= 5:
+        raise DomainError(
+            f"moran_oracle needs an integer n in 1..5, got {n!r}")
+    k_max = min(64, ifs.Kmax)
     if K is None:
         K = min(24, ifs.Kmax)
-    if K > 64:
-        raise DomainError(f"K = {K} exceeds the budget 64")
+    if not _is_count(K) or not 1 <= K <= k_max:
+        raise DomainError(
+            f"moran_oracle needs an integer K in 1..{k_max}, got {K!r}")
     s_sup, s_inf, s1_sup, delta_q = _word_tables(ifs, K, n)
     buf = np.empty_like(s_sup)      # the scan's terms, one table for all t
 
@@ -534,8 +563,10 @@ def moran_oracle(ifs, n, K=None):
         p1 = np.exp(_logsumexp(t * s1_sup))
         return float(np.log(np.exp(base) + (p1 + tail) ** n - p1 ** n))
 
-    t_lo = _log_root(p_inf)
-    t_hi = _log_root(p_sup)
+    mean = float(s_inf.mean())
+    jensen = np.log(s_inf.size) / -mean if mean < 0.0 else np.inf
+    t_lo = _log_root(p_inf, jensen)
+    t_hi = _log_root(p_sup, t_lo)
     if t_hi < t_lo:
         raise InvariantViolation(
             f"Moran roots inverted: t_lo={t_lo} > t_hi={t_hi}"
@@ -578,10 +609,15 @@ def cylinder_measure(pm, t_star, depth=3):
     central second moments of m on every cylinder come along for free and
     feed the quadrature in the conformality check. The rows are the
     K^depth words over letters 1..K, K = pm.K, in lexicographic order.
+    depth is an integer in 1..4 and t_star in (0, 2], as pressure_eigen
+    accepts.
     """
-    if not 1 <= depth <= 4:
+    if not _is_count(depth) or not 1 <= depth <= 4:
         raise DomainError(
-            f"cylinder_measure needs 1 <= depth <= 4, got {depth}")
+            f"cylinder_measure needs an integer depth in 1..4, got {depth!r}")
+    if not 0.0 < t_star <= 2.0:
+        raise DomainError(f"cylinder_measure needs t_star in (0, 2], "
+                          f"got {t_star}")
     if pm.K ** depth * pm.Nc > 8_000_000:
         raise DomainError(
             f"{pm.K}^{depth} cylinders on {pm.Nc} nodes exceed the budget"
@@ -591,9 +627,10 @@ def cylinder_measure(pm, t_star, depth=3):
     if Z <= 0.0:
         raise EigenvectorSignFailure("left functional has non-positive mass")
 
-    # the last level's blocks of words: the model's own rows at depth 1,
-    # else one letter's words at a time, so no (K^depth, Nc) table is built
-    pos, logd = pm.imgs, np.log(pm.ders)
+    # the last level's (nodes, words) blocks: the model's own rows at depth
+    # 1, else one letter's words at a time, so no (Nc, K^depth) table is
+    # built
+    pos, logd = pm.imgs.T, np.log(pm.ders).T
     blocks = [(pos, logd)]
     if depth > 1:
         for _ in range(depth - 2):
@@ -601,13 +638,12 @@ def cylinder_measure(pm, t_star, depth=3):
         blocks = _letter_blocks(pm.ifs, pm.K, pos, logd)
     weight, xbar, m2 = (np.empty(pm.K ** depth) for _ in range(3))
     for a, (val, ld) in enumerate(blocks):
-        rows = slice(a * len(val), (a + 1) * len(val))
+        words = slice(a * val.shape[1], (a + 1) * val.shape[1])
         ld *= t_star
         core = np.exp(ld, out=ld)
-        weight[rows] = core @ nu
-        xbar[rows] = (core * val) @ nu / weight[rows]
-        m2[rows] = ((core * (val - xbar[rows, None]) ** 2) @ nu
-                    / weight[rows])
+        weight[words] = nu @ core
+        xbar[words] = nu @ (core * val) / weight[words]
+        m2[words] = nu @ (core * (val - xbar[words]) ** 2) / weight[words]
     raw = weight / (Z * lam ** depth)
     raw_mass = float(raw.sum())
     if np.any(raw <= 0.0):
@@ -625,8 +661,9 @@ def conformality_residual(pm, t_star, depth=3):
     correction per sub-cell.  A single-cell midpoint rule misses by ~1e-2
     on the widest cylinders; partitioning brings the error under 1e-6.
     """
-    if depth < 2:
-        raise DomainError("conformality check needs depth >= 2")
+    if not _is_count(depth) or depth < 2:
+        raise DomainError(
+            f"conformality check needs an integer depth >= 2, got {depth!r}")
     fine = cylinder_measure(pm, t_star, depth)
     # words are lexicographic: row u of raw.reshape(-1, K) holds the
     # children u j of u, and row i of raw.reshape(K, -1) the words i u

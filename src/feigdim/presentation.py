@@ -184,7 +184,7 @@ def stack_letter_jets(ifs, K, x, nder=1):
     """The jets of letters 1..K at the points x from one letter_jets pass,
     stacked: item j is the (K, len(x)) table of every letter's j-th jet."""
     # an array per table: callers take the tables apart and reuse each in
-    # place; the word walks stream their last level instead of stacking it
+    # place; the word walks stream letter by letter instead of stacking
     out = tuple(np.empty((K, len(x))) for _ in range(nder + 1))
     for a, jets in enumerate(ifs.letter_jets(K, x, nder)):
         for table, jet in zip(out, jets):

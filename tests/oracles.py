@@ -6,7 +6,8 @@ solver cross-validates the whole fixed-point pipeline. psi_alt inverts a
 presentation's letters by plain bisection on its E, independent of the
 package's bisection-Newton solver and of its G-iteration;
 letter_stream_on_E steps G on E's full series, where the package steps
-it on G's own short series.
+it on G's own short series. gauss_bary_weights gives scipy's barycentric
+interpolator the exact weights of the Chebyshev-Gauss nodes.
 """
 import numpy as np
 
@@ -59,6 +60,16 @@ def quadratic_cascade_alpha(n_max=13):
     dr = np.diff(r)
     aitken = r[2:] - dr[1:] ** 2 / (dr[1:] - dr[:-1])
     return float(aitken[-1])
+
+
+def gauss_bary_weights(n):
+    """Barycentric weights (-1)^k sin((2k + 1) pi / (2n)) of the n
+    Chebyshev-Gauss nodes cos((2k + 1) pi / (2n)) of any interval, in
+    their descending order. Passed as wi, they keep scipy's
+    BarycentricInterpolator from computing weights on a random node
+    permutation, whose roundoff differs from run to run."""
+    k = np.arange(n)
+    return (-1.0) ** k * np.sin((2 * k + 1) * np.pi / (2 * n))
 
 
 def fd_derivative(f, x, order=1, h=1e-5):

@@ -18,6 +18,8 @@ from feigdim.cheb import (
     vander01,
 )
 
+from oracles import gauss_bary_weights
+
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "feigdim"
 
 
@@ -65,7 +67,8 @@ def test_gauss_series_is_the_interpolant():
     series = gauss_series(np.exp(nodes))
     xs = np.linspace(a, b, 41)
     u = (xs - a) / (b - a)
-    bary = interpolator.BarycentricInterpolator(nodes, np.exp(nodes))(xs)
+    bary = interpolator.BarycentricInterpolator(
+        nodes, np.exp(nodes), wi=gauss_bary_weights(n))(xs)
     assert np.max(np.abs(eval01(series, u) - bary)) < 1e-14
     # a polynomial of degree < n is reproduced with its derivative
     poly = gauss_series(nodes ** 3 - 2.0 * nodes)
@@ -104,6 +107,27 @@ def test_one_series_on_an_array_is_chebval_bit_for_bit():
         assert np.array_equal(eval01(coeffs[:, 0], u), want)
         assert np.array_equal(eval01(coeffs, u), want[None])
         assert np.array_equal(eval01(padded, u), want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=41),
+       pad=st.integers(0, 3),
+       npts=st.sampled_from([1, 4095, 4096, 4097, 3 * 4096 + 5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_series_eval01_is_chebval_bit_for_bit(coeffs, pad, npts, seed):
+    # the in-place Clenshaw route (3 or more terms) and chebval's own
+    # (fewer) on one series, a zero-padded one and an (m, 1) stack, within
+    # a block of 4,096 points, at its edge and across several; u is read,
+    # never written
+    c = np.array(coeffs)
+    u = np.random.default_rng(seed).random(npts)
+    u[0] = 0.0 if seed % 2 else 1.0
+    keep = u.copy()
+    want = chebval(2.0 * u - 1.0, c)
+    assert np.array_equal(eval01(c, u), want)
+    assert np.array_equal(eval01(np.append(c, np.zeros(pad)), u), want)
+    assert np.array_equal(eval01(c[:, None], u), want[None])
+    assert np.array_equal(u, keep)
 
 
 def test_scalar_eval01_is_chebval_bit_for_bit():

@@ -21,12 +21,15 @@ from feigdim.dimension import (
     pressure_eigen,
     sweep,
     _BRACKET_NX,
+    _MORAN_SCAN,
+    _MORAN_XTOL,
     _OperatorBounds,
     _bowen_root,
     _eigenfunction,
     _extend_words,
     _fit_adapted_metric,
     _leading_pair_both,
+    _log_root,
     _logsumexp,
     _sample_points,
     _word_tables,
@@ -38,14 +41,16 @@ from feigdim.errors import (
     DomainError,
     EigenvectorSignFailure,
     RatioNotContracting,
+    RootNotBracketed,
     TailTooFat,
 )
 from feigdim.fixedpoint import cache_filename, load_fixed_point, save_fixed_point
 from feigdim.presentation import build_presentation
+from feigdim.roots import brentq
 from feigdim.unimodal import build_system
 
 from conftest import solve_ell
-from oracles import HD_2
+from oracles import HD_2, gauss_bary_weights
 
 T_CANTOR = np.log(2.0) / np.log(3.0)
 
@@ -107,6 +112,8 @@ def test_non_integer_truncation_raises_domain_error(sys2, ps2):
     with pytest.raises(DomainError):
         build_pressure_model(ps2, K=2.5)
     with pytest.raises(DomainError):
+        build_pressure_model(ps2, K=True)
+    with pytest.raises(DomainError):
         hausdorff_dimension(sys2, K=2.5)
 
 
@@ -119,7 +126,8 @@ def test_collocation_rows_are_the_barycentric_cardinal_functions():
     for Nc in (24, 32, 48):
         pm = build_pressure_model(ps, K=209, Nc=Nc)
         nodes = cheb_points(lo, hi, Nc)
-        cardinal = interpolator.BarycentricInterpolator(nodes, np.eye(Nc))
+        cardinal = interpolator.BarycentricInterpolator(
+            nodes, np.eye(Nc), wi=gauss_bary_weights(Nc))
         assert pm.B.shape == (209, Nc, Nc)
         assert np.max(np.abs(pm.B - cardinal(pm.imgs))) <= 1e-12
 
@@ -165,6 +173,37 @@ def test_moran_guards(ps2):
         moran_oracle(ps2, n=2, K=70)
     with pytest.raises(DomainError):
         moran_oracle(ps2, n=4, K=40)  # 40^4 words blow the budget
+
+
+@pytest.mark.parametrize("kwargs", [{"n": 2.5}, {"n": True},
+                                    {"n": 2, "K": 2.5}, {"n": 2, "K": True},
+                                    {"n": 2, "K": 0}])
+def test_moran_oracle_takes_integer_n_and_K_only(ps2, kwargs):
+    with pytest.raises(DomainError):
+        moran_oracle(ps2, **kwargs)
+
+
+def test_moran_oracle_takes_K_within_the_alphabet(toy):
+    assert moran_oracle(toy, 2, K=2).K == 2
+    with pytest.raises(DomainError):
+        moran_oracle(toy, 2, K=3)
+
+
+@pytest.mark.parametrize("check", [cylinder_measure, conformality_residual])
+@pytest.mark.parametrize("depth", [2.5, True])
+def test_word_measures_take_an_integer_depth_only(pm2, tstar2, check, depth):
+    with pytest.raises(DomainError):
+        check(pm2, tstar2, depth=depth)
+
+
+@pytest.mark.parametrize("check", [cylinder_measure, conformality_residual])
+@pytest.mark.parametrize("t_star", [np.nan, np.inf, 0.0, 2.5])
+def test_word_measures_take_t_star_in_the_pressure_domain(pm2, check,
+                                                          t_star):
+    # as pressure_eigen: a NaN t_star fails up front, not in the power
+    # iteration
+    with pytest.raises(DomainError):
+        check(pm2, t_star, depth=2)
 
 
 def test_cylinder_measure_is_a_measure(pm2, tstar2):
@@ -334,7 +373,8 @@ def test_adapted_metric_series_matches_node_value_fit(ps2):
     q, delta_q = _fit_adapted_metric(ps2.interval, xs, vals, lds)
     nq = 16
     qnodes = cheb_points(*ps2.interval, nq)
-    cardinal = interpolator.BarycentricInterpolator(qnodes, np.eye(nq))
+    cardinal = interpolator.BarycentricInterpolator(
+        qnodes, np.eye(nq), wi=gauss_bary_weights(nq))
     na, ns = lds.shape
     rows = np.zeros((na * ns + 1, nq + na))
     rhs = np.zeros(na * ns + 1)
@@ -387,15 +427,15 @@ def test_word_tables_add_the_metric_once(ps2, toy):
 
 
 def _per_letter_extend_words(ifs, K, pos, logd):
-    """_extend_words filled one letter's block of rows at a time: the
-    reference for the stacked fill."""
-    nw = pos.shape[0]
-    new_pos = np.empty((K * nw, pos.shape[1]))
+    """_extend_words filled one letter's block of word columns at a time:
+    the reference for the letter-major (samples, words) fill."""
+    nw = pos.shape[1]
+    new_pos = np.empty((pos.shape[0], K * nw))
     new_logd = np.empty_like(new_pos)
     for a, (val, der) in enumerate(ifs.letter_jets(K, pos, 1)):
         block = slice(a * nw, (a + 1) * nw)
-        new_pos[block] = val
-        np.add(np.log(np.abs(der)), logd, out=new_logd[block])
+        new_pos[:, block] = val
+        np.add(np.log(np.abs(der)), logd, out=new_logd[:, block])
     return new_pos, new_logd
 
 
@@ -403,43 +443,43 @@ def _per_letter_extend_words(ifs, K, pos, logd):
 def test_word_walk_matches_a_per_letter_loop(ell):
     # the Moran walk's alphabet (K = 24) from the empty word to depth 3
     ps = build_presentation(build_system(solve_ell(ell)))
-    xs = _sample_points(ps.interval, 9)[None, :]
+    xs = _sample_points(ps.interval, 9)[:, None]
     got = want = (xs, np.zeros_like(xs))
     for depth in (1, 2, 3):
         got = _extend_words(ps, 24, *got)
         want = _per_letter_extend_words(ps, 24, *want)
         for table, ref in zip(got, want):
-            assert table.shape == (24 ** depth, 9)
+            assert table.shape == (9, 24 ** depth)
             assert np.array_equal(table, ref)
 
 
 def _full_word_tables(ifs, K, n, whole_q=False):
-    """_word_tables with every level's (K^level, 9) tables built whole by
-    _extend_words and q added one letter's rows at a time: the reference
-    for the streamed last level. From depth 2 on, each letter's rows read
-    q re-expanded on the span of their positions, as the streamed level
-    does; whole_q reads q on all of I instead."""
+    """_word_tables with every level's (9, K^level) tables built whole by
+    _extend_words and q added one letter's columns at a time: the
+    reference for the streamed last level. From depth 2 on, each letter's
+    columns read q re-expanded on the span of their positions, as the
+    streamed level does; whole_q reads q on all of I instead."""
     lo, hi = ifs.interval
     xs = _sample_points(ifs.interval, 9)
-    vals, lds = _extend_words(ifs, K, xs[None, :], np.zeros((1, xs.size)))
-    q = _fit_adapted_metric(ifs.interval, xs, vals, lds)[0]
+    vals, lds = _extend_words(ifs, K, xs[:, None], np.zeros((xs.size, 1)))
+    q = _fit_adapted_metric(ifs.interval, xs, vals.T, lds.T)[0]
     pos, logd = vals, lds.copy()
     for _ in range(n - 1):
         pos, logd = _extend_words(ifs, K, pos, logd)
-    qx = eval01(q, (xs - lo) / (hi - lo))
-    nw = len(pos) // K
+    qx = eval01(q, (xs - lo) / (hi - lo))[:, None]
+    nw = pos.shape[1] // K
     for a in range(K):
-        rows = slice(a * nw, (a + 1) * nw)
-        val = pos[rows]
+        cols = slice(a * nw, (a + 1) * nw)
+        val = pos[:, cols]
         if n == 1 or whole_q:
             qv = eval01(q, (val - lo) / (hi - lo))
         else:
             v0, v1 = val.min(), val.max()
             span = restrict01(q, (v0 - lo) / (hi - lo), (v1 - lo) / (hi - lo))
             qv = eval01(chop(span), (val - v0) / (v1 - v0))
-        logd[rows] += qv - qx
+        logd[:, cols] += qv - qx
     ld1 = eval01(q, (vals - lo) / (hi - lo)) - qx + lds
-    return logd.max(axis=1), logd.min(axis=1), ld1.max(axis=1)
+    return logd.max(axis=0), logd.min(axis=0), ld1.max(axis=0)
 
 
 @pytest.mark.parametrize("ell", [2, 20])
@@ -458,19 +498,19 @@ def test_streamed_word_tables_match_the_full_tables(ell):
 
 
 def _full_cylinder_measure(pm, t_star, depth):
-    """cylinder_measure on the whole (K^depth, Nc) tables of _extend_words:
+    """cylinder_measure on the whole (Nc, K^depth) tables of _extend_words:
     the reference for the per-letter last level."""
     lam, _, nu = _leading_pair_both(pm, t_star)
     Z = float(nu.sum())
-    pos, logd = pm.imgs, np.log(pm.ders)
+    pos, logd = pm.imgs.T, np.log(pm.ders).T
     for _ in range(depth - 1):
         pos, logd = _extend_words(pm.ifs, pm.K, pos, logd)
     core = np.exp(logd * t_star)
-    weight = core @ nu
+    weight = nu @ core
     raw = weight / (Z * lam ** depth)
     raw_mass = float(raw.sum())
-    xbar = (core * pos) @ nu / weight
-    m2 = (core * (pos - xbar[:, None]) ** 2) @ nu / weight
+    xbar = nu @ (core * pos) / weight
+    m2 = nu @ (core * (pos - xbar) ** 2) / weight
     return raw / raw_mass, xbar, m2, lam, raw_mass
 
 
@@ -482,6 +522,62 @@ def test_streamed_cylinder_measure_matches_the_full_tables(pm2, tstar2,
     for got, ref in zip((cm.mu, cm.xbar, cm.m2, cm.lam, cm.raw_mass), want):
         assert np.shape(got) == np.shape(ref)
         assert np.array_equal(got, ref)
+
+
+def _full_scan_root(fn):
+    """_log_root scanning the whole _MORAN_SCAN grid from its first point:
+    the reference for the scan from a floor."""
+    prev_t, prev_v = None, None
+    for t in _MORAN_SCAN:
+        try:
+            v = fn(t)
+        except (RatioNotContracting, OverflowError):
+            prev_t, prev_v = None, None
+            continue
+        if prev_v is not None and prev_v > 0.0 >= v:
+            return brentq(fn, prev_t, t, xtol=_MORAN_XTOL)
+        prev_t, prev_v = t, v
+    raise RootNotBracketed("Moran sum never crosses 1 on the scan range")
+
+
+def _counted(fn):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return fn(t)
+    return counting, calls
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20, None])
+def test_floored_moran_scan_finds_the_full_scan_root(ell, toy, monkeypatch):
+    # each Moran root, scanned from its floor (Jensen's for the inf-side
+    # sum, t_lo for the sup side), has the bits of the full scan's root in
+    # fewer sum calls; ell None is the toy IFS
+    ifs = toy if ell is None else build_presentation(build_system(
+        solve_ell(ell)))
+    scans = []
+
+    def recording(fn, t_floor):
+        scans.append((fn, t_floor, _log_root(fn, t_floor)))
+        return scans[-1][2]
+
+    monkeypatch.setattr(feigdim.dimension, "_log_root", recording)
+    for n in (2, 4):
+        scans.clear()
+        br = moran_oracle(ifs, n)
+        (_, jensen, t_lo), (_, floor_hi, t_hi) = scans
+        assert (t_lo, t_hi) == (br.t_lo, br.t_hi)
+        assert floor_hi == t_lo
+        if ell is None:     # all toy words contract alike: Jensen is sharp
+            assert abs(jensen - t_lo) <= _MORAN_XTOL
+        else:
+            assert jensen < t_lo
+        for fn, t_floor, root in scans:
+            floored, calls = _counted(fn)
+            full, full_calls = _counted(fn)
+            assert _log_root(floored, t_floor) == root == _full_scan_root(full)
+            assert len(calls) < len(full_calls)
 
 
 def test_logsumexp_in_a_buffer_matches_fresh_temporaries():
