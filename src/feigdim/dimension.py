@@ -37,6 +37,7 @@ letters 1..K in order, each the map's value and nder derivatives at x) and
 `tail_bound(K, t)` (bound on the letters beyond K). A truncation K is the
 number of letters, and every table the engine builds has K letter rows.
 """
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -252,8 +253,9 @@ class _OperatorBounds:
         located as crossings of 1, which keeps a non-positive lower bound
         (a poor test function) on the negative side instead of at log 0.
         """
-        lo = _crossing(lambda t: self.envelope(t)[0] - 1.0, t0)
-        hi = _crossing(lambda t: (self.envelope(t)[1] + self.ifs.tail_bound(
+        env = functools.cache(self.envelope)    # once per t for both
+        lo = _crossing(lambda t: env(t)[0] - 1.0, t0)
+        hi = _crossing(lambda t: (env(t)[1] + self.ifs.tail_bound(
             self.K, t) * self.spread) - 1.0, t0)
         return lo - _BRACKET_XTOL, hi + _BRACKET_XTOL
 
@@ -499,7 +501,8 @@ def _logsumexp(a, out=None):
 
 
 def _log_root(fn, t_floor):
-    """First root of fn on the _MORAN_SCAN grid, placed by brentq.
+    """First root of fn on the _MORAN_SCAN grid, placed by brentq, which
+    starts from the scan's values at the bracket's ends (fn is cached).
 
     fn is positive below t_floor, so no scan point below it can end a sign
     change: the scan starts two grid points below the first point at or
@@ -508,17 +511,14 @@ def _log_root(fn, t_floor):
     finds. A point where fn raises RatioNotContracting or OverflowError
     brackets nothing.
     """
+    fn = functools.cache(fn)
     start = max(int(np.searchsorted(_MORAN_SCAN, t_floor)) - 2, 0)
-    prev_t, prev_v = None, None
-    for t in _MORAN_SCAN[start:]:
+    for a, b in itertools.pairwise(_MORAN_SCAN[start:]):
         try:
-            v = fn(t)
+            if fn(a) > 0.0 >= fn(b):
+                return brentq(fn, a, b, xtol=_MORAN_XTOL)
         except (RatioNotContracting, OverflowError):
-            prev_t, prev_v = None, None
             continue
-        if prev_v is not None and prev_v > 0.0 >= v:
-            return brentq(fn, prev_t, t, xtol=_MORAN_XTOL)
-        prev_t, prev_v = t, v
     raise RootNotBracketed("Moran sum never crosses 1 on the scan range")
 
 

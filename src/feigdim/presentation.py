@@ -7,12 +7,12 @@ PresentationSystem implements the IFS protocol of the dimension engine
 iter_letter_jets, the one stream of jets over letters 1..K in order, and a
 single letter's jets are that stream's k-th item.
 
-The branch H^{-1} maps I onto [0, 1/tau]: a bisection-Newton solve of
-e(w) = x^(1/ell) on G's series e(w) = E(w/tau), with z = w/tau. G^k is k
-explicit contraction steps, numerically stable for every k because the
-cylinders accumulate at the attracting fixed point x_c of G; step k reads
-G's series re-expanded on a hull of the cylinders it can reach (g_levels),
-a few terms long for the deep letters. The alternative composition form
+The branch H^{-1} maps I onto [0, 1/tau]: one Newton step from a cubic
+Hermite start solves e(w) = x^(1/ell) on G's series e(w) = E(w/tau), with
+z = w/tau. G^k is k explicit contraction steps of one pow each, stable for
+every k as the cylinders accumulate at the attracting fixed point x_c of
+G; step k reads G's series re-expanded on a hull of the cylinders it can
+reach (g_levels), a few terms long for the deep letters. The composition
 psi_k = H^{-1} o tau^{-k}, well conditioned only for shallow k, is the
 test suite's independent reference (tests/oracles.py).
 """
@@ -37,7 +37,6 @@ _W_PAD = 2.0 ** -10
 _TAIL_NX = 64
 _CERT_NX = 200
 _NBIS = 8
-_NNEWT = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,14 +77,16 @@ def _check_letter(ps, k):
         raise IndexOutOfAlphabet(f"{k} is not a letter of 1..{ps.Kmax}")
 
 
-def _bisection_grid(sys):
+def _bisection_cells(sys):
     """The 2^_NBIS + 1 points that _NBIS bisection steps on
-    [-_W_PAD, 1 + _W_PAD] can reach, each an exact dyadic, and e on them.
+    [-_W_PAD, 1 + _W_PAD] can reach, each an exact dyadic, e on them, and
+    the coefficients c1..c3 of e's inverse cubic Hermite interpolant
+    grid[j] + r (c1 + r (c2 + r c3)), r = target - e(grid[j]), on each cell.
 
     Step by step, bisection keeps a when e(mid) > target, so it ends in the
-    cell [grid[j - 1], grid[j]] whose j counts the grid points with
-    e > target, clipped to 1..2^_NBIS: a lookup in the strictly decreasing
-    table gives that cell bit for bit.
+    cell [grid[j], grid[j + 1]] whose j counts the inner points grid[1:-1]
+    with e > target: a lookup in the strictly decreasing table gives that
+    cell bit for bit.
     """
     n = 2 ** _NBIS
     grid = -_W_PAD + np.arange(n + 1) * ((1.0 + 2.0 * _W_PAD) / n)
@@ -93,7 +94,11 @@ def _bisection_grid(sys):
     if not np.all(np.diff(eg) < 0.0):
         raise InvariantViolation(
             "G's series e is not strictly decreasing on the bisection grid")
-    return grid, eg
+    c1 = 1.0 / cheb.eval01(sys.g_tables[1][:, 1], grid)
+    de, secant = np.diff(eg), np.diff(grid) / np.diff(eg)
+    c2 = (3.0 * secant - 2.0 * c1[:-1] - c1[1:]) / de
+    c3 = (c1[:-1] + c1[1:] - 2.0 * secant) / (de * de)
+    return grid, eg, (c1, c2, c3)
 
 
 def _solve_e_decreasing(sys, targets):
@@ -101,19 +106,23 @@ def _solve_e_decreasing(sys, targets):
     [-_W_PAD, 1 + _W_PAD]: the pad holds the roots for all of I widened by
     _X_SLACK (within 1e-8 of [0, 1]), so no x psi accepts is clipped.
 
-    The bracket [a, b] of the root is the cell of _bisection_grid that
-    _NBIS bisection steps would reach, found by one lookup; Newton polishes
-    the midpoint, each iterate clipped to [a, b].
+    The bracket [a, b] of the root is the cell of _bisection_cells that
+    _NBIS bisection steps would reach, found by one lookup; one Newton step
+    from the cell's Hermite start, clipped to [a, b], polishes it.
     """
     targets = np.asarray(targets, dtype=float)
-    grid, eg = _bisection_grid(sys)
-    cell = np.clip(np.searchsorted(-eg, -targets, side="left"), 1, len(eg) - 1)
-    a, b = grid[cell - 1], grid[cell]
-    w = 0.5 * (a + b)
-    for _ in range(_NNEWT):
-        e, e1 = cheb.eval01(sys.g_tables[1], w)
-        w = np.clip(w - (e - targets) / e1, a, b)
-    return w
+    grid, eg, (c1, c2, c3) = _bisection_cells(sys)
+    j = np.searchsorted(-eg[1:-1], -targets, side="left")
+    r = targets - eg[j]
+    w = c3[j]       # the start in place, one gathered temporary at a time
+    for c in (c2, c1, grid):
+        w *= r
+        w += c[j]
+    del r
+    e, e1 = cheb.eval01(sys.g_tables[1], w)
+    w -= np.divide(np.subtract(e, targets, out=e), e1, out=e)
+    return np.clip(w, np.take(grid, j, out=e), np.take(grid, j + 1, out=e1),
+                   out=w)
 
 
 def _h_inverse_jets(sys, x, nder):
@@ -140,22 +149,25 @@ def _h_inverse_jets(sys, x, nder):
 
 
 def _g_step_jets(ps, k, jets, nder):
-    """Push jets of a map through step k of the letter stream: one
-    application of G, read on that step's level table."""
+    """Push jets of a map f through step k of the letter stream: the chain
+    rule for e o f in place on e's jets, read on that step's level table,
+    then their power G o f = (e o f)^ell (_power_jets)."""
     a, b, tables = ps.g_levels[(k - 1).bit_length()]
-    # left unnamed, the series values and their argument are freed first
-    g = _power_jets(
-        cheb.eval01(tables[min(nder, 3)], (jets[0] - a) / (b - a)), ps.sys.ell)
-    out = [g[0]]
-    if nder >= 1:
-        out.append(g[1] * jets[1])
+    u = np.subtract(jets[0], a)
+    u /= b - a
+    g = cheb.eval01(tables[min(nder, 3)], u)
+    del u       # the argument, freed before the jets are formed
     if nder >= 2:
-        sq = jets[1] ** 2
-        out.append(g[2] * sq + g[1] * jets[2])
-    if nder >= 3:
-        out.append(g[3] * (sq * jets[1]) + 3.0 * g[2] * jets[1] * jets[2]
-                   + g[1] * jets[3])
-    return tuple(out)
+        sq = jets[1] * jets[1]
+        if nder >= 3:
+            g[3] *= sq * jets[1]
+            g[3] += 3.0 * g[2] * jets[1] * jets[2]
+            g[3] += g[1] * jets[3]
+        g[2] *= sq
+        g[2] += np.multiply(g[1], jets[2], out=sq)
+    if nder >= 1:
+        g[1] *= jets[1]
+    return tuple(_power_jets(g, ps.sys.ell))
 
 
 def iter_letter_jets(ps, K, x, nder=1):

@@ -63,24 +63,32 @@ def _g_tables(fp):
 
 def _power_jets(ej, ell):
     """Jets of b^ell from the jets ej = (b, b', ...) of a base map b, up to
-    the third derivative."""
-    order = len(ej) - 1
-    e = ej[0]
-    out = [e ** ell]
-    if order >= 1:
-        e1 = ej[1]
-        out.append(ell * e ** (ell - 1) * e1)
-    if order >= 2:
-        e2 = ej[2]
-        out.append(ell * (ell - 1) * e ** (ell - 2) * e1 ** 2
-                   + ell * e ** (ell - 1) * e2)
+    the third derivative, in place of ej's rows, which the caller gives up:
+    products of one pow b^(ell - m), m = min(order, ell) (none at ell 2)."""
+    b, *d = ej
+    order = len(d)
+    # Horner in b: derivative q is ell b^(ell - min(q, ell)) d[q - 1]
     if order >= 3:
-        e3 = ej[3]
-        c3 = ell * (ell - 1) * (ell - 2)
-        lead = c3 * e ** (ell - 3) * (e1 * e1 * e1) if c3 else 0.0
-        out.append(lead + 3 * ell * (ell - 1) * e ** (ell - 2) * e1 * e2
-                   + ell * e ** (ell - 1) * e3)
-    return out
+        d[2] *= b
+        d[2] += 3 * (ell - 1) * d[0] * d[1]
+        if ell > 2:
+            d[2] *= b
+            d[2] += (ell - 1) * (ell - 2) * (d[0] * d[0] * d[0])
+    if order >= 2:
+        d[1] *= b
+        d[1] += (ell - 1) * (d[0] * d[0])
+    m = min(order, ell)
+    if m == 0:
+        return [b ** ell]
+    p = None if m == ell else b if m == ell - 1 else b ** (ell - m)
+    for q in range(order, 0, -1):   # p = b^(ell - min(q, ell)), None for 1
+        if q < m:
+            p = b if p is None else p * b
+        d[q - 1] *= ell
+        if p is not None:
+            d[q - 1] *= p
+    b *= p
+    return [b, *d]
 
 
 def _G_jets(sys, x, order):

@@ -15,6 +15,7 @@ from feigdim.errors import (
 from feigdim.presentation import (
     _W_PAD,
     _X_SLACK,
+    _bisection_cells,
     _g_step_jets,
     _h_inverse_jets,
     _psi_jets,
@@ -307,9 +308,10 @@ def test_bracketed_newton_matches_bisection(ell):
 
 
 def _bisected_newton(sys, targets):
-    """_solve_e_decreasing's bracket by 8 bisection steps on
-    [-2^-10, 1 + 2^-10], then its 4 clipped Newton steps: the reference
-    for the one-lookup bracket."""
+    """The bracket by 8 bisection steps on [-2^-10, 1 + 2^-10], then 4
+    clipped Newton steps from its midpoint: the reference for the
+    one-lookup bracket and its Hermite-started Newton step. Returns the
+    root and the bracket's lower end."""
     values, jets = sys.g_tables[0][:, 0], sys.g_tables[1]
     a = np.full(targets.shape, -2.0 ** -10)
     b = np.full(targets.shape, 1.0 + 2.0 ** -10)
@@ -322,24 +324,53 @@ def _bisected_newton(sys, targets):
     for _ in range(4):
         e, e1 = eval01(jets, w)
         w = np.clip(w - (e - targets) / e1, a, b)
-    return w
+    return w, a
 
 
-@pytest.mark.parametrize("ell", range(2, 23, 2))
-def test_lookup_bracket_matches_eight_bisection_steps(ell):
-    # every x psi accepts, the ends of I widened by 1e-9, e at every point
-    # the bisection can reach (ties, where e(mid) > target decides), and
-    # targets past both ends of e's range
-    ps = build_presentation(build_system(solve_ell(ell)))
+def _bisection_targets(ps, ell):
+    """Every x psi accepts, the ends of I widened by 1e-9, e at every
+    point the bisection can reach (ties, where e(mid) > target decides),
+    and targets past both ends of e's range."""
     lo, hi = ps.interval
     x = np.concatenate([np.linspace(lo - 1e-9, hi + 1e-9, 20001),
                         [lo - 1e-9, lo, hi, hi + 1e-9]])
     pad = 2.0 ** -10
     grid = -pad + np.arange(257) * ((1.0 + 2.0 * pad) / 256)
     eg = eval01(ps.sys.g_tables[0][:, 0], grid)
-    targets = np.concatenate([x ** (1.0 / ell), eg, [eg[0] + 1.0, -1.0]])
-    assert np.array_equal(_solve_e_decreasing(ps.sys, targets),
-                          _bisected_newton(ps.sys, targets))
+    return np.concatenate([x ** (1.0 / ell), eg, [eg[0] + 1.0, -1.0]])
+
+
+@pytest.mark.parametrize("ell", range(2, 23, 2))
+def test_lookup_bracket_matches_eight_bisection_steps(ell):
+    # the lookup finds the bisection's cell bit for bit; the root, one
+    # Newton step from the Hermite start, is within 4 ulp of the target,
+    # carried to w by 1/|e'|, of the reference's four steps from the
+    # midpoint (observed: at most 3.0), and both clip to the same cell end
+    # past e's range
+    ps = build_presentation(build_system(solve_ell(ell)))
+    targets = _bisection_targets(ps, ell)
+    grid, eg, _ = _bisection_cells(ps.sys)
+    j = np.searchsorted(-eg[1:-1], -targets, side="left")
+    ref, a = _bisected_newton(ps.sys, targets)
+    assert np.array_equal(grid[j], a)
+    got = _solve_e_decreasing(ps.sys, targets)
+    slope = np.abs(eval01(ps.sys.g_tables[1][:, 1], ref))
+    assert np.all(np.abs(got - ref) * slope
+                  <= 4.0 * np.spacing(np.abs(targets)))
+
+
+@pytest.mark.parametrize("ell", range(2, 23, 2))
+def test_hermite_start_is_within_1e_12_of_the_root(ell):
+    # the inverse cubic Hermite interpolant of the lookup cell, before the
+    # Newton step (observed: at most 4.5e-14 at ell 22)
+    ps = build_presentation(build_system(solve_ell(ell)))
+    targets = _bisection_targets(ps, ell)[:-2]
+    grid, eg, (c1, c2, c3) = _bisection_cells(ps.sys)
+    j = np.searchsorted(-eg[1:-1], -targets, side="left")
+    r = targets - eg[j]
+    start = grid[j] + r * (c1[j] + r * (c2[j] + r * c3[j]))
+    assert np.max(np.abs(start - _bisected_newton(ps.sys, targets)[0])) \
+        <= 1e-12
 
 
 def test_lookup_bracket_needs_a_decreasing_series(sys2):

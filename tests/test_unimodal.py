@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from feigdim.errors import DomainError, OrbitEscaped
 from feigdim.unimodal import (
     DEFAULT_ORBIT_MAX,
     UnimodalSystem,
+    _power_jets,
     build_system,
     conjugacy_residual,
     critical_orbit,
@@ -247,3 +249,39 @@ def test_taylor_at_ell_4():
     assert abs(b - (-0.0558579)) < 1e-6
     assert abs(a - 0.0312701) < 1e-6
     assert second_derivative_identity(sys4) < 1e-10
+
+
+def _exact(values):
+    return [Fraction(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("ell", [2, 4, 8, 20, 22])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_power_jets_match_closed_forms(ell, order):
+    # two base maps with closed-form jets of b^ell, on bases of both signs:
+    # b = +-exp, every derivative b itself, so (b^ell)^(q) = ell^q b^ell;
+    # and b = beta + c x at x = 0, jets (beta, c, 0, 0), so (b^ell)^(q) =
+    # ell (ell - 1) ... (ell - q + 1) c^q beta^(ell - q). The references are
+    # exact rationals in the rounded inputs, rounded once
+    eps = np.finfo(float).eps
+    beta = np.concatenate([np.exp(np.linspace(-3.0, 0.7, 60)),
+                           -np.exp(np.linspace(-3.0, 0.7, 60))])
+    c = np.linspace(-2.0, 2.0, len(beta))
+    exp_jets = np.tile(beta, (order + 1, 1))
+    affine_jets = np.zeros((order + 1, len(beta)))
+    affine_jets[0] = beta
+    if order:
+        affine_jets[1] = c
+    got_exp = _power_jets(exp_jets.copy(), ell)
+    got_affine = _power_jets(affine_jets.copy(), ell)
+    assert len(got_exp) == len(got_affine) == order + 1
+    for q in range(order + 1):
+        falling = int(np.prod([ell - i for i in range(q)]))
+        want_exp = [float(ell ** q * b ** ell) for b in _exact(beta)]
+        want_affine = [float(falling * ci ** q * b ** (ell - q))
+                       for b, ci in zip(_exact(beta), _exact(c))]
+        for got, want in ((got_exp[q], want_exp), (got_affine[q],
+                                                    want_affine)):
+            want = np.array(want)
+            assert np.all(np.abs(got - want) <= 16 * eps * np.abs(want))
+
