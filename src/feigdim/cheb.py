@@ -7,8 +7,8 @@ stack of them as numpy's chebval(2u - 1, coeffs), through one loop over
 _BLOCK points (see its docstring). clenshaw is numpy's Clenshaw loop on a
 plain list, for a scalar E on the map's own coefficient lists
 (fixedpoint.FixedPointMap). restrict01 re-expands a series or a stack on
-any [a, b] over [0,1] and chop cuts it to the head that matters to 2^-52:
-G's short series, its levels in the letter stream and q on a Moran block.
+any [a, b] over [0,1] and chop (heads) cuts it to the head that matters
+to 2^-52: G's short series, its levels in the letter stream and q on them.
 The other basis operations are numpy.polynomial.chebyshev's.
 On the Chebyshev-Gauss grid of any interval, gauss_series gives the
 coefficients of the interpolant through node values; the dimension engine
@@ -130,27 +130,31 @@ def restrict01(coeffs, a, b):
     c = np.asarray(coeffs, dtype=float)
     shift, scale = a + b - 1.0, b - a
 
-    def times_x(s):     # s's top coefficient is 0, so nothing spills over
-        out = shift * s
-        out[1:2] += scale * s[0]    # empty for a constant series
-        out[2:] += 0.5 * scale * s[1:-1]
-        out[:-1] += 0.5 * scale * s[1:]
+    def times_x(s, f=1.0):  # f x s; f = 1 or 2 scales exactly, and s's top
+        out = (f * shift) * s   # coefficient is 0, so nothing spills over
+        out[1:2] += (f * scale) * s[0]    # empty for a constant series
+        out[2:] += (0.5 * f * scale) * s[1:-1]
+        out[:-1] += (0.5 * f * scale) * s[1:]
         return out
 
     b1, b2 = np.zeros(c.shape), np.zeros(c.shape)
-    for ck in c[::-1]:
-        b1, b2 = 2.0 * times_x(b1) - b2, b1
-        b1[0] += ck
+    for t, ck in enumerate(c[::-1]):    # b1 has degree t - 1: t + 1 rows
+        np.subtract(times_x(b1[:t + 1], 2.0), b2[:t + 1], out=b2[:t + 1])
+        b2[0] += ck
+        b1, b2 = b2, b1
     return b1 - times_x(b2)
 
 
-def chop(coeffs):
-    """A series cut to the shortest head whose dropped tail sums to at most
-    2^-52 of its absolute sum, which bounds the values' error by that share;
-    a stack is cut to its columns' longest head, never below one row."""
+def heads(coeffs):
+    """Per series (a column of a stack), the length of its shortest head
+    whose dropped tail sums to at most 2^-52 of its absolute sum, >= 1."""
     tails = np.cumsum(np.abs(coeffs[::-1]), axis=0)[::-1]
-    heads = np.sum(tails > 2.0 ** -52 * tails[0], axis=0)
-    return coeffs[:np.max(heads, initial=1)]
+    return np.maximum(np.sum(tails > 2.0 ** -52 * tails[0], axis=0), 1)
+
+
+def chop(coeffs):
+    """A series cut to its head (heads); a stack to its longest column's."""
+    return coeffs[:np.max(heads(coeffs), initial=1)]
 
 
 def vander01(u, degree):

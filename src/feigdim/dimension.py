@@ -23,19 +23,19 @@ the conformal cylinder measure share one word walk of phi_w x and
 log|Dphi_w x|: _extend_words tables every level but the last, which
 _letter_blocks streams one letter's words at a time, each block reduced
 to its per-word results at once, so no table has K^n words; q
-telescopes, so it is added after the walk, on each block re-expanded on
-the span of its positions. The walk's tables are (samples, words), one
-column per word in lexicographic order, so a word's sup, inf or
-quadrature reduces along axis 0 over long contiguous rows.
+telescopes, so the walk adds it once, -q(x) at its start and q(phi_w x)
+with the letter stream of the last level. The walk's tables are (samples,
+words), one column per word in lexicographic order, so a word's sup, inf
+or quadrature reduces along axis 0 over long contiguous rows.
 
 Every root in t (the Bowen root, the bracket's crossings, the Moran roots)
 is located by Brent's method (roots.brentq) on a sign-changing bracket.
 
 The engine consumes any object with the IFS protocol: `interval` (lo, hi),
-`Kmax` (alphabet size), `letter_jets(K, x, nder)` (yields the jets of
-letters 1..K in order, each the map's value and nder derivatives at x) and
-`tail_bound(K, t)` (bound on the letters beyond K). A truncation K is the
-number of letters, and every table the engine builds has K letter rows.
+`Kmax` (alphabet size), `letter_jets(K, x, nder, q=None)` (yields letters
+1..K in order, each its value and nder derivatives at x, then q(value) for
+a series q on I) and `tail_bound(K, t)` (bound on the letters beyond K). A
+truncation K is the number of letters; every table has K letter rows.
 """
 import functools
 import itertools
@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb import (cheb_points, chop, eval01, gauss_series, jet_table,
-                   restrict01, vander01)
+from .cheb import cheb_points, eval01, gauss_series, jet_table, vander01
 from .errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -68,6 +67,7 @@ _BRACKET_W0 = 1e-8          # first half-width of the bracket root search
 _BRACKET_XTOL = 1e-13       # bracket root tolerance; roots move out by it
 _TAIL_BUDGET = 1e-8         # tail at the root that stops K escalation
 _MORAN_NSAMP = 9            # Moran sample points on I per word
+_MORAN_POINTS = 50_000      # most points per letter stream of a last level
 _Q_TERMS = 16               # Chebyshev terms of the adapted metric q
 _POWER_TOL = 1e-12          # power iteration's relative eigenvalue step
 _POWER_MAX_ITER = 5000
@@ -401,31 +401,21 @@ def _extend_words(ifs, K, pos, logd):
     return new_pos.reshape(ns, K * nw), new_logd.reshape(ns, K * nw)
 
 
-def _letter_blocks(ifs, K, pos, logd):
+def _letter_blocks(ifs, K, pos, logd, q=None):
     """The words a w of _extend_words(ifs, K, pos, logd), one letter a at a
-    time: (samples, words) blocks of psi_a(pos) and log|psi_a'(pos)| + logd,
-    columns a * nw ... (a + 1) * nw of the tables _extend_words returns, so
-    that a walk's last level is reduced per letter and never held whole.
-    The jets are read, never written: the stream steps from them to the
-    next letter.
+    time: (samples, words) blocks of psi_a(pos) and log|psi_a'(pos)| + logd
+    (+ q(psi_a pos) for a series q on I), columns a * nw ... (a + 1) * nw of
+    the tables _extend_words returns, so that a walk's last level is reduced
+    per letter and never held whole. The jets are read, never written: the
+    stream steps from them to the next letter.
     """
     ns, nw = pos.shape
-    for val, der in ifs.letter_jets(K, pos.ravel()):
+    for val, der, *qv in ifs.letter_jets(K, pos.ravel(), 1, q):
         new_logd = np.log(np.abs(der)).reshape(ns, nw)
         new_logd += logd
+        for v in qv:    # q(psi_a pos), given q
+            new_logd += v.reshape(ns, nw)
         yield val.reshape(ns, nw), new_logd
-
-
-def _q_on_span(q, interval, val):
-    """q at the positions val, re-expanded on their span [v0, v1]: a
-    letter's words fill its cylinder, so deep letters read few terms."""
-    lo, hi = interval
-    v0, v1 = val.min(), val.max()
-    qa = chop(restrict01(q, (v0 - lo) / (hi - lo), (v1 - lo) / (hi - lo)))
-    u = val - v0
-    if v1 > v0:     # else every position is v0, and u = 0 reads q(v0)
-        u /= v1 - v0
-    return eval01(qa, u)
 
 
 def _word_tables(ifs, K, n):
@@ -434,11 +424,10 @@ def _word_tables(ifs, K, n):
     The walk prepends letters from the empty word, tracking phi_w(x) and
     log|Dphi_w(x)| at the sample points. In the metric exp(q) the log
     derivative is log|Dphi_w(x)| + q(phi_w x) - q(x), since q telescopes
-    along the word, so q, fitted on the depth-1 tables, is added once,
-    after the walk. The last level streams letter by letter
-    (_letter_blocks), each block reduced to its words' sup and inf at once,
-    with q read on the span of the block's positions (_q_on_span).
-    Returns the depth-n sup and inf, the depth-1 sup, and delta_q.
+    along the word, so q, fitted on the depth-1 tables, is added once: -q(x)
+    at the walk's start, q(phi_w x) by the letter stream of the last level,
+    whose blocks (_letter_blocks) reduce to their words' sup and inf at
+    once. Returns the depth-n sup and inf, the depth-1 sup, and delta_q.
     """
     if K ** n > _WORD_BUDGET:
         raise DomainError(f"{K}^{n} words exceed the {_WORD_BUDGET} budget")
@@ -451,17 +440,17 @@ def _word_tables(ifs, K, n):
     s1_sup = ld1.max(axis=0)
     if n == 1:
         return s1_sup, ld1.min(axis=0), s1_sup, delta_q
-    pos, logd = vals, lds
+    pos, logd = vals, lds - qx
     for _ in range(n - 2):
         pos, logd = _extend_words(ifs, K, pos, logd)
-    nw = pos.shape[1]
-    sup, inf = np.empty(K * nw), np.empty(K * nw)
-    for a, (val, ld) in enumerate(_letter_blocks(ifs, K, pos, logd)):
-        ld += _q_on_span(q, ifs.interval, val) - qx
-        words = slice(a * nw, (a + 1) * nw)
-        ld.max(axis=0, out=sup[words])
-        ld.min(axis=0, out=inf[words])
-    return sup, inf, s1_sup, delta_q
+    sup, inf = np.full((2, K, pos.shape[1]), [[[-np.inf]], [[np.inf]]])
+    step = max(1, _MORAN_POINTS // pos.shape[1])    # samples per stream
+    for r in range(0, len(pos), step):
+        blocks = _letter_blocks(ifs, K, pos[r:r + step], logd[r:r + step], q)
+        for a, (_, ld) in enumerate(blocks):
+            np.maximum(sup[a], ld.max(axis=0), out=sup[a])
+            np.minimum(inf[a], ld.min(axis=0), out=inf[a])
+    return sup.ravel(), inf.ravel(), s1_sup, delta_q
 
 
 @dataclass(frozen=True)

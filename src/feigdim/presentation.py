@@ -11,10 +11,11 @@ The branch H^{-1} maps I onto [0, 1/tau]: one Newton step from a cubic
 Hermite start solves e(w) = x^(1/ell) on G's series e(w) = E(w/tau), with
 z = w/tau. G^k is k explicit contraction steps of one pow each, stable for
 every k as the cylinders accumulate at the attracting fixed point x_c of
-G; step k reads G's series re-expanded on a hull of the cylinders it can
-reach (g_levels), a few terms long for the deep letters. The composition
-psi_k = H^{-1} o tau^{-k}, well conditioned only for shallow k, is the
-test suite's independent reference (tests/oracles.py).
+G; step k reads G's series re-expanded on the branch lap or cylinder k - 1
+(g_levels), a few terms long for the deep letters, and a series q on I
+can ride the next step's table to be read at each letter's values. The
+composition psi_k = H^{-1} o tau^{-k}, well conditioned only for shallow
+k, is the test suite's independent reference (tests/oracles.py).
 """
 from dataclasses import dataclass, replace
 
@@ -44,8 +45,8 @@ class PresentationSystem:
     """Built presentation IFS with cylinder table and contraction data.
 
     tail_levels[k - 1] is sup |Dpsi_k| on a 64-point grid of I (read-only).
-    g_levels[j] = (a, b, tables): sys.g_tables re-expanded on [a, b], read
-    by step k of the letter stream when j = (k - 1).bit_length().
+    g_levels[k] = (a, b, table, heads): G's order-n jets re-expanded on the
+    branch lap (k = 0) or cylinder k +- _X_SLACK are table[:heads[n], :n + 1].
     """
 
     sys: object
@@ -64,8 +65,8 @@ class PresentationSystem:
     def interval(self):
         return self.I
 
-    def letter_jets(self, K, x, nder=1):
-        return iter_letter_jets(self, K, x, nder)
+    def letter_jets(self, K, x, nder=1, q=None):
+        return iter_letter_jets(self, K, x, nder, q)
 
     def tail_bound(self, K, t):
         return tail_bound(self, K, t)
@@ -101,6 +102,18 @@ def _bisection_cells(sys):
     return grid, eg, (c1, c2, c3)
 
 
+def _lookup_cells(eg, targets):
+    """searchsorted(-eg[1:-1], -targets), eg strictly decreasing: the count
+    at the centre of a target's bin, bins half eg's least step wide, is off
+    by at most one, and two comparisons correct it."""
+    width = 0.5 * np.min(-np.diff(eg))
+    n = int(np.ceil((eg[0] - eg[-1]) / width)) + 1
+    guess = np.searchsorted(-eg[1:-1], (np.arange(n) + 0.5) * width - eg[0])
+    j = guess[np.clip((eg[0] - targets) / width, 0, n - 1).astype(np.intp)]
+    j = j - 1 + (eg[j] > targets) + (eg[j + 1] > targets)
+    return np.clip(j, 0, len(eg) - 2, out=j)    # targets past e's range
+
+
 def _solve_e_decreasing(sys, targets):
     """Solve e(w) = target on G's series, decreasing and positive on
     [-_W_PAD, 1 + _W_PAD]: the pad holds the roots for all of I widened by
@@ -112,7 +125,7 @@ def _solve_e_decreasing(sys, targets):
     """
     targets = np.asarray(targets, dtype=float)
     grid, eg, (c1, c2, c3) = _bisection_cells(sys)
-    j = np.searchsorted(-eg[1:-1], -targets, side="left")
+    j = _lookup_cells(eg, targets)
     r = targets - eg[j]
     w = c3[j]       # the start in place, one gathered temporary at a time
     for c in (c2, c1, grid):
@@ -148,14 +161,19 @@ def _h_inverse_jets(sys, x, nder):
     return tuple(out)
 
 
-def _g_step_jets(ps, k, jets, nder):
+def _g_step_jets(ps, k, jets, nder, q=None):
     """Push jets of a map f through step k of the letter stream: the chain
     rule for e o f in place on e's jets, read on that step's level table,
-    then their power G o f = (e o f)^ell (_power_jets)."""
-    a, b, tables = ps.g_levels[(k - 1).bit_length()]
+    then their power (_power_jets), and q o f for a series q on the level."""
+    a, b, level, heads = ps.g_levels[k - 1]
+    n = min(nder, 3)
+    table = level[:heads[n], :n + 1]
+    if q is not None:   # read as one more column
+        table, jet = np.zeros((max(len(table), len(q)), n + 2)), table
+        table[:len(jet), :-1], table[:len(q), -1] = jet, q
     u = np.subtract(jets[0], a)
     u /= b - a
-    g = cheb.eval01(tables[min(nder, 3)], u)
+    g = cheb.eval01(table, u)
     del u       # the argument, freed before the jets are formed
     if nder >= 2:
         sq = jets[1] * jets[1]
@@ -167,10 +185,10 @@ def _g_step_jets(ps, k, jets, nder):
         g[2] += np.multiply(g[1], jets[2], out=sq)
     if nder >= 1:
         g[1] *= jets[1]
-    return tuple(_power_jets(g, ps.sys.ell))
+    return (*_power_jets(g[:n + 1], ps.sys.ell), *g[n + 1:])
 
 
-def iter_letter_jets(ps, K, x, nder=1):
+def iter_letter_jets(ps, K, x, nder=1, q=None):
     """Yield psi_k's jets at x for k = 1..K in order, sharing the G-iteration.
 
     The only whole-alphabet jet path: one branch inversion and K
@@ -179,17 +197,30 @@ def iter_letter_jets(ps, K, x, nder=1):
     _X_SLACK raises DomainError, so step k reads G inside its level: at
     H^{-1}(x) in the branch lap (where Newton is clipped) for k = 1, else at
     psi_{k-1}(x), within _X_SLACK of cylinder k - 1 = psi_{k-1}(I) as every
-    letter contracts (tail_levels < 1), so in the widened hull of cylinders
-    c..Kmax, c <= k - 1, up to the roundoff of the scalar cylinder walk.
+    letter contracts (tail_levels < 1), up to the roundoff of the scalar
+    cylinder walk. Given q, a series on I, item k ends with q(psi_k x), read
+    as one more column of step k + 1's table, so yielded after that step.
     """
     _check_letter(ps, K)
     x = np.asarray(x, dtype=float)
     if not np.all((ps.I[0] - _X_SLACK <= x) & (x <= ps.I[1] + _X_SLACK)):
         raise DomainError(f"letter argument outside I = {list(ps.I)}")
-    jets = _h_inverse_jets(ps.sys, x, nder)
-    for k in range(1, K + 1):
-        jets = _g_step_jets(ps, k, jets, nder)
+    jets = _g_step_jets(ps, 1, _h_inverse_jets(ps.sys, x, nder), nder)
+    if q is None:
+        for k in range(2, K + 1):
+            yield jets
+            jets = _g_step_jets(ps, k, jets, nder)
         yield jets
+        return
+    ends = np.array([lv[:2] for lv in ps.g_levels[1:K + 1]]).T - ps.I[0]
+    qs = cheb.restrict01(np.tile(q, (K, 1)).T, *ends / (ps.I[1] - ps.I[0]))
+    qs = [col[:m] for col, m in zip(qs.T, cheb.heads(qs))]
+    for k in range(2, K + 1):
+        *step, qk = _g_step_jets(ps, k, jets, nder, qs[k - 2])
+        yield (*jets, qk)
+        jets = step
+    a, b = ps.g_levels[K][:2]
+    yield (*jets, cheb.eval01(qs[-1], (jets[0] - a) / (b - a)))
 
 
 def stack_letter_jets(ifs, K, x, nder=1):
@@ -322,17 +353,16 @@ def build_presentation(sys, j_margin=0.2):
 
 def _g_levels(sys, cylinders):
     """G's jet tables (g_levels), all re-expanded by one recurrence, on the
-    branch lap and the hulls of cylinders c..Kmax, c = 1, 2, 4, ... < Kmax,
-    widened by _X_SLACK; cylinder k is about lam~^k as wide as I."""
-    lo, hi = [-_W_PAD / sys.tau], [(1.0 + _W_PAD) / sys.tau]
-    for j in range((len(cylinders) - 1).bit_length()):
-        hull = cylinders[(1 << j) - 1:]
-        lo.append(hull[:, 0].min() - _X_SLACK)
-        hi.append(hull[:, 1].max() + _X_SLACK)
+    branch lap and on every cylinder widened by _X_SLACK; cylinder k is
+    about lam~^k as wide as I, and its level a few terms long."""
+    lo = np.append(-_W_PAD / sys.tau, cylinders[:, 0] - _X_SLACK)
+    hi = np.append((1.0 + _W_PAD) / sys.tau, cylinders[:, 1] + _X_SLACK)
     table = cheb.restrict01(np.tile(sys.g_tables[3], len(lo)),
                             np.repeat(lo, 4), np.repeat(hi, 4))
-    return tuple((a, b, tuple(cheb.chop(t[:, :q + 1]) for q in range(4)))
-                 for a, b, t in zip(lo, hi, np.hsplit(table, len(lo))))
+    heads = np.maximum.accumulate(cheb.heads(table).reshape(-1, 4), axis=1)
+    return tuple((a, b, table[:h[3], 4 * i:4 * i + 4], tuple(h))
+                 for i, (a, b, h) in enumerate(zip(lo.tolist(), hi.tolist(),
+                                                   heads.tolist())))
 
 
 def _rho_density(J, x):

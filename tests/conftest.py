@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from feigdim.cheb import eval01
 from feigdim.dimension import _bowen_root, build_pressure_model
 from feigdim.fixedpoint import PERIOD_DOUBLING, solve_fixed_point
 from feigdim.presentation import build_presentation
@@ -48,19 +49,22 @@ class ToyIFS:
 
     Implements the duck-typed IFS protocol the dimension engine consumes,
     and nothing else: interval, Kmax, letter_jets over the first K <= 2
-    maps and an exact zero tail (the alphabet really is finite).
+    maps (with q, a series on the interval, q at each image ends the item)
+    and an exact zero tail (the alphabet really is finite).
     """
 
     interval = (0.0, 1.0)
     Kmax = 2
 
-    def letter_jets(self, K, x, nder=1):
+    def letter_jets(self, K, x, nder=1, q=None):
         x = np.asarray(x, dtype=float)
         for a in range(K):
             val = x / 3.0 if a == 0 else x / 3.0 + 2.0 / 3.0
             jets = [val, np.full_like(x, 1.0 / 3.0)]
             while len(jets) < nder + 1:
                 jets.append(np.zeros_like(x))
+            if q is not None:
+                jets.append(eval01(q, val))     # the interval is [0, 1]
             yield tuple(jets)
 
     def tail_bound(self, K, t):

@@ -14,6 +14,7 @@ from feigdim.cheb import (
     eval01,
     fit01,
     gauss_series,
+    heads,
     restrict01,
     vander01,
 )
@@ -219,7 +220,7 @@ def test_restrict01_and_chop_on_random_series(coeffs, ends):
 
 def test_chop_cuts_a_stack_to_its_longest_column_head():
     # the shortest heads of the columns are 3 and 5 rows; a zero series
-    # keeps one row
+    # keeps one row, and heads counts them column by column
     stack = np.zeros((8, 2))
     stack[:3, 0] = [1.0, 0.5, 0.25]
     stack[:5, 1] = [1.0, -1.0, 1.0, -1.0, 1e-3]
@@ -228,6 +229,10 @@ def test_chop_cuts_a_stack_to_its_longest_column_head():
     assert chop(stack).shape == (5, 2)
     assert np.array_equal(chop(stack), stack[:5])
     assert chop(np.zeros(6)).shape == (1,)
+    # heads gives each column's own head, as chop cuts one series
+    assert heads(stack).tolist() == [3, 5]
+    assert heads(np.zeros((6, 2))).tolist() == [1, 1]
+    assert heads(stack[:, 1]) == len(chop(stack[:, 1]))
 
 
 def test_only_cheb_imports_numpy_polynomial():

@@ -1,5 +1,6 @@
 import ast
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from feigdim.presentation import (
     _W_PAD,
     _X_SLACK,
     _bisection_cells,
-    _g_step_jets,
     _h_inverse_jets,
+    _lookup_cells,
     _psi_jets,
     _rho_density,
     _solve_e_decreasing,
@@ -342,17 +343,23 @@ def _bisection_targets(ps, ell):
 
 @pytest.mark.parametrize("ell", range(2, 23, 2))
 def test_lookup_bracket_matches_eight_bisection_steps(ell):
-    # the lookup finds the bisection's cell bit for bit; the root, one
-    # Newton step from the Hermite start, is within 4 ulp of the target,
-    # carried to w by 1/|e'|, of the reference's four steps from the
-    # midpoint (observed: at most 3.0), and both clip to the same cell end
-    # past e's range
+    # the lookup finds the bisection's cell bit for bit, on targets equal
+    # to e's grid values, at the ends of its own bins and shuffled; the
+    # root, one Newton step from the Hermite start, is within 4 ulp of the
+    # target, carried to w by 1/|e'|, of the reference's four steps from
+    # the midpoint (observed: at most 3.0), and both clip to the same cell
+    # end past e's range
     ps = build_presentation(build_system(solve_ell(ell)))
-    targets = _bisection_targets(ps, ell)
     grid, eg, _ = _bisection_cells(ps.sys)
-    j = np.searchsorted(-eg[1:-1], -targets, side="left")
+    width = 0.5 * np.min(-np.diff(eg))
+    edges = eg[0] - width * np.arange(int((eg[0] - eg[-1]) / width) + 3)
+    targets = np.concatenate([_bisection_targets(ps, ell), edges])
     ref, a = _bisected_newton(ps.sys, targets)
+    j = _lookup_cells(eg, targets)
     assert np.array_equal(grid[j], a)
+    assert np.array_equal(j, np.searchsorted(-eg[1:-1], -targets))
+    shuffled = np.random.default_rng(ell).permutation(len(targets))
+    assert np.array_equal(_lookup_cells(eg, targets[shuffled]), j[shuffled])
     got = _solve_e_decreasing(ps.sys, targets)
     slope = np.abs(eval01(ps.sys.g_tables[1][:, 1], ref))
     assert np.all(np.abs(got - ref) * slope
@@ -474,25 +481,30 @@ def test_letter_stream_refuses_points_outside_the_slack(ps2):
 
 @pytest.mark.parametrize("ell", range(2, 23, 2))
 def test_level_tables_are_G_series_on_their_intervals(ell):
-    # each level's column j against G's full column on [a, b], within the
-    # chop's 2^-52 of the level column's absolute sum plus m eps of the
-    # full column's (observed: at most 0.28 of that). The branch lap comes
-    # first, then one hull per power of 2 below Kmax, the last a few rows
+    # each level's order-n table against G's full columns on [a, b],
+    # within the chop's 2^-52 of the level column's absolute sum plus m eps
+    # of the full column's (observed: at most 0.28 of that). The branch lap
+    # comes first, then every cylinder widened by _X_SLACK, the deepest a
+    # few rows
     ps = build_presentation(build_system(solve_ell(ell)))
     full = ps.sys.g_tables[3]
     u = np.linspace(0.0, 1.0, 2001)
     eps = np.finfo(float).eps
-    assert len(ps.g_levels) == 1 + (ps.Kmax - 1).bit_length()
+    assert len(ps.g_levels) == ps.Kmax + 1
     assert ps.g_levels[0][:2] == (-_W_PAD / ps.sys.tau,
                                   (1.0 + _W_PAD) / ps.sys.tau)
-    assert len(ps.g_levels[-1][2][3]) <= 5
-    for a, b, tables in ps.g_levels:
+    ends = np.array([level[:2] for level in ps.g_levels[1:]])
+    assert np.array_equal(ends, ps.cylinders + [-_X_SLACK, _X_SLACK])
+    assert ps.g_levels[-1][3][3] <= 5
+    for a, b, table, heads in ps.g_levels:
+        assert list(heads) == sorted(heads) and len(table) == heads[3]
+        assert table.shape[1] == 4 and len(table) <= len(full)
         want = eval01(full, a + (b - a) * u)
-        for q, table in enumerate(tables):
-            assert table.shape[1] == q + 1 and len(table) <= len(full)
-            got = eval01(table, u).reshape(q + 1, -1)
-            for j in range(q + 1):
-                bound = (2.0 ** -52 * np.sum(np.abs(table[:, j]))
+        for n in range(4):
+            level = table[:heads[n], :n + 1]
+            got = eval01(level, u).reshape(n + 1, -1)
+            for j in range(n + 1):
+                bound = (2.0 ** -52 * np.sum(np.abs(level[:, j]))
                          + len(full) * eps * np.sum(np.abs(full[:, j])))
                 assert np.max(np.abs(got[j] - want[j])) <= bound
 
@@ -504,31 +516,67 @@ def _slack_grid(ps):
 
 @pytest.mark.parametrize("ell", [2, 8, 20])
 def test_every_stream_step_reads_inside_its_level(ell):
-    # step k reads G at psi_{k-1}(x), or at H^{-1}(x) for k = 1
+    # step k reads G at psi_{k-1}(x), or at H^{-1}(x) for k = 1, on level
+    # k - 1, and q at psi_k(x) on level k
     ps = build_presentation(build_system(solve_ell(ell)))
     x = _slack_grid(ps)
     y = _h_inverse_jets(ps.sys, x, 0)[0]
     for k, (val,) in enumerate(iter_letter_jets(ps, ps.Kmax, x, 0), 1):
-        a, b, _ = ps.g_levels[(k - 1).bit_length()]
-        assert a <= y.min() and y.max() <= b
+        for level, points in ((k - 1, y), (k, val)):
+            a, b = ps.g_levels[level][:2]
+            assert a <= points.min() and points.max() <= b
         y = val
+
+
+def _clenshaw_decimal(c, s):
+    b1 = b2 = Decimal(0)
+    for ck in reversed(c[1:]):
+        b1, b2 = 2 * s * b1 - b2 + ck, b1
+    return s * b1 - b2 + c[0]
+
+
+def _decimal_stream(ps, x, K):
+    """Third-order jets of psi_1..psi_K at the floats x, stepped from
+    _h_inverse_jets' start on G's full series (the columns e..e''' of
+    sys.g_tables[3] on [0, 1]) in 40-digit decimal arithmetic: Clenshaw,
+    the chain rule for e o f and the power (e o f)^ell. Item [i][k - 1] is
+    letter k's jets at x[i]."""
+    ell = ps.sys.ell
+    cols = [[Decimal(c) for c in col] for col in ps.sys.g_tables[3].T.tolist()]
+    starts = zip(*(jet.tolist() for jet in _h_inverse_jets(ps.sys, x, 3)))
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for start in starts:
+            f, jets = [Decimal(v) for v in start], []
+            for _ in range(K):
+                e = [_clenshaw_decimal(col, 2 * f[0] - 1) for col in cols]
+                h = [e[0], e[1] * f[1], e[2] * f[1] ** 2 + e[1] * f[2],
+                     e[3] * f[1] ** 3 + 3 * e[2] * f[1] * f[2] + e[1] * f[3]]
+                b = h[0]    # the derivatives of b^ell, then the chain rule
+                p = [ell * b ** (ell - 1), ell * (ell - 1) * b ** (ell - 2),
+                     ell * (ell - 1) * (ell - 2) * b ** (ell - 3)]
+                f = [b ** ell, p[0] * h[1], p[1] * h[1] ** 2 + p[0] * h[2],
+                     p[2] * h[1] ** 3 + 3 * p[1] * h[1] * h[2] + p[0] * h[3]]
+                jets.append(f)
+            out.append(jets)
+    return out
 
 
 @pytest.mark.parametrize("ell", [2, 8, 20])
 def test_level_jets_match_steps_on_the_full_series(ell):
-    # the third-order stream against _g_step_jets with every level G's
-    # full series on [0, 1]: relative 1e-13 over the letters a certified
-    # row reads (K = 42, 98, 209) and 1e-12 over the alphabet, whose deep
-    # letters add roundoff step by step (observed at ell 20: 7.2e-14 and
-    # 1.6e-13)
+    # the third-order stream on its levels against G's full series on
+    # [0, 1] stepped from the same start in 40-digit decimal arithmetic, on
+    # a dozen points of I widened by _X_SLACK: relative 1e-13 over the
+    # letters a certified row reads (K = 42, 98, 209) and 1e-12 over the
+    # alphabet, whose deep letters add roundoff step by step (observed at
+    # ell 20: 4.6e-14 and 1.4e-13)
     ps = build_presentation(build_system(solve_ell(ell)))
-    whole = ((0.0, 1.0, ps.sys.g_tables),) * len(ps.g_levels)
-    full = replace(ps, g_levels=whole)
-    x = _slack_grid(ps)
-    ref = _h_inverse_jets(ps.sys, x, 3)
+    x = np.linspace(ps.interval[0] - _X_SLACK, ps.interval[1] + _X_SLACK, 12)
+    ref = _decimal_stream(ps, x, ps.Kmax)
     k_row = {2: 42, 8: 98, 20: 209}[ell]
     for k, jets in enumerate(iter_letter_jets(ps, ps.Kmax, x, 3), 1):
-        ref = _g_step_jets(full, k, ref, 3)
         rtol = 1e-13 if k <= k_row else 1e-12
-        for got, want in zip(jets, ref):
+        for n, got in enumerate(jets):
+            want = np.array([float(point[k - 1][n]) for point in ref])
             assert np.max(np.abs(got - want) / np.abs(want)) <= rtol
