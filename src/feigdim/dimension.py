@@ -33,9 +33,10 @@ is located by Brent's method (roots.brentq) on a sign-changing bracket.
 
 The engine consumes any object with the IFS protocol: `interval` (lo, hi),
 `Kmax` (alphabet size), `letter_jets(K, x, nder, q=None)` (yields letters
-1..K in order, each its value and nder derivatives at x, then q(value) for
-a series q on I) and `tail_bound(K, t)` (bound on the letters beyond K). A
-truncation K is the number of letters; every table has K letter rows.
+1..K in order, each its value and nder derivatives at x, then q(value),
+eval01's array, for a series q on I or a stack of them as columns, like
+the bracket's (h, h')) and `tail_bound(K, t)` (bound on the letters beyond
+K). A truncation K is the number of letters; every table has K letter rows.
 """
 import functools
 import itertools
@@ -56,7 +57,7 @@ from .errors import (
     TailTooFat,
 )
 from .fixedpoint import cached_solve, write_csv
-from .presentation import build_presentation, stack_letter_jets
+from .presentation import build_presentation
 from .roots import brentq
 from .unimodal import UnimodalSystem, build_system
 
@@ -80,7 +81,9 @@ CSV_HEADER = ["ell", "hd", "hd_lo", "hd_hi", "alpha", "tau", "K", "Nc",
 
 @dataclass(frozen=True, eq=False)
 class PressureModel:
-    """Collocated transfer operator data for one truncation level K."""
+    """Collocated transfer operator data for one truncation level K. B is
+    a (K, Nc, Nc) view of a contiguous (Nc, K, Nc) array, so operator(t) is
+    one batched (1, K) x (K, Nc) product per node."""
 
     ifs: object
     K: int
@@ -90,7 +93,8 @@ class PressureModel:
     B: np.ndarray
 
     def operator(self, t):
-        return np.einsum("ai,aij->ij", self.ders ** t, self.B)
+        return np.matmul((self.ders.T ** t)[:, None],
+                         self.B.transpose(1, 0, 2))[:, 0]
 
 
 def _is_count(n):
@@ -121,8 +125,8 @@ def build_pressure_model(ifs, K, Nc=32, _rows=None):
     if not np.all(ders > 0.0):
         raise DomainError("vanishing branch derivative on the node grid")
     lo, hi = ifs.interval
-    B = np.moveaxis(eval01(gauss_series(np.eye(Nc)), (imgs - lo) / (hi - lo)),
-                    0, -1)
+    B = eval01(gauss_series(np.eye(Nc)), (imgs.T - lo) / (hi - lo))
+    B = np.ascontiguousarray(B.transpose(1, 2, 0)).transpose(1, 0, 2)
     return PressureModel(ifs, K, Nc, imgs, ders, B)
 
 
@@ -163,7 +167,8 @@ def pressure_eigen(pm, t):
 
 
 def _bowen_root(pm, root_tol):
-    vals = np.array([pressure_eigen(pm, t) for t in _PROBE_GRID])
+    fn = functools.cache(lambda t: pressure_eigen(pm, t))   # probes reused
+    vals = np.array([fn(t) for t in _PROBE_GRID])
     if not np.all(np.diff(vals) < 0.0):
         raise InvariantViolation("pressure not strictly decreasing on probes")
     signs = np.sign(vals)
@@ -173,24 +178,19 @@ def _bowen_root(pm, root_tol):
             f"{len(changes)} sign changes of log lambda on the probe grid"
         )
     i = changes[0]
-    return brentq(lambda t: pressure_eigen(pm, t),
-                  _PROBE_GRID[i], _PROBE_GRID[i + 1],
-                  xtol=root_tol)
+    return brentq(fn, _PROBE_GRID[i], _PROBE_GRID[i + 1], xtol=root_tol)
 
 
 def _eigenfunction(pm, t):
-    """(h, h') of the collocation eigenvector of pm at t, anywhere in I.
-
-    The interpolant through the Nc Gauss nodes is a polynomial; its
-    Chebyshev series and that of its derivative, stacked as two columns,
-    evaluate both in one eval01 pass without a cardinal matrix over the
-    evaluation points.
+    """The (Nc, 2) stack of series on I of h and h' in x, h the
+    interpolant through the Nc Gauss nodes of pm's collocation eigenvector
+    at t, a polynomial; eval01 reads both in one pass.
     """
     _, v = _power_pair(pm.operator(t))
     lo, hi = pm.ifs.interval
     table = jet_table(gauss_series(v), 1)
     table[:, 1] /= hi - lo      # d/dx = (d/du) / (hi - lo)
-    return lambda x: eval01(table, (x - lo) / (hi - lo))
+    return table
 
 
 class _OperatorBounds:
@@ -199,16 +199,18 @@ class _OperatorBounds:
     For L_t h = sum_a |psi_a'|^t h o psi_a and any h > 0 on I,
     min_I (L_t h / h) <= exp P(t) <= max_I (L_t h / h). The ratio r_t over
     the first K letters and its derivative are tabulated on _BRACKET_NX
-    points of I from one second-order jet pass. Between grid points r_t
+    points of I from one second-order jet pass, which reads (h, h') at the
+    images as two more columns of each step. Between grid points r_t
     moves by at most (dx / 2) sup |r_t'|, taken as dx * max |r_t'| on the
     grid (twice the half-cell Lipschitz step). The letters beyond K raise
-    the ratio by at most tail_bound(K, t) * max h / min h. h maps points to
-    (h, h').
+    the ratio by at most tail_bound(K, t) * max h / min h. h is the stack
+    of series on I of (h, h') that _eigenfunction returns.
     """
 
     def __init__(self, ifs, K, h):
-        x = np.linspace(*ifs.interval, _BRACKET_NX)
-        hx, dhx = h(x)
+        lo, hi = ifs.interval
+        x = np.linspace(lo, hi, _BRACKET_NX)
+        hx, dhx = eval01(h, (x - lo) / (hi - lo))
         if not np.all(hx > 0.0):
             raise EigenvectorSignFailure(
                 "bracket test function not positive on the grid of I"
@@ -217,26 +219,27 @@ class _OperatorBounds:
         self.dx = float(np.max(np.diff(x)))
         self.spread = float(hx.max() / hx.min())
         self.dlog_h = dhx / hx
-        # (letters x grid) tables of log|psi'|, h(psi x) / h(x), and curv,
-        # slope with d/dx |psi'|^t h(psi x) / h(x) = |psi'|^t (t * curv +
-        # slope), each formed in place of a jet table it no longer needs
-        val, d1, d2 = stack_letter_jets(ifs, K, x, 2)
-        hval, dhval = h(val)
-        self.logd = np.log(np.abs(d1, out=val), out=val)
-        self.curv = np.divide(d2, d1, out=d2)
-        self.curv *= hval
-        self.curv /= hx
-        self.hv = np.divide(hval, hx, out=hval)
-        self.slope = np.multiply(d1, dhval, out=d1)
-        self.slope /= hx
+        # one (4, letters, grid) block: log|psi'|, h(psi x) / h(x), and
+        # curv, slope with d/dx |psi'|^t h(psi x) / h(x) = |psi'|^t (t *
+        # curv + slope), letter by letter from the stream
+        self.tables = np.empty((4, K, _BRACKET_NX))
+        for a, (_, d1, d2, (hval, dhval)) in enumerate(
+                ifs.letter_jets(K, x, 2, h)):
+            logd, hv, curv, slope = self.tables[:, a]
+            np.log(np.abs(d1), out=logd)
+            np.divide(d2, d1, out=curv)
+            curv *= hval
+            curv /= hx
+            np.divide(hval, hx, out=hv)
+            np.multiply(d1, dhval, out=slope)
+            slope /= hx
 
     def ratio(self, t):
         """(r_t, r_t') on the grid, over the first K letters."""
-        w = np.exp(t * self.logd)
-        r = np.einsum("ai,ai->i", w, self.hv)
-        dr = (t * np.einsum("ai,ai->i", w, self.curv)
-              + np.einsum("ai,ai->i", w, self.slope) - r * self.dlog_h)
-        return r, dr
+        w = np.multiply(t, self.tables[0])
+        np.exp(w, out=w)    # in place: one temporary of the block's size
+        r, curv, slope = np.einsum("ai,kai->ki", w, self.tables[1:])
+        return r, t * curv + slope - r * self.dlog_h
 
     def envelope(self, t):
         """(min r_t - slack, max r_t + slack): r_t over all of I."""

@@ -12,10 +12,11 @@ Hermite start solves e(w) = x^(1/ell) on G's series e(w) = E(w/tau), with
 z = w/tau. G^k is k explicit contraction steps of one pow each, stable for
 every k as the cylinders accumulate at the attracting fixed point x_c of
 G; step k reads G's series re-expanded on the branch lap or cylinder k - 1
-(g_levels), a few terms long for the deep letters, and a series q on I
-can ride the next step's table to be read at each letter's values. The
-composition psi_k = H^{-1} o tau^{-k}, well conditioned only for shallow
-k, is the test suite's independent reference (tests/oracles.py).
+(g_levels), a few terms long for the deep letters, and a series q on I,
+or a stack of them, can ride the next step's table to be read at each
+letter's values. The composition psi_k = H^{-1} o tau^{-k}, well
+conditioned only for shallow k, is the test suite's independent
+reference (tests/oracles.py).
 """
 from dataclasses import dataclass, replace
 
@@ -164,13 +165,15 @@ def _h_inverse_jets(sys, x, nder):
 def _g_step_jets(ps, k, jets, nder, q=None):
     """Push jets of a map f through step k of the letter stream: the chain
     rule for e o f in place on e's jets, read on that step's level table,
-    then their power (_power_jets), and q o f for a series q on the level."""
+    then their power (_power_jets), and the (columns, points) table of
+    q o f for a stack q of series on the level."""
     a, b, level, heads = ps.g_levels[k - 1]
     n = min(nder, 3)
     table = level[:heads[n], :n + 1]
-    if q is not None:   # read as one more column
-        table, jet = np.zeros((max(len(table), len(q)), n + 2)), table
-        table[:len(jet), :-1], table[:len(q), -1] = jet, q
+    if q is not None:   # read as more columns
+        table, jet = np.zeros((max(len(table), len(q)),
+                               n + 1 + q.shape[1])), table
+        table[:len(jet), :n + 1], table[:len(q), n + 1:] = jet, q
     u = np.subtract(jets[0], a)
     u /= b - a
     g = cheb.eval01(table, u)
@@ -185,7 +188,8 @@ def _g_step_jets(ps, k, jets, nder, q=None):
         g[2] += np.multiply(g[1], jets[2], out=sq)
     if nder >= 1:
         g[1] *= jets[1]
-    return (*_power_jets(g[:n + 1], ps.sys.ell), *g[n + 1:])
+    out = tuple(_power_jets(g[:n + 1], ps.sys.ell))
+    return out if q is None else (*out, g[n + 1:])
 
 
 def iter_letter_jets(ps, K, x, nder=1, q=None):
@@ -198,8 +202,9 @@ def iter_letter_jets(ps, K, x, nder=1, q=None):
     H^{-1}(x) in the branch lap (where Newton is clipped) for k = 1, else at
     psi_{k-1}(x), within _X_SLACK of cylinder k - 1 = psi_{k-1}(I) as every
     letter contracts (tail_levels < 1), up to the roundoff of the scalar
-    cylinder walk. Given q, a series on I, item k ends with q(psi_k x), read
-    as one more column of step k + 1's table, so yielded after that step.
+    cylinder walk. Given q, a series on I or a stack of them as columns,
+    item k ends with q(psi_k x), eval01's array for q, read as more columns
+    of step k + 1's table, so yielded after that step.
     """
     _check_letter(ps, K)
     x = np.asarray(x, dtype=float)
@@ -212,26 +217,28 @@ def iter_letter_jets(ps, K, x, nder=1, q=None):
             jets = _g_step_jets(ps, k, jets, nder)
         yield jets
         return
-    ends = np.array([lv[:2] for lv in ps.g_levels[1:K + 1]]).T - ps.I[0]
-    qs = cheb.restrict01(np.tile(q, (K, 1)).T, *ends / (ps.I[1] - ps.I[0]))
-    qs = [col[:m] for col, m in zip(qs.T, cheb.heads(qs))]
+    cols = np.reshape(q, (len(q), -1))      # one column per series
+    shape = np.shape(q)[1:] + x.shape       # eval01's for q at x
+    ends = np.array([lv[:2] for lv in ps.g_levels[1:K + 1]]) - ps.I[0]
+    qs = cheb.restrict01(np.tile(cols, K), *np.repeat(
+        ends, cols.shape[1], axis=0).T / (ps.I[1] - ps.I[0]))
+    qs = qs.reshape(len(qs), K, -1)
+    qs = [qs[:m, k] for k, m in enumerate(cheb.heads(qs).max(axis=1))]
     for k in range(2, K + 1):
         *step, qk = _g_step_jets(ps, k, jets, nder, qs[k - 2])
-        yield (*jets, qk)
+        yield (*jets, qk.reshape(shape))
         jets = step
     a, b = ps.g_levels[K][:2]
-    yield (*jets, cheb.eval01(qs[-1], (jets[0] - a) / (b - a)))
+    qk = cheb.eval01(qs[-1], (jets[0] - a) / (b - a))
+    yield (*jets, qk.reshape(shape))
 
 
 def stack_letter_jets(ifs, K, x, nder=1):
     """The jets of letters 1..K at the points x from one letter_jets pass,
     stacked: item j is the (K, len(x)) table of every letter's j-th jet."""
-    # an array per table: callers take the tables apart and reuse each in
-    # place; the word walks stream letter by letter instead of stacking
-    out = tuple(np.empty((K, len(x))) for _ in range(nder + 1))
+    out = np.empty((nder + 1, K, len(x)))
     for a, jets in enumerate(ifs.letter_jets(K, x, nder)):
-        for table, jet in zip(out, jets):
-            table[a] = jet
+        out[:, a] = jets
     return out
 
 

@@ -182,32 +182,30 @@ def critical_orbit(sys, n, head=None):
     entries this call computes; more raises OrbitEscaped. Since H = E^ell
     with ell even, H >= 0 and drift can only go above 1; whether it happens
     at all depends on roundoff, so the warning is a guard, not an expected
-    event. Each step is H = E^ell from one scalar E call: the loop's own
-    escape check replaces eval_H's domain check.
+    event. Each step is H = E^ell on floats, a scalar E's cheb.clenshaw on
+    E's list: the loop's own escape check replaces eval_H's domain check.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"orbit length must be an integer >= 0, got {n}")
     if n > DEFAULT_ORBIT_MAX:
         raise DomainError(
             f"orbit length {n} exceeds the configured max {DEFAULT_ORBIT_MAX}")
-    head = np.array([sys.x_c]) if head is None else np.asarray(head)
-    if not 1 <= len(head) <= n + 1:
-        raise DomainError(f"head of {len(head)} entries for orbit {n + 1}")
-    c = np.empty(n + 1)
-    c[:len(head)] = head
+    c = [sys.x_c] if head is None else np.asarray(head, float).tolist()
+    if not 1 <= len(c) <= n + 1:
+        raise DomainError(f"head of {len(c)} entries for orbit {n + 1}")
     drift = 0.0
-    E, ell = sys.fp.E, sys.fp.ell
-    for j in range(len(head) - 1, n):
-        nxt = float(E(c[j]) ** ell)
+    e, ell = sys.fp.e_coeffs.tolist(), sys.fp.ell
+    for j in range(len(c) - 1, n):
+        nxt = cheb.clenshaw(e, 2.0 * c[j] - 1.0) ** ell
         if nxt < -_SLACK or nxt > 1.0 + _SLACK:
             raise OrbitEscaped(f"c_{j + 1} = {nxt} left [0,1]")
         if nxt < 0.0 or nxt > 1.0:
             drift = max(drift, max(-nxt, nxt - 1.0))
             nxt = min(max(nxt, 0.0), 1.0)
-        c[j + 1] = nxt
+        c.append(nxt)
     if drift > 0.0:
         warnings.warn(f"critical orbit clamped to [0,1], max drift {drift:.2e}")
-    return c
+    return np.array(c)
 
 
 def second_derivative_identity(sys):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval, chebvander
+from numpy.polynomial.chebyshev import chebmul, chebval, chebvander
 from numpy.polynomial.polyutils import mapdomain
 
 from feigdim.dimension import (
@@ -24,6 +24,7 @@ from feigdim.dimension import (
     _BRACKET_XTOL,
     _MORAN_SCAN,
     _MORAN_XTOL,
+    _PROBE_GRID,
     _OperatorBounds,
     _bowen_root,
     _crossing,
@@ -38,7 +39,8 @@ from feigdim.dimension import (
 )
 import feigdim.dimension
 import feigdim.presentation
-from feigdim.cheb import cheb_points, chop, eval01, restrict01
+import feigdim.cheb
+from feigdim.cheb import cheb_points, chop, eval01, jet_table, restrict01
 from feigdim.errors import (
     DomainError,
     EigenvectorSignFailure,
@@ -90,6 +92,28 @@ def test_pressure_eigen_domain(pm2):
         pressure_eigen(pm2, 0.0)
     with pytest.raises(DomainError):
         pressure_eigen(pm2, 2.5)
+
+
+def test_bowen_root_reuses_its_probe_values(pm2, monkeypatch):
+    # brentq starts from the two probes that bracket the root: two
+    # pressure_eigen calls fewer than evaluating them afresh, same bits
+    calls = []
+    eigen = feigdim.dimension.pressure_eigen
+
+    def counting(pm, t):
+        calls.append(float(t))
+        return eigen(pm, t)
+
+    monkeypatch.setattr(feigdim.dimension, "pressure_eigen", counting)
+    got = _bowen_root(pm2, 1e-10)
+    cached = calls[:]
+    calls.clear()
+    vals = [counting(pm2, t) for t in _PROBE_GRID]
+    i = int(np.nonzero(np.diff(np.sign(vals)))[0][0])
+    want = brentq(lambda t: counting(pm2, t), _PROBE_GRID[i],
+                  _PROBE_GRID[i + 1], xtol=1e-10)
+    assert got == want
+    assert len(set(cached)) == len(cached) == len(calls) - 2
 
 
 def test_bowen_root_zeroes_the_pressure(pm2, tstar2):
@@ -737,21 +761,22 @@ def test_operator_bracket_contains_root_and_is_tight(ell):
     assert res.hd_hi - res.hd_lo <= 1e-6
 
 
+def _test_function(series, interval):
+    """The (h, h') stack _OperatorBounds takes, h the series on interval:
+    _eigenfunction's table for any series."""
+    table = jet_table(series, 1)
+    table[:, 1] /= interval[1] - interval[0]
+    return table
+
+
 def test_operator_bracket_holds_for_any_positive_test_function(pm2, tstar2):
     # The certificate may not lean on the collocation being right: a flat
-    # h and a wobbled eigenvector give wider brackets that still hold.
+    # h and the eigenvector times the positive 1 + 0.1 T_3 give wider
+    # brackets that still hold.
     eigen = _eigenfunction(pm2, tstar2)
-    lo, hi = pm2.ifs.interval
-    k = 2.0 * np.pi / (hi - lo)
-
-    def wobbled(x):
-        h, dh = eigen(x)
-        s = 1.0 + 0.1 * np.sin(k * (x - lo))
-        return h * s, dh * s + h * 0.1 * k * np.cos(k * (x - lo))
-
-    def flat(x):
-        return np.ones_like(x), np.zeros_like(x)
-
+    flat = _test_function([1.0], pm2.ifs.interval)
+    wobbled = _test_function(chebmul(eigen[:, 0], [1.0, 0.0, 0.0, 0.1]),
+                             pm2.ifs.interval)
     t_lo, t_hi = _OperatorBounds(pm2.ifs, pm2.K, eigen).bracket(tstar2)
     assert t_lo <= tstar2 <= t_hi
     for h in (flat, wobbled):
@@ -811,38 +836,97 @@ def test_operator_bracket_reads_each_envelope_once(ell):
 
 
 def _per_letter_bracket_tables(ifs, K, h):
-    """_OperatorBounds' four tables built one letter at a time and stacked
-    at the end: the reference for the stacked, in-place build."""
-    x = np.linspace(*ifs.interval, _BRACKET_NX)
-    hx, _ = h(x)
-    logd, hv, curv, slope = [], [], [], []
-    for val, d1, d2 in ifs.letter_jets(K, x, 2):
-        hval, dhval = h(val)
+    """_OperatorBounds' four tables built one letter at a time, with h and
+    h' evaluated on their series at the images (h(val)), and stacked at
+    the end; with the (K, grid) table of |psi'| and h(x) on the grid."""
+    lo, hi = ifs.interval
+    x = np.linspace(lo, hi, _BRACKET_NX)
+    hx, _ = eval01(h, (x - lo) / (hi - lo))
+    logd, hv, curv, slope, d1s = [], [], [], [], []
+    for val, d1, d2, _ in ifs.letter_jets(K, x, 2, h):
+        hval, dhval = eval01(h, (val - lo) / (hi - lo))
         logd.append(np.log(np.abs(d1)))
         hv.append(hval / hx)
         curv.append(d2 / d1 * hval / hx)
         slope.append(d1 * dhval / hx)
-    return [np.stack(a) for a in (logd, hv, curv, slope)]
+        d1s.append(np.abs(d1))
+    return [np.stack(a) for a in (logd, hv, curv, slope, d1s)], hx
 
 
 @pytest.mark.parametrize("ell", [2, 20])
 def test_operator_bracket_tables_match_a_per_letter_loop(ell):
     # the row's own K and h: at ell 20 that is 209 letters, whose stacked
-    # images cross many of eval01's point blocks
+    # images cross many of eval01's point blocks. The jets are the
+    # stream's own; h and h' ride it as two columns re-expanded on each
+    # cylinder, against their series on I at the images: per column c,
+    # at most eps (3 m sum|c_j| + 4 sum j^2 |c_j|) apart (as for the Moran
+    # metric q), which the tables carry divided by h(x) and times d2/d1
+    # (curv) or psi' (slope), plus 4 eps of each entry for the roundoff of
+    # their own products and quotients
     ifs = build_presentation(build_system(solve_ell(ell)))
     res = hausdorff_dimension(ifs, with_bracket=False)
     h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
     bounds = _OperatorBounds(ifs, res.K, h)
-    got = (bounds.logd, bounds.hv, bounds.curv, bounds.slope)
-    for table, want in zip(got, _per_letter_bracket_tables(ifs, res.K, h)):
-        assert table.shape == (res.K, _BRACKET_NX)
-        assert np.array_equal(table, want)
+    (logd, *want, d1), hx = _per_letter_bracket_tables(ifs, res.K, h)
+    eps, j = np.finfo(float).eps, np.arange(len(h))[:, None]
+    beta = eps * (3 * len(h) * np.sum(np.abs(h), axis=0)
+                  + 4 * np.sum(j * j * np.abs(h), axis=0))
+    scales = (beta[0], beta[0] * np.abs(want[1] / want[0]), beta[1] * d1)
+    assert bounds.tables.shape == (4, res.K, _BRACKET_NX)
+    assert np.array_equal(bounds.tables[0], logd)
+    for table, ref, scale in zip(bounds.tables[1:], want, scales):
+        assert np.all(np.abs(table - ref)
+                      <= scale / hx + 4 * eps * np.abs(ref))
 
 
 def test_operator_bracket_rejects_sign_changing_test_function(pm2):
-    mid = 0.5 * sum(pm2.ifs.interval)
+    # h = x - mid, the series (hi - lo) / 2 T_1 on I
+    lo, hi = pm2.ifs.interval
+    h = _test_function([0.0, 0.5 * (hi - lo)], pm2.ifs.interval)
     with pytest.raises(EigenvectorSignFailure):
-        _OperatorBounds(pm2.ifs, pm2.K, lambda x: (x - mid, np.ones_like(x)))
+        _OperatorBounds(pm2.ifs, pm2.K, h)
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_letter_stream_reads_a_stack_of_series_per_column(ell):
+    # a two-column stack rides the stream as one (2, points) array per
+    # item; each column within roundoff of its own one-column stream: the
+    # same re-expanded coefficients, read by a T-table against Clenshaw,
+    # and a head kept up to the stack's longest, each at most
+    # eps (3 m sum|c_j| + 4 sum j^2 |c_j|) (as for the Moran metric q)
+    ps = build_presentation(build_system(solve_ell(ell)))
+    xs = _sample_points(ps.interval, 9)
+    q = _fit_adapted_metric(ps.interval, xs, *_metric_samples(ps, xs, 24))[0]
+    stack = jet_table(q, 1)
+    eps, j = np.finfo(float).eps, np.arange(len(stack))[:, None]
+    bound = eps * (3 * len(stack) * np.sum(np.abs(stack), axis=0)
+                   + 4 * np.sum(j * j * np.abs(stack), axis=0))
+    x = np.linspace(*ps.interval, 1001)
+    items = list(ps.letter_jets(ps.Kmax, x, 1, q=stack))
+    assert len(items) == ps.Kmax
+    for c in range(2):
+        singles = ps.letter_jets(ps.Kmax, x, 1, q=stack[:, c])
+        for (_, _, qv), (_, _, want) in zip(items, singles, strict=True):
+            assert qv.shape == (2, len(x)) and want.shape == x.shape
+            assert np.max(np.abs(qv[c] - want)) <= bound[c]
+
+
+def test_certified_row_reads_no_long_eval01_pass(monkeypatch):
+    # the bracket reads h at the images on the letter stream, so no eval01
+    # call of a row reads more points than the collocation images, K * Nc
+    # (6,688 at ell 20; h(val) read K * 1001 = 209,209)
+    ps = build_presentation(build_system(solve_ell(20)))
+    sizes = []
+
+    def counting(coeffs, u):
+        sizes.append(np.size(u))
+        return eval01(coeffs, u)
+
+    for module in (feigdim.cheb, feigdim.dimension):
+        monkeypatch.setattr(module, "eval01", counting)
+    res = hausdorff_dimension(ps)
+    assert res.K == 209 and res.Nc == 32
+    assert 0 < max(sizes) <= res.K * res.Nc == 6688
 
 
 def test_ell_22_row_escalates_past_undecayed_tail_levels():

@@ -89,10 +89,9 @@ def test_orbit_head_must_start_the_orbit(sys2):
 
 def _drifting_system(delta):
     """Stand-in map with ell = 2 and E = sqrt(1 + delta), so H = 1 + delta
-    everywhere: every orbit step lands delta above 1. The orbit reads H
-    only, so the stand-in has no G series."""
-    e = np.sqrt(1.0 + delta)
-    fp = SimpleNamespace(ell=2, E=lambda x, deriv=0: np.full_like(x, e))
+    everywhere: every orbit step lands delta above 1. The orbit reads E's
+    coefficient list only, so the stand-in has no G series."""
+    fp = SimpleNamespace(ell=2, e_coeffs=np.array([np.sqrt(1.0 + delta)]))
     return UnimodalSystem(fp, tau=1.0, x_c=0.5, taylor=(0.0, 0.0, 0.0),
                           nonsymmetry=0.0, g_tables=())
 
