@@ -29,13 +29,10 @@ def eval01(coeffs, u):
     time, so that no temporary outgrows the cache on the long position
     arrays of a Moran walk, and per block:
 
-    - one series of 3 or more terms runs chebval's Clenshaw recurrence in
-      place (_chebval_into): the same operations in the same order, so the
-      same bits, in three rows of work space instead of three fresh arrays
-      per term. A shorter series runs chebval itself. Either works point by
-      point, so the solver, its validation defect and the cached records
-      do not move. Zero padding at the high end of a series is exact in
-      Clenshaw's recurrence, so a padded series gives the unpadded bits.
+    - one series runs chebval, point by point, so the solver, its
+      validation defect and the cached records do not move. Zero padding
+      at the high end of a series is exact in Clenshaw's recurrence, so a
+      padded series gives the unpadded bits.
     - a stack of k >= 2 series shares one table of T_j(2u - 1), built in
       place by the three-term recurrence (two ufunc calls per degree), then
       coeffs.T @ T. Values agree with chebval to roundoff, not bit for bit;
@@ -52,18 +49,14 @@ def eval01(coeffs, u):
     out = np.empty((series.shape[1], x.size))
     n = min(x.size, _BLOCK)
     stacked = series.shape[1] != 1
-    # rows: 2u - 1, then the Clenshaw rows (one series) or T (a stack)
-    work = np.empty((1 + (len(series) if stacked else 3), n))
+    work = np.empty((1 + (len(series) if stacked else 0), n))  # 2u - 1, T
     for start in range(0, x.size, _BLOCK):
         stop = min(start + _BLOCK, x.size)
         s = np.multiply(x[start:stop], 2.0, out=work[0, :stop - start])
         s -= 1.0
         block = out[:, start:stop]
         if not stacked:
-            if len(series) >= 3:
-                _chebval_into(series[:, 0], s, block[0], work[1:])
-            else:
-                block[0] = _cheb.chebval(s, series[:, 0])
+            block[0] = _cheb.chebval(s, series[:, 0])
             continue
         t = work[1:, :len(s)]
         t[0] = 1.0
@@ -74,24 +67,6 @@ def eval01(coeffs, u):
             t[j] -= t[j - 2]
         np.matmul(series.T, t, out=block)
     return out.reshape(coeffs.shape[1:] + np.shape(u))
-
-
-def _chebval_into(c, s, out, work):
-    """out = chebval(s, c) for a series c of 3 or more terms: numpy's
-    Clenshaw loop, operation for operation, with c0 kept in out and c1,
-    its update and 2s in the rows of work."""
-    x2, c1, tmp = work[:, :len(s)]
-    np.multiply(s, 2.0, out=x2)
-    c0 = c[-3] - c[-1]
-    np.multiply(x2, c[-1], out=c1)
-    c1 += c[-2]
-    for ck in c[-4::-1]:
-        np.multiply(c1, x2, out=tmp)
-        tmp += c0
-        c0 = np.subtract(ck, c1, out=out)
-        c1, tmp = tmp, c1
-    c1 *= s
-    np.add(c0, c1, out=out)
 
 
 def clenshaw(c, x):

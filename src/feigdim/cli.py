@@ -117,8 +117,8 @@ def _config_from(args, parser, argv):
             parser.error(f"{flag} must be >= 1, got {value}")
     if args.degree < 10:
         parser.error(f"--degree must be >= 10, got {args.degree}")
-    if not args.tol > 0.0:
-        parser.error(f"--tol must be > 0, got {args.tol}")
+    if not 0.0 < args.tol < float("inf"):
+        parser.error(f"--tol must be finite and > 0, got {args.tol}")
     # a bad --out or cache directory fails here, not after the solves
     if args.command != "diagnose" and args.out is not None and (
             os.path.isdir(args.out)

@@ -192,11 +192,12 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
     combinatorics : CombinatoricsType
         Only period doubling (p=2, reversing) is accepted.
     ell : int
-        Even criticality order >= 2.
+        Even criticality order >= 2, a Python or numpy integer.
     degree : int
         Chebyshev truncation order of E (>= 10).
     tol : float
-        Acceptance threshold for the sup defect on the validation grid.
+        Acceptance threshold for the sup defect on the validation grid,
+        finite and > 0.
     initial_guess : (coeffs, alpha), optional
         Seed; defaults to the built-in ell=2 seed, reached by internal
         continuation for larger ell.
@@ -206,10 +207,14 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
     FixedPointMap
     """
     combinatorics.validate()
-    if ell < 2 or ell % 2 != 0:
+    if not (isinstance(ell, (int, np.integer)) and not isinstance(ell, bool)
+            and ell >= 2 and ell % 2 == 0):
         raise DomainError(f"ell must be an even integer >= 2, got {ell}")
+    ell = int(ell)      # the cache record stores a JSON integer
     if degree < 10:
         raise DomainError(f"degree must be >= 10, got {degree}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
 
     if initial_guess is None and ell > 2:
         fp = solve_fixed_point(combinatorics, 2, degree, tol)
@@ -349,8 +354,9 @@ def load_fixed_point(path, revalidate=True):
 
     Raises SchemaMismatch on a wrong schema tag, UnsupportedCombinatorics
     on a combinatorics other than period doubling, and CorruptFile on parse
-    failures, missing keys, non-finite data, or (with revalidate) a defect
-    that no longer meets the stored tolerance.
+    failures, missing keys, non-finite data, a stored tolerance outside
+    (0, inf), or (with revalidate) a defect that no longer meets it; ell,
+    degree and iterations must be JSON integers, not floats or booleans.
     """
     try:
         with open(path) as fh:
@@ -365,21 +371,23 @@ def load_fixed_point(path, revalidate=True):
         )
     try:
         combinatorics = CombinatoricsType(record["p"], record["orientation"])
-        ell = int(record["ell"])
+        ell, degree, iterations = (record[key] for key in
+                                   ("ell", "degree", "iterations"))
         alpha = float(record["alpha"])
-        degree = int(record["degree"])
         coeffs = np.asarray(record["coeffs"], dtype=float)
         residual = float(record["residual"])
         tol = float(record["tol"])
-        iterations = int(record["iterations"])
         basis = record["basis"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path} missing or malformed fields: {exc}") from exc
+    if not all(type(n) is int for n in (ell, degree, iterations)):
+        raise CorruptFile(f"{path}: ell, degree and iterations must be "
+                          "JSON integers")
     if basis != BASIS:
         raise SchemaMismatch(f"{path} uses basis {basis!r}, expected {BASIS!r}")
     combinatorics.validate()
     if len(coeffs) != degree + 1 or not np.all(np.isfinite(coeffs)) \
-            or not np.isfinite(alpha):
+            or not np.isfinite(alpha) or not 0.0 < tol < np.inf:
         raise CorruptFile(f"{path} has inconsistent or non-finite data")
     if revalidate:
         defect = _validation_defect(coeffs, alpha, ell)

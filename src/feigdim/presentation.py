@@ -74,8 +74,10 @@ class PresentationSystem:
 
 
 def _check_letter(ps, k):
-    """A letter, or a truncation K, is an integer depth in 1..Kmax."""
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= ps.Kmax):
+    """A letter, or a truncation K, is an integer depth in 1..Kmax, not a
+    bool."""
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+            and 1 <= k <= ps.Kmax):
         raise IndexOutOfAlphabet(f"{k} is not a letter of 1..{ps.Kmax}")
 
 
@@ -87,8 +89,8 @@ def _bisection_cells(sys):
 
     Step by step, bisection keeps a when e(mid) > target, so it ends in the
     cell [grid[j], grid[j + 1]] whose j counts the inner points grid[1:-1]
-    with e > target: a lookup in the strictly decreasing table gives that
-    cell bit for bit.
+    with e > target: searchsorted on the strictly decreasing table gives
+    that cell bit for bit.
     """
     n = 2 ** _NBIS
     grid = -_W_PAD + np.arange(n + 1) * ((1.0 + 2.0 * _W_PAD) / n)
@@ -103,30 +105,18 @@ def _bisection_cells(sys):
     return grid, eg, (c1, c2, c3)
 
 
-def _lookup_cells(eg, targets):
-    """searchsorted(-eg[1:-1], -targets), eg strictly decreasing: the count
-    at the centre of a target's bin, bins half eg's least step wide, is off
-    by at most one, and two comparisons correct it."""
-    width = 0.5 * np.min(-np.diff(eg))
-    n = int(np.ceil((eg[0] - eg[-1]) / width)) + 1
-    guess = np.searchsorted(-eg[1:-1], (np.arange(n) + 0.5) * width - eg[0])
-    j = guess[np.clip((eg[0] - targets) / width, 0, n - 1).astype(np.intp)]
-    j = j - 1 + (eg[j] > targets) + (eg[j + 1] > targets)
-    return np.clip(j, 0, len(eg) - 2, out=j)    # targets past e's range
-
-
 def _solve_e_decreasing(sys, targets):
     """Solve e(w) = target on G's series, decreasing and positive on
     [-_W_PAD, 1 + _W_PAD]: the pad holds the roots for all of I widened by
     _X_SLACK (within 1e-8 of [0, 1]), so no x psi accepts is clipped.
 
     The bracket [a, b] of the root is the cell of _bisection_cells that
-    _NBIS bisection steps would reach, found by one lookup; one Newton step
-    from the cell's Hermite start, clipped to [a, b], polishes it.
+    _NBIS bisection steps would reach, found by searchsorted; one Newton
+    step from the cell's Hermite start, clipped to [a, b], polishes it.
     """
     targets = np.asarray(targets, dtype=float)
     grid, eg, (c1, c2, c3) = _bisection_cells(sys)
-    j = _lookup_cells(eg, targets)
+    j = np.searchsorted(-eg[1:-1], -targets)
     r = targets - eg[j]
     w = c3[j]       # the start in place, one gathered temporary at a time
     for c in (c2, c1, grid):

@@ -116,10 +116,9 @@ def test_one_series_on_an_array_is_chebval_bit_for_bit():
        npts=st.sampled_from([1, 4095, 4096, 4097, 3 * 4096 + 5]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_one_series_eval01_is_chebval_bit_for_bit(coeffs, pad, npts, seed):
-    # the in-place Clenshaw route (3 or more terms) and chebval's own
-    # (fewer) on one series, a zero-padded one and an (m, 1) stack, within
-    # a block of 4,096 points, at its edge and across several; u is read,
-    # never written
+    # one series, a zero-padded one and an (m, 1) stack, within a block of
+    # 4,096 points, at its edge and across several; u is read, never
+    # written
     c = np.array(coeffs)
     u = np.random.default_rng(seed).random(npts)
     u[0] = 0.0 if seed % 2 else 1.0

@@ -135,6 +135,7 @@ def test_default_cache_dir(tmp_path, capsys):
     ["dim", "--ell", "2", "--nc", "0"],
     ["sweep", "--ells", "2:2:4", "--K", "0"],
     ["dim", "--ell", "2", "--tol", "0"],
+    ["solve", "--ell", "2", "--tol", "inf", "--cache", "c"],
     ["dim", "--ell", "2", "--degree", "5"],
     ["solve", "--ell", "2", "--degree", "0"],
     # an --out that cannot be written fails before any solve

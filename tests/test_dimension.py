@@ -911,22 +911,45 @@ def test_letter_stream_reads_a_stack_of_series_per_column(ell):
             assert np.max(np.abs(qv[c] - want)) <= bound[c]
 
 
+def _count_eval01(monkeypatch):
+    """Record (coefficient shape, points) of every eval01 call."""
+    calls = []
+
+    def counting(coeffs, u):
+        calls.append((np.shape(coeffs), np.size(u)))
+        return eval01(coeffs, u)
+
+    for module in (feigdim.cheb, feigdim.dimension):
+        monkeypatch.setattr(module, "eval01", counting)
+    return calls
+
+
 def test_certified_row_reads_no_long_eval01_pass(monkeypatch):
     # the bracket reads h at the images on the letter stream, so no eval01
     # call of a row reads more points than the collocation images, K * Nc
     # (6,688 at ell 20; h(val) read K * 1001 = 209,209)
     ps = build_presentation(build_system(solve_ell(20)))
-    sizes = []
-
-    def counting(coeffs, u):
-        sizes.append(np.size(u))
-        return eval01(coeffs, u)
-
-    for module in (feigdim.cheb, feigdim.dimension):
-        monkeypatch.setattr(module, "eval01", counting)
+    calls = _count_eval01(monkeypatch)
     res = hausdorff_dimension(ps)
     assert res.K == 209 and res.Nc == 32
-    assert 0 < max(sizes) <= res.K * res.Nc == 6688
+    assert 0 < max(size for _, size in calls) <= res.K * res.Nc == 6688
+
+
+def test_moran_walk_reads_long_single_series_only_at_the_last_letter(
+        monkeypatch):
+    # eval01 reads one series by chebval in 4,096-point blocks. Of a depth-4
+    # walk's one-series calls, only the last letter's q reads, one per
+    # stream of the last level, read more than the 512 points of
+    # _fit_adapted_metric's grid: 9 samples * 24^3 words = 124,416 points
+    # of a 7-term series at ell 20. More long one-series traffic than this
+    # means timing chebval against an in-place Clenshaw loop again.
+    ps = build_presentation(build_system(solve_ell(20)))
+    calls = _count_eval01(monkeypatch)
+    moran_oracle(ps, n=4)
+    long = [(shape[0], size) for shape, size in calls
+            if shape[1:] in ((), (1,)) and size > 512]
+    assert len(long) == 3 and all(terms <= 7 for terms, _ in long)
+    assert sum(size for _, size in long) == 9 * 24 ** 3
 
 
 def test_ell_22_row_escalates_past_undecayed_tail_levels():

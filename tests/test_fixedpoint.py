@@ -171,6 +171,26 @@ def test_odd_ell_rejected():
         solve_fixed_point(PERIOD_DOUBLING, 3)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])
+def test_tol_outside_0_to_inf_rejected(tol):
+    # tol = inf would accept the first Newton step (residual 6.4e-5)
+    with pytest.raises(DomainError):
+        solve_fixed_point(PERIOD_DOUBLING, 2, tol=tol)
+
+
+@pytest.mark.parametrize("ell", [2.0, 4.0, True])
+def test_non_integer_ell_rejected(ell):
+    # a float ell would be cached as a record load_fixed_point refuses
+    with pytest.raises(DomainError):
+        solve_fixed_point(PERIOD_DOUBLING, ell)
+
+
+def test_numpy_integer_ell_round_trips_through_the_cache(tmp_path):
+    fp = solve_fixed_point(PERIOD_DOUBLING, np.int64(2))
+    assert type(fp.ell) is int
+    assert load_fixed_point(save_fixed_point(fp, str(tmp_path))).ell == 2
+
+
 def test_unsupported_combinatorics_rejected():
     with pytest.raises(UnsupportedCombinatorics):
         solve_fixed_point(CombinatoricsType(3, "reversing"), 2)
@@ -237,6 +257,22 @@ def test_tampered_coefficients_fail_revalidation(tmp_path, fp2):
     # revalidate=False must accept the record as stored
     fp = load_fixed_point(path, revalidate=False)
     assert fp.ell == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ell", 2.5), ("ell", 2.0), ("ell", "2"), ("degree", 40.5),
+    ("iterations", 3.7), ("iterations", True),
+    ("tol", np.inf), ("tol", 0.0), ("tol", -1e-10)])
+def test_malformed_record_field_rejected(tmp_path, fp2, field, value):
+    # int() would truncate 2.5 to ell 2 and 40.5 to degree 40, and a tol of
+    # inf would revalidate any coefficients
+    path = save_fixed_point(fp2, str(tmp_path))
+    record = json.load(open(path))
+    record[field] = value
+    json.dump(record, open(path, "w"))
+    for revalidate in (True, False):
+        with pytest.raises(CorruptFile):
+            load_fixed_point(path, revalidate=revalidate)
 
 
 def test_failed_save_keeps_previous_record(tmp_path, fp2, monkeypatch):

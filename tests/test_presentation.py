@@ -18,7 +18,6 @@ from feigdim.presentation import (
     _X_SLACK,
     _bisection_cells,
     _h_inverse_jets,
-    _lookup_cells,
     _psi_jets,
     _rho_density,
     _solve_e_decreasing,
@@ -135,12 +134,14 @@ _LETTER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("k", ["0", "Kmax+1", "2.5"])
+@pytest.mark.parametrize("k", ["0", "Kmax+1", "2.5", "True"])
 @pytest.mark.parametrize("call", list(_LETTER_CALLS))
 def test_letter_outside_the_alphabet_raises(ps2, call, k):
-    # a letter is an integer depth: 2.5 is no letter, not a TypeError
+    # a letter is an integer depth: 2.5 is no letter, not a TypeError, and
+    # True is no letter, not letter 1
+    letter = {"0": 0, "2.5": 2.5, "True": True}.get(k, ps2.Kmax + 1)
     with pytest.raises(IndexOutOfAlphabet):
-        _LETTER_CALLS[call](ps2, {"0": 0, "2.5": 2.5}.get(k, ps2.Kmax + 1))
+        _LETTER_CALLS[call](ps2, letter)
 
 
 @pytest.mark.parametrize("ell", [2, 20])
@@ -311,7 +312,7 @@ def test_bracketed_newton_matches_bisection(ell):
 def _bisected_newton(sys, targets):
     """The bracket by 8 bisection steps on [-2^-10, 1 + 2^-10], then 4
     clipped Newton steps from its midpoint: the reference for the
-    one-lookup bracket and its Hermite-started Newton step. Returns the
+    searchsorted bracket and its Hermite-started Newton step. Returns the
     root and the bracket's lower end."""
     values, jets = sys.g_tables[0][:, 0], sys.g_tables[1]
     a = np.full(targets.shape, -2.0 ** -10)
@@ -343,23 +344,16 @@ def _bisection_targets(ps, ell):
 
 @pytest.mark.parametrize("ell", range(2, 23, 2))
 def test_lookup_bracket_matches_eight_bisection_steps(ell):
-    # the lookup finds the bisection's cell bit for bit, on targets equal
-    # to e's grid values, at the ends of its own bins and shuffled; the
-    # root, one Newton step from the Hermite start, is within 4 ulp of the
-    # target, carried to w by 1/|e'|, of the reference's four steps from
-    # the midpoint (observed: at most 3.0), and both clip to the same cell
-    # end past e's range
+    # searchsorted finds the bisection's cell bit for bit, also on targets
+    # equal to e's grid values; the root, one Newton step from the Hermite
+    # start, is within 4 ulp of the target, carried to w by 1/|e'|, of the
+    # reference's four steps from the midpoint (observed: at most 3.0), and
+    # both clip to the same cell end past e's range
     ps = build_presentation(build_system(solve_ell(ell)))
     grid, eg, _ = _bisection_cells(ps.sys)
-    width = 0.5 * np.min(-np.diff(eg))
-    edges = eg[0] - width * np.arange(int((eg[0] - eg[-1]) / width) + 3)
-    targets = np.concatenate([_bisection_targets(ps, ell), edges])
+    targets = _bisection_targets(ps, ell)
     ref, a = _bisected_newton(ps.sys, targets)
-    j = _lookup_cells(eg, targets)
-    assert np.array_equal(grid[j], a)
-    assert np.array_equal(j, np.searchsorted(-eg[1:-1], -targets))
-    shuffled = np.random.default_rng(ell).permutation(len(targets))
-    assert np.array_equal(_lookup_cells(eg, targets[shuffled]), j[shuffled])
+    assert np.array_equal(grid[np.searchsorted(-eg[1:-1], -targets)], a)
     got = _solve_e_decreasing(ps.sys, targets)
     slope = np.abs(eval01(ps.sys.g_tables[1][:, 1], ref))
     assert np.all(np.abs(got - ref) * slope
