@@ -11,6 +11,13 @@ nodes u_i in (0,1) via the substitution u = v / tau, so the collocation rows
 read alpha * E(E(v_i/tau)^ell) - E(v_i) = 0 with the normalization row
 E(0) = 1 closing the square Newton system in (coeffs, alpha).
 
+One Newton iteration evaluates E once per dependent stage. The residual
+reads E on the joined points [u, nodes, 0], u = nodes / tau, then on
+v = E(u)^ell, and hands u, E(u), v and E(v) to the Jacobian, which reads E'
+and the Chebyshev rows on [u, v] in one call each; the rows at the nodes
+and at 0 are built once per solve. Every value is numpy's chebval (or
+chebvander) point by point, so joining points changes no bit of an iterate.
+
 cached_solve is the one cache policy: every command and the sweep get their
 fixed points through it. write_csv is the one CSV writer of the package,
 for files and streams alike.
@@ -118,45 +125,43 @@ class FixedPointMap:
         return cheb.eval01(self._jet_table[:, :order + 1], u)
 
 
-def _residual_vec(coeffs, alpha, ell, nodes):
-    """Collocation residual rows plus the normalization row."""
-    tau = alpha ** ell
-    u = nodes / tau
-    Eu = cheb.eval01(coeffs, u)
-    F = alpha * cheb.eval01(coeffs, Eu ** ell) - cheb.eval01(coeffs, nodes)
-    return np.append(F, cheb.eval01(coeffs, 0.0) - 1.0)
+def _residual(coeffs, alpha, ell, nodes):
+    """Collocation residual rows plus the normalization row, and the values
+    (u, E(u), v, E(v)) that _jacobian reads at the same iterate."""
+    u = nodes / alpha ** ell
+    n = len(nodes)
+    E_joined = cheb.eval01(coeffs, np.concatenate([u, nodes, [0.0]]))
+    v = E_joined[:n] ** ell
+    Ev = cheb.eval01(coeffs, v)
+    F = np.append(alpha * Ev - E_joined[n:-1], E_joined[-1] - 1.0)
+    return F, (u, E_joined[:n], v, Ev)
 
 
-def _jacobian(coeffs, alpha, ell, nodes, degree):
+def _jacobian(coeffs, alpha, ell, nodes, values, Phi_n, norm_row):
+    """Newton matrix from _residual's values; Phi_n = vander01(nodes)."""
+    u, Eu, v, Ev = values
     tau = alpha ** ell
-    u = nodes / tau
-    dcoeffs = cheb.der01(coeffs)
-    Eu = cheb.eval01(coeffs, u)
-    v = Eu ** ell
-    dE_u = cheb.eval01(dcoeffs, u)
-    dE_v = cheb.eval01(dcoeffs, v)
-    Phi_u = cheb.vander01(u, degree)
-    Phi_v = cheb.vander01(v, degree)
-    Phi_n = cheb.vander01(nodes, degree)
+    dE_u, dE_v = cheb.eval01(cheb.der01(coeffs), np.stack([u, v]))
+    Phi_u, Phi_v = cheb.vander01(np.stack([u, v]), len(coeffs) - 1)
     w = dE_v * ell * Eu ** (ell - 1)
     Jc = alpha * (Phi_v + w[:, None] * Phi_u) - Phi_n
     du_da = -nodes * tau ** -2 * ell * alpha ** (ell - 1)
-    Ja = cheb.eval01(coeffs, v) + alpha * w * dE_u * du_da
-    norm_row = np.append(cheb.vander01(np.array([0.0]), degree)[0], 0.0)
+    Ja = Ev + alpha * w * dE_u * du_da
     return np.vstack([np.hstack([Jc, Ja[:, None]]), norm_row])
 
 
 def _validation_defect(coeffs, alpha, ell):
     """Sup of |alpha g(g(x)) - g(alpha x)| on 512 points of [0, 1/|alpha|]."""
     x = np.linspace(0.0, 1.0 / abs(alpha), 512)
-    gx = cheb.eval01(coeffs, x ** ell)
+    gx, gax = cheb.eval01(coeffs, np.stack([x ** ell,
+                                            np.abs(alpha * x) ** ell]))
     ggx = cheb.eval01(coeffs, np.abs(gx) ** ell)
-    gax = cheb.eval01(coeffs, np.abs(alpha * x) ** ell)
     return float(np.max(np.abs(alpha * ggx - gax)))
 
 
 def _check_invariants(coeffs, alpha, ell, residual, tol):
-    if abs(cheb.eval01(coeffs, 0.0) - 1.0) >= 1e-12:
+    E0, E1 = cheb.eval01(coeffs, np.array([0.0, 1.0]))
+    if abs(E0 - 1.0) >= 1e-12:
         raise InvariantViolation("E(0) != 1 beyond 1e-12")
     grid = np.linspace(0.0, 1.0, 1024)
     dE = cheb.eval01(cheb.der01(coeffs), grid)
@@ -166,8 +171,7 @@ def _check_invariants(coeffs, alpha, ell, residual, tol):
         raise InvariantViolation(f"|alpha| = {abs(alpha)} is not > 1")
     if alpha >= 0.0:
         raise InvariantViolation("alpha must be negative for reversing type")
-    g1 = cheb.eval01(coeffs, 1.0)
-    if abs(g1 - 1.0 / alpha) >= 10 * tol:
+    if abs(E1 - 1.0 / alpha) >= 10 * tol:
         raise InvariantViolation("g(1) != 1/alpha beyond 10*tol")
     if not residual < tol:
         raise NoConvergence(
@@ -181,11 +185,41 @@ def _default_seed(degree):
     return cheb.fit01(u, vals, degree), -2.5
 
 
+def _is_integer(n):
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _checked_guess(initial_guess):
+    """(coeffs as a float array, alpha as a float) of a Newton seed, or
+    DomainError unless the coefficients are a non-empty 1-D array of finite
+    numbers and alpha is a finite, nonzero number."""
+    try:
+        coeffs, alpha = initial_guess
+        coeffs = np.asarray(coeffs)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"initial_guess is not (coeffs, alpha): {exc}") \
+            from exc
+    if not (coeffs.ndim == 1 and coeffs.size and coeffs.dtype.kind in "iuf"
+            and np.all(np.isfinite(coeffs))):
+        raise DomainError("initial_guess coefficients must be a non-empty "
+                          "1-D array of finite numbers")
+    if not (isinstance(alpha, (int, float, np.integer, np.floating))
+            and not isinstance(alpha, bool) and np.isfinite(alpha)
+            and alpha != 0):
+        raise DomainError(f"initial_guess alpha must be finite and nonzero, "
+                          f"got {alpha!r}")
+    return coeffs.astype(float), float(alpha)
+
+
 def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
                       initial_guess=None):
     """Solve the fixed-point equation by damped Newton on collocation.
 
-    Newton stops at 40 iterations (NoConvergence).
+    One iteration reads E twice for the residual at the iterate (on
+    [u, nodes, 0], then on v = E(u)^ell) and, from those values, E' and the
+    Chebyshev rows once each on [u, v] for the Jacobian; each line-search
+    trial is one more residual. Newton stops at 40 iterations
+    (NoConvergence).
 
     Parameters
     ----------
@@ -194,25 +228,26 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
     ell : int
         Even criticality order >= 2, a Python or numpy integer.
     degree : int
-        Chebyshev truncation order of E (>= 10).
+        Chebyshev truncation order of E (>= 10), a Python or numpy integer.
     tol : float
         Acceptance threshold for the sup defect on the validation grid,
         finite and > 0.
     initial_guess : (coeffs, alpha), optional
-        Seed; defaults to the built-in ell=2 seed, reached by internal
-        continuation for larger ell.
+        Seed: a non-empty 1-D array of finite coefficients (cut or
+        zero-padded to degree + 1) and a finite, nonzero alpha. Defaults
+        to the built-in ell=2 seed, reached by internal continuation for
+        larger ell.
 
     Returns
     -------
     FixedPointMap
     """
     combinatorics.validate()
-    if not (isinstance(ell, (int, np.integer)) and not isinstance(ell, bool)
-            and ell >= 2 and ell % 2 == 0):
+    if not (_is_integer(ell) and ell >= 2 and ell % 2 == 0):
         raise DomainError(f"ell must be an even integer >= 2, got {ell}")
-    ell = int(ell)      # the cache record stores a JSON integer
-    if degree < 10:
-        raise DomainError(f"degree must be >= 10, got {degree}")
+    if not (_is_integer(degree) and degree >= 10):
+        raise DomainError(f"degree must be an integer >= 10, got {degree}")
+    ell, degree = int(ell), int(degree)  # the record stores JSON integers
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
 
@@ -225,17 +260,19 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
     if initial_guess is None:
         coeffs, alpha = _default_seed(degree)
     else:
-        coeffs0, alpha = initial_guess
+        coeffs0, alpha = _checked_guess(initial_guess)
         coeffs = np.zeros(degree + 1)
         n = min(len(coeffs0), degree + 1)
-        coeffs[:n] = np.asarray(coeffs0, dtype=float)[:n]
+        coeffs[:n] = coeffs0[:n]
 
     nodes = cheb.cheb_points(0.0, 1.0, degree + 1)
-    F = _residual_vec(coeffs, alpha, ell, nodes)
+    rows = cheb.vander01(np.append(nodes, 0.0), degree)  # nodes, then 0
+    Phi_n, norm_row = rows[:-1], np.append(rows[-1], 0.0)
+    F, values = _residual(coeffs, alpha, ell, nodes)
     best = float(np.max(np.abs(F)))
     iterations = 0
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        J = _jacobian(coeffs, alpha, ell, nodes, degree)
+        J = _jacobian(coeffs, alpha, ell, nodes, values, Phi_n, norm_row)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > 1e14:
             raise DegenerateJacobian(
                 f"Newton system ill-conditioned at iteration {iterations}"
@@ -245,11 +282,11 @@ def solve_fixed_point(combinatorics, ell, degree=40, tol=1e-10,
         for _ in range(8):
             c_new = coeffs + damp * step[:-1]
             a_new = alpha + damp * step[-1]
-            F_new = _residual_vec(c_new, a_new, ell, nodes)
+            F_new, v_new = _residual(c_new, a_new, ell, nodes)
             if np.max(np.abs(F_new)) < best:
                 break
             damp *= 0.5
-        coeffs, alpha, F = c_new, a_new, F_new
+        coeffs, alpha, F, values = c_new, a_new, F_new, v_new
         best = float(np.max(np.abs(F)))
         if best < 0.05 * tol:
             break
@@ -356,7 +393,9 @@ def load_fixed_point(path, revalidate=True):
     on a combinatorics other than period doubling, and CorruptFile on parse
     failures, missing keys, non-finite data, a stored tolerance outside
     (0, inf), or (with revalidate) a defect that no longer meets it; ell,
-    degree and iterations must be JSON integers, not floats or booleans.
+    degree and iterations must be JSON integers, not floats or booleans,
+    and coeffs a non-empty flat list of JSON numbers, alpha, residual and
+    tol JSON numbers, not strings or booleans.
     """
     try:
         with open(path) as fh:
@@ -373,16 +412,23 @@ def load_fixed_point(path, revalidate=True):
         combinatorics = CombinatoricsType(record["p"], record["orientation"])
         ell, degree, iterations = (record[key] for key in
                                    ("ell", "degree", "iterations"))
-        alpha = float(record["alpha"])
-        coeffs = np.asarray(record["coeffs"], dtype=float)
-        residual = float(record["residual"])
-        tol = float(record["tol"])
+        alpha, residual, tol = (record[key] for key in
+                                ("alpha", "residual", "tol"))
+        coeffs = record["coeffs"]
         basis = record["basis"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"{path} missing or malformed fields: {exc}") from exc
+    except KeyError as exc:
+        raise CorruptFile(f"{path} missing field {exc}") from exc
     if not all(type(n) is int for n in (ell, degree, iterations)):
         raise CorruptFile(f"{path}: ell, degree and iterations must be "
                           "JSON integers")
+    if not (type(coeffs) is list and coeffs
+            and all(type(x) in (int, float) for x in (alpha, residual, tol,
+                                                        *coeffs))):
+        raise CorruptFile(f"{path}: coeffs must be a non-empty flat list of "
+                          "JSON numbers, and alpha, residual and tol JSON "
+                          "numbers")
+    alpha, residual, tol = float(alpha), float(residual), float(tol)
+    coeffs = np.asarray(coeffs, dtype=float)
     if basis != BASIS:
         raise SchemaMismatch(f"{path} uses basis {basis!r}, expected {BASIS!r}")
     combinatorics.validate()

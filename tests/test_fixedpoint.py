@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
+import feigdim.cheb
 import feigdim.fixedpoint
-from feigdim.cheb import der01
+from feigdim.cheb import cheb_points, der01, eval01, vander01
 from feigdim.errors import (
     CorruptFile,
     DomainError,
@@ -19,6 +20,9 @@ from feigdim.fixedpoint import (
     PERIOD_DOUBLING,
     SCHEMA,
     CombinatoricsType,
+    _jacobian,
+    _residual,
+    _validation_defect,
     cache_filename,
     cached_solve,
     continue_in_ell,
@@ -103,6 +107,127 @@ def test_jets_match_E_per_derivative(ell):
                                   [row[i] for row in scalar[:order + 1]])
     with pytest.raises(DomainError):
         fp.jets(u, 4)
+
+
+def _per_evaluation_residual(coeffs, alpha, ell, nodes):
+    # one eval01 call per quantity: the reference for the joined calls
+    tau = alpha ** ell
+    u = nodes / tau
+    Eu = eval01(coeffs, u)
+    F = alpha * eval01(coeffs, Eu ** ell) - eval01(coeffs, nodes)
+    return np.append(F, eval01(coeffs, 0.0) - 1.0)
+
+
+def _per_evaluation_jacobian(coeffs, alpha, ell, nodes):
+    degree = len(coeffs) - 1
+    tau = alpha ** ell
+    u = nodes / tau
+    dcoeffs = der01(coeffs)
+    Eu = eval01(coeffs, u)
+    v = Eu ** ell
+    dE_u = eval01(dcoeffs, u)
+    dE_v = eval01(dcoeffs, v)
+    Phi_u = vander01(u, degree)
+    Phi_v = vander01(v, degree)
+    Phi_n = vander01(nodes, degree)
+    w = dE_v * ell * Eu ** (ell - 1)
+    Jc = alpha * (Phi_v + w[:, None] * Phi_u) - Phi_n
+    du_da = -nodes * tau ** -2 * ell * alpha ** (ell - 1)
+    Ja = eval01(coeffs, v) + alpha * w * dE_u * du_da
+    norm_row = np.append(vander01(np.array([0.0]), degree)[0], 0.0)
+    return np.vstack([np.hstack([Jc, Ja[:, None]]), norm_row])
+
+
+def _per_evaluation_defect(coeffs, alpha, ell):
+    x = np.linspace(0.0, 1.0 / abs(alpha), 512)
+    gx = eval01(coeffs, x ** ell)
+    ggx = eval01(coeffs, np.abs(gx) ** ell)
+    gax = eval01(coeffs, np.abs(alpha * x) ** ell)
+    return float(np.max(np.abs(alpha * ggx - gax)))
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["converged", "perturbed"])
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_joined_evaluations_match_per_evaluation_formulas(ell, perturbed):
+    # joining points in one chebval call gives every point its own bits,
+    # so the residual, the Jacobian and the defect do not move
+    fp = solve_ell(ell)
+    coeffs, alpha = fp.e_coeffs.copy(), fp.alpha
+    if perturbed:
+        rng = np.random.default_rng(ell)
+        coeffs += 1e-3 * rng.standard_normal(len(coeffs)) \
+            / (1.0 + np.arange(len(coeffs))) ** 2
+        alpha *= 1.01
+    nodes = cheb_points(0.0, 1.0, len(coeffs))
+    F, values = _residual(coeffs, alpha, ell, nodes)
+    assert np.array_equal(F, _per_evaluation_residual(coeffs, alpha, ell,
+                                                      nodes))
+    J = _jacobian(coeffs, alpha, ell, nodes, values,
+                  vander01(nodes, fp.degree),
+                  np.append(vander01(np.array([0.0]), fp.degree)[0], 0.0))
+    assert np.array_equal(J, _per_evaluation_jacobian(coeffs, alpha, ell,
+                                                      nodes))
+    assert _validation_defect(coeffs, alpha, ell) == \
+        _per_evaluation_defect(coeffs, alpha, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_every_newton_iterate_matches_per_evaluation_formulas(ell,
+                                                              monkeypatch):
+    # along a real solve (from the seed at ell 2, else one continuation
+    # step), every residual and every Jacobian, built from the rows the
+    # solver makes once, equals the per-evaluation reference
+    prev = solve_ell(ell - 2) if ell > 2 else None
+    real_residual = feigdim.fixedpoint._residual
+    real_jacobian = feigdim.fixedpoint._jacobian
+    checked = {"residual": 0, "jacobian": 0}
+
+    def residual(coeffs, alpha, ell, nodes):
+        F, values = real_residual(coeffs, alpha, ell, nodes)
+        assert np.array_equal(F, _per_evaluation_residual(coeffs, alpha, ell,
+                                                          nodes))
+        checked["residual"] += 1
+        return F, values
+
+    def jacobian(coeffs, alpha, ell, nodes, *args):
+        J = real_jacobian(coeffs, alpha, ell, nodes, *args)
+        assert np.array_equal(J, _per_evaluation_jacobian(coeffs, alpha, ell,
+                                                          nodes))
+        checked["jacobian"] += 1
+        return J
+
+    monkeypatch.setattr(feigdim.fixedpoint, "_residual", residual)
+    monkeypatch.setattr(feigdim.fixedpoint, "_jacobian", jacobian)
+    fp = solve_fixed_point(PERIOD_DOUBLING, 2) if prev is None \
+        else continue_in_ell(prev)
+    assert checked["jacobian"] == fp.solver_meta["iterations"]
+    assert checked["residual"] > checked["jacobian"]
+    assert np.array_equal(fp.e_coeffs, solve_ell(ell).e_coeffs)
+
+
+def test_from_scratch_ell_20_solve_eval01_traffic(monkeypatch):
+    # ten solves (ell 2 and nine continuation steps), 47 Newton iterations:
+    # two E calls per residual and one E' call per Jacobian read 201 times
+    # at 1 BLAS thread, against 476 with one call per quantity
+    calls = {"eval01": 0, "chebvander": 0}
+    real_eval01 = feigdim.cheb.eval01
+    real_chebvander = feigdim.cheb._cheb.chebvander
+
+    def eval01_counted(*args):
+        calls["eval01"] += 1
+        return real_eval01(*args)
+
+    def chebvander_counted(*args):
+        calls["chebvander"] += 1
+        return real_chebvander(*args)
+
+    monkeypatch.setattr(feigdim.cheb, "eval01", eval01_counted)
+    monkeypatch.setattr(feigdim.cheb._cheb, "chebvander", chebvander_counted)
+    fp = solve_fixed_point(PERIOD_DOUBLING, 20)
+    assert np.array_equal(fp.e_coeffs, solve_ell(20).e_coeffs)
+    assert calls["eval01"] <= 221
+    assert calls["chebvander"] <= 68
 
 
 def test_continuation_in_ell():
@@ -191,6 +316,47 @@ def test_numpy_integer_ell_round_trips_through_the_cache(tmp_path):
     assert load_fixed_point(save_fixed_point(fp, str(tmp_path))).ell == 2
 
 
+@pytest.mark.parametrize("degree", [40.0, 12.5, np.nan, True, "40",
+                                    np.int64(8)])
+def test_bad_degree_rejected(degree):
+    # 40.0 and 12.5 used to raise TypeError from chebfit, nan ValueError
+    # from arange
+    with pytest.raises(DomainError):
+        solve_fixed_point(PERIOD_DOUBLING, 2, degree=degree)
+
+
+def test_numpy_integer_degree_solves_as_int(tmp_path):
+    fp = solve_fixed_point(PERIOD_DOUBLING, 2, degree=np.int64(40))
+    assert np.array_equal(fp.e_coeffs, solve_ell(2).e_coeffs)
+    with open(save_fixed_point(fp, str(tmp_path))) as fh:
+        assert type(json.load(fh)["degree"]) is int
+
+
+@pytest.mark.parametrize("coeffs, alpha", [
+    ([1.0, -0.8], 0.0), ([1.0, -0.8], np.nan), ([1.0, -0.8], -np.inf),
+    ([1.0, -0.8], "-2.5"), ([1.0, -0.8], True), ([1.0, -0.8], None),
+    ([[1.0], [-0.8]], -2.5), ([], -2.5), ([1.0, np.nan], -2.5),
+    (["1.0", "-0.8"], -2.5), ([[1.0, -0.8], [0.0]], -2.5), (None, -2.5)],
+    ids=["alpha-0", "alpha-nan", "alpha-inf", "alpha-str", "alpha-bool",
+         "alpha-none", "coeffs-2d", "coeffs-empty", "coeffs-nan",
+         "coeffs-str", "coeffs-ragged", "coeffs-none"])
+def test_bad_initial_guess_rejected(coeffs, alpha):
+    # alpha 0 used to escape as ZeroDivisionError from the Jacobian, a 2-D
+    # coefficient array as numpy's broadcast ValueError
+    with pytest.raises(DomainError):
+        solve_fixed_point(PERIOD_DOUBLING, 4, initial_guess=(coeffs, alpha))
+
+
+def test_initial_guess_takes_numpy_and_integer_numbers():
+    fp2 = solve_ell(2)
+    guess = (list(fp2.e_coeffs), np.float64(-fp2.tau ** 0.25))
+    fp4 = solve_fixed_point(PERIOD_DOUBLING, 4, initial_guess=guess)
+    assert np.array_equal(fp4.e_coeffs, continue_in_ell(fp2).e_coeffs)
+    fp = solve_fixed_point(PERIOD_DOUBLING, 2, initial_guess=(fp2.e_coeffs,
+                                                              -2))
+    assert abs(fp.alpha - fp2.alpha) < 1e-9 and fp.residual < 1e-10
+
+
 def test_unsupported_combinatorics_rejected():
     with pytest.raises(UnsupportedCombinatorics):
         solve_fixed_point(CombinatoricsType(3, "reversing"), 2)
@@ -273,6 +439,51 @@ def test_malformed_record_field_rejected(tmp_path, fp2, field, value):
     for revalidate in (True, False):
         with pytest.raises(CorruptFile):
             load_fixed_point(path, revalidate=revalidate)
+
+
+_MALFORMED_NUMBERS = {
+    "coeffs-nested": lambda r: r.update(coeffs=[[c] for c in r["coeffs"]]),
+    "coeffs-string": lambda r: r["coeffs"].__setitem__(0, "0.5"),
+    "coeffs-bool": lambda r: r["coeffs"].__setitem__(0, True),
+    "coeffs-null": lambda r: r["coeffs"].__setitem__(0, None),
+    "coeffs-empty": lambda r: r.update(coeffs=[], degree=-1),
+    "coeffs-object": lambda r: r.update(coeffs={"0": 1.0}),
+    "alpha-string": lambda r: r.update(alpha=str(r["alpha"])),
+    "alpha-bool": lambda r: r.update(alpha=True),
+    "residual-string": lambda r: r.update(residual=str(r["residual"])),
+    "residual-null": lambda r: r.update(residual=None),
+    "tol-string": lambda r: r.update(tol="1e-10"),
+    "tol-list": lambda r: r.update(tol=[1e-10]),
+}
+
+
+def _malformed_record(tmp_path, fp, case):
+    path = save_fixed_point(fp, str(tmp_path))
+    with open(path) as fh:
+        record = json.load(fh)
+    _MALFORMED_NUMBERS[case](record)
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_NUMBERS))
+def test_malformed_number_field_rejected(tmp_path, fp2, case):
+    # one-element coefficient lists used to raise a bare ValueError from
+    # jet_table, and "0.5" used to be read as 0.5
+    path = _malformed_record(tmp_path, fp2, case)
+    for revalidate in (True, False):
+        with pytest.raises(CorruptFile):
+            load_fixed_point(path, revalidate=revalidate)
+
+
+def test_cached_solve_resolves_over_nested_coefficients(tmp_path, fp2):
+    path = _malformed_record(tmp_path, fp2, "coeffs-nested")
+    with pytest.warns(UserWarning, match="rejected.*CorruptFile"):
+        fp, got_path, hit = cached_solve(2, 40, 1e-10, str(tmp_path))
+    assert got_path == path and not hit
+    assert np.array_equal(fp.e_coeffs, fp2.e_coeffs)
+    assert np.array_equal(load_fixed_point(path).e_coeffs, fp2.e_coeffs)
 
 
 def test_failed_save_keeps_previous_record(tmp_path, fp2, monkeypatch):
