@@ -3,8 +3,8 @@
 Every series is a plain array of shifted-Chebyshev coefficients in
 s = 2u - 1, u in [0,1] (u = (x - lo) / (hi - lo) on an interval), and only
 this module imports numpy.polynomial. eval01 evaluates one series or a
-stack of them as numpy's chebval(2u - 1, coeffs), through one loop over
-_BLOCK points (see its docstring). clenshaw is numpy's Clenshaw loop on a
+stack of them as numpy's chebval(2u - 1, coeffs), eval_block per _BLOCK
+points, the letter stream's kernel too. clenshaw is numpy's Clenshaw loop on a
 plain list, for a scalar E on the map's own coefficient lists
 (fixedpoint.FixedPointMap). restrict01 re-expands a series or a stack on
 any [a, b] over [0,1] and chop (heads) cuts it to the head that matters
@@ -26,20 +26,8 @@ def eval01(coeffs, u):
     coeffs is one series of shape (m,), giving values of u's shape, or a
     stack of k series as columns of shape (m, k), giving shape (k, *u.shape).
     A scalar u runs numpy's chebval. An array u runs _BLOCK points at a
-    time, so that no temporary outgrows the cache on the long position
-    arrays of a Moran walk, and per block:
-
-    - one series runs chebval, point by point, so the solver, its
-      validation defect and the cached records do not move. Zero padding
-      at the high end of a series is exact in Clenshaw's recurrence, so a
-      padded series gives the unpadded bits.
-    - a stack of k >= 2 series shares one table of T_j(2u - 1), built in
-      place by the three-term recurrence (two ufunc calls per degree), then
-      coeffs.T @ T. Values agree with chebval to roundoff, not bit for bit;
-      stacked chebval gives the bits but runs one Clenshaw pass per series
-      and makes the certified rows at ell 2, 8 and 20 about 1.6x slower.
-
-    u is only read.
+    time through eval_block, so that no temporary outgrows the cache on the
+    long position arrays of a Moran walk. u is only read.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if np.ndim(u) == 0:
@@ -47,26 +35,38 @@ def eval01(coeffs, u):
     x = np.asarray(u, dtype=float).reshape(-1)
     series = coeffs.reshape(len(coeffs), -1)
     out = np.empty((series.shape[1], x.size))
-    n = min(x.size, _BLOCK)
-    stacked = series.shape[1] != 1
-    work = np.empty((1 + (len(series) if stacked else 0), n))  # 2u - 1, T
+    rows = 3 if series.shape[1] == 1 else 1 + max(len(series), 2)
+    work = np.empty((rows, min(x.size, _BLOCK)))
+    work[1] = 1.0
     for start in range(0, x.size, _BLOCK):
         stop = min(start + _BLOCK, x.size)
-        s = np.multiply(x[start:stop], 2.0, out=work[0, :stop - start])
+        s = np.multiply(x[start:stop], 2.0, out=work[2, :stop - start])
         s -= 1.0
-        block = out[:, start:stop]
-        if not stacked:
-            block[0] = _cheb.chebval(s, series[:, 0])
-            continue
-        t = work[1:, :len(s)]
-        t[0] = 1.0
-        t[1:2] = s      # empty for a stack of constants
-        s *= 2.0
-        for j in range(2, len(t)):
-            np.multiply(s, t[j - 1], out=t[j])
-            t[j] -= t[j - 2]
-        np.matmul(series.T, t, out=block)
+        eval_block(series, work[:, :len(s)], out[:, start:stop])
     return out.reshape(coeffs.shape[1:] + np.shape(u))
+
+
+def eval_block(series, work, out):
+    """eval01's kernel, which the letter stream's planned steps also run: an
+    (m, k) stack of series at one block's s = 2u - 1 into out's rows. work
+    has 1 + max(m, 2) rows of the block's width, 1 in row 1 and s in row 2.
+    One series (k = 1) runs chebval, point by point, so the solver and the
+    cached records keep their bits (zero padding is exact in Clenshaw's
+    recurrence). A stack fills rows 1..m with T_j(s) by the three-term
+    recurrence (2s in row 0), then out = series.T @ T: chebval's values to
+    roundoff; stacked chebval, one pass per series, ran the certified rows
+    at ell 2, 8 and 20 about 1.6x slower.
+    """
+    if series.shape[1] == 1:
+        out[0] = _cheb.chebval(work[2], series[:, 0])
+        return
+    t = work[1:1 + len(series)]
+    if len(t) > 2:
+        np.multiply(work[2], 2.0, out=work[0])
+        for j in range(2, len(t)):
+            np.multiply(work[0], t[j - 1], out=t[j])
+            t[j] -= t[j - 2]
+    np.matmul(series.T, t, out=out)
 
 
 def clenshaw(c, x):
@@ -90,9 +90,10 @@ def jet_table(coeffs, order):
     zero-padded columns of one (m, order + 1) stack, for eval01."""
     c = np.asarray(coeffs, dtype=float)
     table = np.zeros((len(c), order + 1))
-    for j in range(order + 1):
-        table[:len(c), j] = c
+    table[:, 0] = c
+    for j in range(1, order + 1):
         c = der01(c)
+        table[:len(c), j] = c
     return table
 
 

@@ -61,7 +61,8 @@ from .presentation import build_presentation
 from .roots import brentq
 from .unimodal import UnimodalSystem, build_system
 
-_PROBE_GRID = np.linspace(0.1, 1.0, 10)
+_PROBE_STEP = 0.1
+_PROBE_GRID = np.linspace(_PROBE_STEP, 1.0, 10)
 _WORD_BUDGET = 1_500_000
 _BRACKET_NX = 1001          # operator-bracket grid: 1000 cells of I
 _BRACKET_W0 = 1e-8          # first half-width of the bracket root search
@@ -104,7 +105,8 @@ def _is_count(n):
 
 def _node_rows(ifs, K, Nc):
     """build_pressure_model's _rows: the letter_jets stream of letters
-    1..K on the Nc Chebyshev nodes of I, and the rows walked so far."""
+    1..K on the Nc Chebyshev nodes of I, and the rows walked so far, one
+    (images, |derivatives|, B[a]) per letter a."""
     return ifs.letter_jets(K, cheb_points(*ifs.interval, Nc), 1), []
 
 
@@ -112,22 +114,28 @@ def build_pressure_model(ifs, K, Nc=32, _rows=None):
     """Collocated operator of the first K letters on Nc nodes of I.
 
     B[a, i, j] is the j-th node's cardinal function, the interpolant of
-    the j-th unit vector (gauss_series), at psi_a of the i-th node: one
-    eval01 pass over all images. _rows is an escalation's _node_rows: each
-    model extends its stream to its K instead of restarting at letter 1."""
+    the j-th unit vector (gauss_series), at psi_a of the i-th node. _rows is
+    an escalation's _node_rows: each model extends its stream to its K
+    instead of restarting at letter 1, and evaluates B in one eval01 pass
+    over the images of the letters it adds only."""
     if not all(_is_count(n) and n >= 1 for n in (K, Nc)):
         raise DomainError(f"K and Nc must be integers >= 1, got K={K}, "
                           f"Nc={Nc}")
     stream, rows = _rows or _node_rows(ifs, K, Nc)
-    for val, der in itertools.islice(stream, K - len(rows)):
-        rows.append((val, np.abs(der)))
-    imgs, ders = (np.stack(col) for col in zip(*rows[:K]))
+    new = [(val, np.abs(der))
+           for val, der in itertools.islice(stream, K - len(rows))]
+    lo, hi = ifs.interval
+    cells = eval01(gauss_series(np.eye(Nc)), (np.reshape(
+        [val for val, _ in new], (-1, Nc)).T - lo) / (hi - lo))
+    cells = np.ascontiguousarray(cells.transpose(2, 1, 0))     # B[a]
+    rows += [(*row, cell) for row, cell in zip(new, cells)]
+    imgs, ders, B = (np.stack(col, axis=axis) for col, axis in
+                     zip(zip(*rows[:K]), (0, 0, 1)))   # B laid out (i, a, j)
     if not np.all(ders > 0.0):
         raise DomainError("vanishing branch derivative on the node grid")
-    lo, hi = ifs.interval
-    B = eval01(gauss_series(np.eye(Nc)), (imgs.T - lo) / (hi - lo))
-    B = np.ascontiguousarray(B.transpose(1, 2, 0)).transpose(1, 0, 2)
-    return PressureModel(ifs, K, Nc, imgs, ders, B)
+    # the rows view the new B, so an escalation holds one copy of B
+    rows[:K] = [(*row[:2], B[:, a]) for a, row in enumerate(rows[:K])]
+    return PressureModel(ifs, K, Nc, imgs, ders, B.transpose(1, 0, 2))
 
 
 def _power_pair(M, positive=True):
@@ -142,9 +150,9 @@ def _power_pair(M, positive=True):
     for _ in range(_POWER_MAX_ITER):
         w = M @ v
         lam = float(w @ v) / float(v @ v)
-        if not np.isfinite(lam) or lam <= 0.0:
+        if not 0.0 < lam < np.inf:     # NaN too
             raise PowerIterationStall(f"eigenvalue estimate {lam} not usable")
-        v = w / np.max(np.abs(w))
+        v = np.divide(w, abs(w).max(), out=w)
         if abs(lam - lam_old) <= _POWER_TOL * abs(lam):
             if not positive:
                 return lam, (-v if v.sum() < 0.0 else v)
@@ -304,6 +312,11 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
     model's eigenvector at hd; a root more than root_tol outside that
     bracket raises InvariantViolation. Without it hd_lo = hd_hi = hd.
     """
+    if isinstance(root_tol, bool) or not isinstance(
+            root_tol, (int, float, np.integer, np.floating)) or \
+            not 0.0 < root_tol < _PROBE_STEP:
+        raise DomainError(f"root_tol must be a number in (0, {_PROBE_STEP}), "
+                          f"below the probe grid's spacing, got {root_tol!r}")
     t_start = time.perf_counter()
     ifs = build_presentation(obj) if isinstance(obj, UnimodalSystem) else obj
     pinned = K is not None
@@ -700,9 +713,10 @@ def sweep(ells, degree=40, K=None, Nc=32, tol=1e-10, cache_dir=None,
     previous ell's on a cache miss.
     """
     ells = list(ells)
-    if any(ell % 2 or ell <= 0 for ell in ells) or \
+    if any(not _is_count(ell) or ell % 2 or ell <= 0 for ell in ells) or \
             sorted(ells) != ells or len(set(ells)) != len(ells):
-        raise DomainError("sweep needs strictly ascending even ells")
+        raise DomainError(
+            f"sweep needs strictly ascending even integer ells, got {ells}")
     report = DimensionReport()
     fp = None
     for ell in ells:

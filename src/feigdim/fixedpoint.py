@@ -23,6 +23,7 @@ fixed points through it. write_csv is the one CSV writer of the package,
 for files and streams alike.
 """
 import csv
+import functools
 import json
 import os
 import tempfile
@@ -85,11 +86,14 @@ class FixedPointMap:
     solver_meta: dict
 
     def __post_init__(self):
-        coeffs = np.asarray(self.e_coeffs, dtype=float)
-        object.__setattr__(self, "e_coeffs", coeffs)
-        table = cheb.jet_table(coeffs, 3)
-        object.__setattr__(self, "_jet_table", table)
-        object.__setattr__(self, "_jet_lists", table.T.tolist())
+        object.__setattr__(self, "e_coeffs",
+                           np.asarray(self.e_coeffs, dtype=float))
+
+    # built on first use: the chain maps of a continuation never read them
+    _jet_table = functools.cached_property(
+        lambda self: cheb.jet_table(self.e_coeffs, 3))
+    _jet_lists = functools.cached_property(
+        lambda self: self._jet_table.T.tolist())
 
     @property
     def degree(self):

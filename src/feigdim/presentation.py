@@ -152,22 +152,49 @@ def _h_inverse_jets(sys, x, nder):
     return tuple(out)
 
 
-def _g_step_jets(ps, k, jets, nder, q=None):
-    """Push jets of a map f through step k of the letter stream: the chain
-    rule for e o f in place on e's jets, read on that step's level table,
-    then their power (_power_jets), and the (columns, points) table of
-    q o f for a stack q of series on the level."""
-    a, b, level, heads = ps.g_levels[k - 1]
+def _step_plan(ps, K, nder, x, q):
+    """The letter stream's set-up, once per call: per step k, level k - 1's
+    a, (b - a) / 2 and jet table, from k = 2 with q's series on the level
+    (restrict01, cut to its head) merged in, and given q a last step, q
+    alone on level K; per cheb._BLOCK points of x, the slice and a view of
+    the one eval_block work buffer (row 1 holds 1) that every step reuses."""
     n = min(nder, 3)
-    table = level[:heads[n], :n + 1]
-    if q is not None:   # read as more columns
-        table, jet = np.zeros((max(len(table), len(q)),
-                               n + 1 + q.shape[1])), table
-        table[:len(jet), :n + 1], table[:len(q), n + 1:] = jet, q
-    u = np.subtract(jets[0], a)
-    u /= b - a
-    g = cheb.eval01(table, u)
-    del u       # the argument, freed before the jets are formed
+    levels = ps.g_levels[:K + (q is not None)]
+    tables = [table[:heads[n], :n + 1] for _, _, table, heads in levels[:K]]
+    if q is not None:
+        cols = np.reshape(q, (len(q), -1))      # one column per series
+        ends = np.array([lv[:2] for lv in levels[1:]]) - ps.I[0]
+        qs = cheb.restrict01(np.tile(cols, K), *np.repeat(
+            ends, cols.shape[1], axis=0).T / (ps.I[1] - ps.I[0]))
+        qs = qs.reshape(len(qs), K, -1)
+        heads = cheb.heads(qs).max(axis=1)
+        for k, (jet, m) in enumerate(zip(tables[1:], heads), 1):
+            tables[k] = np.zeros((max(len(jet), m), n + 1 + cols.shape[1]))
+            tables[k][:len(jet), :n + 1] = jet
+            tables[k][:m, n + 1:] = qs[:m, k - 1]
+        tables.append(qs[:heads[-1], -1])
+    work = np.empty((1 + max(2, *map(len, tables)), min(x.size, cheb._BLOCK)))
+    work[1] = 1.0
+    return ([(a, 0.5 * (b - a), t) for (a, b, *_), t in zip(levels, tables)],
+            [(slice(i, i + cheb._BLOCK), work[:, :x.size - i])
+             for i in range(0, x.size, cheb._BLOCK)])
+
+
+def _g_step_jets(step, jets, nder, ell, blocks):
+    """Push jets of a map f through a planned step of the letter stream:
+    the chain rule for e o f in place on e's jets, read on the step's table
+    at u = (f - a) / (b - a) by cheb.eval_block (s = 2u - 1 has eval01's
+    bits: halving b - a is exact), then their power (_power_jets), and the
+    (columns, points) table of q o f when the table carries q's columns."""
+    a, half, table = step
+    flat = jets[0].reshape(-1)
+    g = np.empty((table.shape[1], flat.size))
+    for cols, work in blocks:
+        s = np.subtract(flat[cols], a, out=work[2])
+        s /= half
+        s -= 1.0
+        cheb.eval_block(table, work, g[:, cols])
+    g = g.reshape((-1,) + jets[0].shape)
     if nder >= 2:
         sq = jets[1] * jets[1]
         if nder >= 3:
@@ -178,8 +205,9 @@ def _g_step_jets(ps, k, jets, nder, q=None):
         g[2] += np.multiply(g[1], jets[2], out=sq)
     if nder >= 1:
         g[1] *= jets[1]
-    out = tuple(_power_jets(g[:n + 1], ps.sys.ell))
-    return out if q is None else (*out, g[n + 1:])
+    n = min(nder, 3)
+    out = tuple(_power_jets(g[:n + 1], ell))
+    return out if len(g) == n + 1 else (*out, g[n + 1:])
 
 
 def iter_letter_jets(ps, K, x, nder=1, q=None):
@@ -194,32 +222,30 @@ def iter_letter_jets(ps, K, x, nder=1, q=None):
     letter contracts (tail_levels < 1), up to the roundoff of the scalar
     cylinder walk. Given q, a series on I or a stack of them as columns,
     item k ends with q(psi_k x), eval01's array for q, read as more columns
-    of step k + 1's table, so yielded after that step.
+    of step k + 1's table, so yielded after that step. The steps run from
+    one _step_plan.
     """
     _check_letter(ps, K)
     x = np.asarray(x, dtype=float)
     if not np.all((ps.I[0] - _X_SLACK <= x) & (x <= ps.I[1] + _X_SLACK)):
         raise DomainError(f"letter argument outside I = {list(ps.I)}")
-    jets = _g_step_jets(ps, 1, _h_inverse_jets(ps.sys, x, nder), nder)
+    steps, blocks = _step_plan(ps, K, nder, x, q)
+    ell = ps.sys.ell
+    jets = _g_step_jets(steps[0], _h_inverse_jets(ps.sys, x, nder), nder,
+                        ell, blocks)
     if q is None:
-        for k in range(2, K + 1):
+        for step in steps[1:]:
             yield jets
-            jets = _g_step_jets(ps, k, jets, nder)
+            jets = _g_step_jets(step, jets, nder, ell, blocks)
         yield jets
         return
-    cols = np.reshape(q, (len(q), -1))      # one column per series
     shape = np.shape(q)[1:] + x.shape       # eval01's for q at x
-    ends = np.array([lv[:2] for lv in ps.g_levels[1:K + 1]]) - ps.I[0]
-    qs = cheb.restrict01(np.tile(cols, K), *np.repeat(
-        ends, cols.shape[1], axis=0).T / (ps.I[1] - ps.I[0]))
-    qs = qs.reshape(len(qs), K, -1)
-    qs = [qs[:m, k] for k, m in enumerate(cheb.heads(qs).max(axis=1))]
-    for k in range(2, K + 1):
-        *step, qk = _g_step_jets(ps, k, jets, nder, qs[k - 2])
+    for step in steps[1:-1]:
+        *step_jets, qk = _g_step_jets(step, jets, nder, ell, blocks)
         yield (*jets, qk.reshape(shape))
-        jets = step
-    a, b = ps.g_levels[K][:2]
-    qk = cheb.eval01(qs[-1], (jets[0] - a) / (b - a))
+        jets = step_jets
+    a, half, table = steps[-1]      # q alone, in one eval01 call
+    qk = cheb.eval01(table, (jets[0] - a) / (2.0 * half))
     yield (*jets, qk.reshape(shape))
 
 

@@ -15,6 +15,7 @@ from feigdim.cheb import (
     fit01,
     gauss_series,
     heads,
+    jet_table,
     restrict01,
     vander01,
 )
@@ -273,3 +274,25 @@ def test_no_module_switches_floating_point_warnings_off():
             if name in switches:
                 users.add(f"{path.name}:{node.lineno}")
     assert not users
+
+
+def test_jet_table_differentiates_once_per_stored_column(monkeypatch):
+    import feigdim.cheb as cheb
+    calls = []
+    real = cheb.der01
+
+    def counted(c):
+        calls.append(len(c))
+        return real(c)
+
+    monkeypatch.setattr(cheb, "der01", counted)
+    c = np.random.default_rng(3).normal(size=9)
+    for order in range(4):
+        calls.clear()
+        table = jet_table(c, order)
+        assert calls == [9, 8, 7][:order]
+        want, col = np.zeros((9, order + 1)), c
+        for j in range(order + 1):
+            want[:len(col), j] = col
+            col = real(col)
+        assert np.array_equal(table, want)

@@ -34,6 +34,8 @@ from feigdim.dimension import (
     _leading_pair_both,
     _log_root,
     _logsumexp,
+    _node_rows,
+    _power_pair,
     _sample_points,
     _word_tables,
 )
@@ -291,8 +293,15 @@ def test_sweep_two_levels(tmp_path):
             assert float(row[key]) == want[key]
 
 
-def test_sweep_rejects_bad_ell_lists():
-    for bad in ([3], [4, 2], [2, 2], [0]):
+def test_sweep_rejects_bad_ell_lists(monkeypatch):
+    # up front: a non-integer or bool ell raised only inside the loop, as
+    # the report's failure, before
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the ells were checked")
+
+    monkeypatch.setattr(feigdim.dimension, "cached_solve", no_solve)
+    for bad in ([3], [4, 2], [2, 2], [0], [2.0], [True], [2, 4.0], [2, 4.5],
+                ["2"]):
         with pytest.raises(DomainError):
             sweep(bad)
 
@@ -706,9 +715,11 @@ def _traced_peak_mb(fn, *args):
 
 def test_depth_4_moran_bracket_stays_in_bounded_memory():
     # the whole depth-4 tables, 24^4 words x 9 samples, are 24 MB each;
-    # the streamed last level keeps the peak under one of them
+    # the streamed last level keeps the peak under half of one of them,
+    # as the letter stream's T-table buffer has at most 4,096 columns (a
+    # table over a whole 41,472-point stream reads 16.5 MB)
     ps20 = build_presentation(build_system(solve_ell(20)))
-    assert _traced_peak_mb(moran_oracle, ps20, 4) <= 24.0
+    assert _traced_peak_mb(moran_oracle, ps20, 4) <= 11.5
 
 
 def test_depth_3_conformality_check_stays_in_bounded_memory(pm2, tstar2):
@@ -1072,3 +1083,56 @@ def test_grown_model_equals_a_fresh_one(monkeypatch, toy):
     for grown, fresh in pairs:
         for name in ("imgs", "ders", "B"):
             assert np.array_equal(getattr(grown, name), getattr(fresh, name))
+
+
+def _power_pair_loop(M, positive=True):
+    """_power_pair's loop as numpy function calls, the reference for its
+    trimmed iteration."""
+    v = np.ones(M.shape[0])
+    lam_old = np.inf
+    for _ in range(5000):
+        w = M @ v
+        lam = float(w @ v) / float(v @ v)
+        assert np.isfinite(lam) and lam > 0.0
+        v = w / np.max(np.abs(w))
+        if abs(lam - lam_old) <= 1e-12 * abs(lam):
+            return lam, (np.abs(v) if positive else
+                         -v if v.sum() < 0.0 else v)
+        lam_old = lam
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_power_pair_keeps_the_bits_of_the_numpy_call_loop(ell):
+    pm = build_pressure_model(build_presentation(build_system(solve_ell(ell))),
+                              K=32)
+    for t in _PROBE_GRID:
+        M = pm.operator(t)
+        for positive, mat in ((True, M), (False, M.T)):
+            lam, v = _power_pair(mat, positive)
+            want_lam, want_v = _power_pair_loop(mat, positive)
+            assert lam == want_lam and np.array_equal(v, want_v)
+
+
+def test_escalation_reads_the_cardinal_rows_of_each_letter_once(monkeypatch):
+    # ell 20 escalates through K = 32, 48, 135, 209: each model evaluates B
+    # on the images of the letters it adds only, and keeps B a view of a
+    # contiguous (Nc, K, Nc) array, the layout the batched operator reads
+    ps = build_presentation(build_system(solve_ell(20)))
+    calls = _count_eval01(monkeypatch)
+    assert hausdorff_dimension(ps, with_bracket=False).K == 209
+    rows = _node_rows(ps, ps.Kmax, 32)
+    for K in (32, 48, 135, 209):
+        pm = build_pressure_model(ps, K=K, _rows=rows)
+        assert pm.B.transpose(1, 0, 2).flags.c_contiguous
+    cardinal = [size for shape, size in calls if shape == (32, 32)]
+    assert cardinal == 2 * [32 * 32, 16 * 32, 87 * 32, 74 * 32]
+    assert np.array_equal(pm.B, build_pressure_model(ps, K=209).B)
+
+
+@pytest.mark.parametrize("root_tol", [True, False, 0.0, -1e-8, 0.1, 1.0,
+                                      np.inf, np.nan, "1e-8", None])
+def test_hausdorff_dimension_refuses_a_root_tol_the_probes_cannot_take(
+        ps2, root_tol):
+    with pytest.raises(DomainError, match="root_tol"):
+        hausdorff_dimension(ps2, root_tol=root_tol)

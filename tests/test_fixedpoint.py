@@ -501,3 +501,25 @@ def test_failed_save_keeps_previous_record(tmp_path, fp2, monkeypatch):
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
+def test_jet_tables_are_built_on_first_use(monkeypatch):
+    # the chain maps of a from-scratch solve never read their jet tables,
+    # so none is built until a map is evaluated, and then once
+    built = []
+    real = feigdim.cheb.jet_table
+
+    def counted(coeffs, order):
+        built.append(order)
+        return real(coeffs, order)
+
+    monkeypatch.setattr(feigdim.cheb, "jet_table", counted)
+    fp = solve_fixed_point(PERIOD_DOUBLING, 6)
+    assert built == []
+    u = np.linspace(0.0, 1.0, 7)
+    for j in range(4):
+        assert np.array_equal(fp.E(u, j), eval01(fp._jet_table[:, j], u))
+        assert fp.E(0.3, j) == chebval(-0.4, fp._jet_table[:, j])
+    assert built == [3]
+    assert np.array_equal(fp._jet_table, real(fp.e_coeffs, 3))
+    assert fp._jet_lists == fp._jet_table.T.tolist()

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from feigdim.cheb import eval01
+from feigdim.cheb import eval01, heads, restrict01
 from feigdim.errors import (
     DomainError,
     IndexOutOfAlphabet,
@@ -32,6 +32,7 @@ from feigdim.presentation import (
 from feigdim.unimodal import (
     DEFAULT_ORBIT_MAX,
     _G_jets,
+    _power_jets,
     build_system,
     critical_orbit,
 )
@@ -574,3 +575,68 @@ def test_level_jets_match_steps_on_the_full_series(ell):
         for n, got in enumerate(jets):
             want = np.array([float(point[k - 1][n]) for point in ref])
             assert np.max(np.abs(got - want) / np.abs(want)) <= rtol
+
+
+def _stream_by_steps(ps, K, x, nder, q=None):
+    """iter_letter_jets's items, step by step on the route the stream took
+    before it ran from a plan: each step merges its level's jet table with
+    q's series on the level (cut to its head) into a fresh table, reads it
+    by eval01 at (f - a) / (b - a), then applies the chain rule and
+    _power_jets; q alone is read by eval01 on level K."""
+    n, lo, hi = min(nder, 3), *ps.I
+    cols = None if q is None else np.reshape(q, (len(q), -1))
+
+    def q_on(level):
+        a, b = ps.g_levels[level][:2]
+        qk = restrict01(cols, (a - lo) / (hi - lo), (b - lo) / (hi - lo))
+        return qk[:np.max(heads(qk))]
+
+    items, jets = [], _h_inverse_jets(ps.sys, x, nder)
+    for k in range(1, K + 1):
+        a, b, level, hd = ps.g_levels[k - 1]
+        table = level[:hd[n], :n + 1]
+        if cols is not None and k > 1:
+            qk, jet = q_on(k - 1), table
+            table = np.zeros((max(len(jet), len(qk)), n + 1 + qk.shape[1]))
+            table[:len(jet), :n + 1], table[:len(qk), n + 1:] = jet, qk
+        g = eval01(table, (jets[0] - a) / (b - a))
+        if nder >= 2:
+            sq = jets[1] * jets[1]
+            if nder >= 3:
+                g[3] *= sq * jets[1]
+                g[3] += 3.0 * g[2] * jets[1] * jets[2]
+                g[3] += g[1] * jets[3]
+            g[2] *= sq
+            g[2] += np.multiply(g[1], jets[2], out=sq)
+        if nder >= 1:
+            g[1] *= jets[1]
+        if k > 1 and cols is not None:
+            items.append((*jets, g[n + 1:].reshape(np.shape(q)[1:] + x.shape)))
+        jets = tuple(_power_jets(g[:n + 1], ps.sys.ell))
+        if cols is None:
+            items.append(jets)
+    if cols is not None:
+        a, b = ps.g_levels[K][:2]
+        qk = eval01(q_on(K), (jets[0] - a) / (b - a))
+        items.append((*jets, qk.reshape(np.shape(q)[1:] + x.shape)))
+    return items
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_planned_stream_matches_the_step_by_step_route(ell):
+    # bit for bit: the plan changes where the set-up runs, not one operand
+    # or operation of a step
+    ps = build_presentation(build_system(solve_ell(ell)))
+    rng = np.random.default_rng(ell)
+    q1, q2 = rng.normal(size=16), rng.normal(size=(9, 2))
+    for x in (np.linspace(*ps.I, 32), np.linspace(*ps.I, 5000)):
+        K = ps.Kmax if x.size < 5000 else 30
+        for nder in range(4):
+            for q in (None, q1, q2):
+                got = list(iter_letter_jets(ps, K, x, nder, q))
+                want = _stream_by_steps(ps, K, x, nder, q)
+                assert len(got) == len(want) == K
+                for g, w in zip(got, want):
+                    assert len(g) == len(w)
+                    assert all(a.shape == b.shape and np.array_equal(a, b)
+                               for a, b in zip(g, w))
