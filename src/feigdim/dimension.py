@@ -10,7 +10,12 @@ max (L_t h / h) (Collatz-Wielandt). h is the interpolated collocation
 eigenvector at the root, the extrema are bounded between grid points by a
 derivative estimate, and the truncated alphabet's tail is added to the
 upper bound; the roots of the two bounds bracket the dimension of the full
-system at O(K * grid) cost.
+system at O(K * grid) cost. One letter stream, folded 32 letters at a time
+into a quadratic in t about the Bowen root whose Lagrange remainder the
+bounds carry, serves every t a default row's two root searches read: no
+table has a row per letter, and no t takes an exp over the letters. A t
+where that remainder is not negligible streams the letters again, about
+itself.
 
 Independent Moran-type sup/inf brackets over finite words (moran_oracle)
 cross-check the root, with the tail folded into the upper bracket as
@@ -40,6 +45,7 @@ K). A truncation K is the number of letters; every table has K letter rows.
 """
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -67,6 +73,9 @@ _WORD_BUDGET = 1_500_000
 _BRACKET_NX = 1001          # operator-bracket grid: 1000 cells of I
 _BRACKET_W0 = 1e-8          # first half-width of the bracket root search
 _BRACKET_XTOL = 1e-13       # bracket root tolerance; roots move out by it
+_FOLD_LETTERS = 32          # letters per fold of the bracket's stream
+_TAYLOR_TERMS = 3           # the bracket's Taylor coefficients in t - t0
+_TAYLOR_TOL = 2.0 ** -56    # widest envelope widening an expansion gives
 _TAIL_BUDGET = 1e-8         # tail at the root that stops K escalation
 _MORAN_NSAMP = 9            # Moran sample points on I per word
 _MORAN_POINTS = 50_000      # most points per letter stream of a last level
@@ -206,56 +215,109 @@ class _OperatorBounds:
 
     For L_t h = sum_a |psi_a'|^t h o psi_a and any h > 0 on I,
     min_I (L_t h / h) <= exp P(t) <= max_I (L_t h / h). The ratio r_t over
-    the first K letters and its derivative are tabulated on _BRACKET_NX
-    points of I from one second-order jet pass, which reads (h, h') at the
-    images as two more columns of each step. Between grid points r_t
+    the first K letters and its derivative come from one second-order jet
+    pass on _BRACKET_NX points of I, which reads (h, h') at the images as
+    two more columns of each step. The pass folds every _FOLD_LETTERS
+    letters into the first _TAYLOR_TERMS = p Taylor coefficients in
+    t - t0, M_n = sum_a L_a^n / n! |psi_a'|^t0 (h o psi_a / h, curv_a,
+    slope_a) with L_a = log|psi_a'| and d/dx |psi_a'|^t h(psi_a x) / h(x)
+    = |psi_a'|^t (t * curv_a + slope_a), so no table has a row per letter
+    and r_t is a degree-(p - 1) polynomial in t on three grid rows. Its
+    Lagrange remainder is at most rho = (|t - t0| L_max)^p / p!
+    exp(|t - t0| L_max), L_max = max |L_a|, times the folded sums of
+    |psi_a'|^t0 |(h o psi_a / h, curv_a, slope_a)|, and the envelope
+    widens by it, so every envelope is a bound. Where that widening passes
+    _TAYLOR_TOL (a poor test function, or a Bowen root far from the
+    crossings), the letters are streamed again and folded about t itself,
+    and later t read the expansion nearest them. Between grid points r_t
     moves by at most (dx / 2) sup |r_t'|, taken as dx * max |r_t'| on the
     grid (twice the half-cell Lipschitz step). The letters beyond K raise
     the ratio by at most tail_bound(K, t) * max h / min h. h is the stack
-    of series on I of (h, h') that _eigenfunction returns.
+    of series on I of (h, h') that _eigenfunction returns; t0 is the
+    Bowen root, the first expansion's centre and the crossings' start.
     """
 
-    def __init__(self, ifs, K, h):
+    def __init__(self, ifs, K, h, t0):
         lo, hi = ifs.interval
-        x = np.linspace(lo, hi, _BRACKET_NX)
-        hx, dhx = eval01(h, (x - lo) / (hi - lo))
-        if not np.all(hx > 0.0):
+        self.x = np.linspace(lo, hi, _BRACKET_NX)
+        self.hx, dhx = eval01(h, (self.x - lo) / (hi - lo))
+        if not np.all(self.hx > 0.0):
             raise EigenvectorSignFailure(
                 "bracket test function not positive on the grid of I"
             )
-        self.ifs, self.K = ifs, K
-        self.dx = float(np.max(np.diff(x)))
-        self.spread = float(hx.max() / hx.min())
-        self.dlog_h = dhx / hx
-        # one (4, letters, grid) block: log|psi'|, h(psi x) / h(x), and
-        # curv, slope with d/dx |psi'|^t h(psi x) / h(x) = |psi'|^t (t *
-        # curv + slope), letter by letter from the stream
-        self.tables = np.empty((4, K, _BRACKET_NX))
-        for a, (_, d1, d2, (hval, dhval)) in enumerate(
-                ifs.letter_jets(K, x, 2, h)):
-            logd, hv, curv, slope = self.tables[:, a]
-            np.log(np.abs(d1), out=logd)
-            np.divide(d2, d1, out=curv)
-            curv *= hval
-            curv /= hx
-            np.divide(hval, hx, out=hv)
-            np.multiply(d1, dhval, out=slope)
-            slope /= hx
+        self.ifs, self.K, self.h, self.t0 = ifs, K, h, t0
+        self.dx = float(np.max(np.diff(self.x)))
+        self.spread = float(self.hx.max() / self.hx.min())
+        self.dlog_h = dhx / self.hx
+        self.expansions = [self._expand(t0)]
+
+    def _expand(self, t0):
+        """One letter stream folded about t0: (t0, M, sums, L_max), M the
+        (p, 3, grid) coefficients and sums the three maxima on the grid
+        that _remainder scales: of the folded |psi'|^t0 |row| of the ratio
+        and of curv, and of slope's plus the ratio's times |h' / h|."""
+        M = np.zeros((_TAYLOR_TERMS, 3, _BRACKET_NX))
+        sums = np.zeros((3, _BRACKET_NX))
+        chunk = np.empty((4, _FOLD_LETTERS, _BRACKET_NX))
+        l_max = 0.0
+        stream = self.ifs.letter_jets(self.K, self.x, 2, self.h)
+        for start in range(0, self.K, _FOLD_LETTERS):
+            block = chunk[:, :min(_FOLD_LETTERS, self.K - start)]
+            for (logd, hv, curv, slope), (_, d1, d2, (hval, dhval)) in zip(
+                    block.transpose(1, 0, 2),
+                    itertools.islice(stream, block.shape[1])):
+                np.log(np.abs(d1), out=logd)
+                np.divide(d2, d1, out=curv)
+                curv *= hval
+                curv /= self.hx
+                np.divide(hval, self.hx, out=hv)
+                np.multiply(d1, dhval, out=slope)
+                slope /= self.hx
+            logd, rows = block[0], block[1:]
+            l_max = max(l_max, float(np.max(np.abs(logd))))
+            w = np.multiply(t0, logd)
+            np.exp(w, out=w)
+            sums += np.einsum("ai,kai->ki", w, np.abs(rows))
+            for n in range(_TAYLOR_TERMS):     # w = L^n / n! |psi'|^t0
+                M[n] += np.einsum("ai,kai->ki", w, rows)
+                w *= logd
+                w /= n + 1
+        sums[2] += sums[0] * np.abs(self.dlog_h)
+        return t0, M, sums.max(axis=1), l_max
+
+    def _remainder(self, expansion, t):
+        """(widening of r_t, of |r_t'|) from expansion's remainder at t."""
+        t0, _, (s_h, s_curv, s_slope), l_max = expansion
+        z = abs(t - t0) * l_max
+        rho = z ** _TAYLOR_TERMS / math.factorial(_TAYLOR_TERMS) * math.exp(z)
+        return rho * s_h, rho * (abs(t) * s_curv + s_slope)
+
+    def _expansion(self, t):
+        """The expansion nearest t, first folded about t itself when the
+        nearest one widens the envelope at t by more than _TAYLOR_TOL."""
+        near = min(self.expansions, key=lambda e: abs(t - e[0]))
+        widen_r, widen_dr = self._remainder(near, t)
+        if widen_r + self.dx * widen_dr > _TAYLOR_TOL:
+            near = self._expand(t)
+            self.expansions.append(near)
+        return near
 
     def ratio(self, t):
-        """(r_t, r_t') on the grid, over the first K letters."""
-        w = np.multiply(t, self.tables[0])
-        np.exp(w, out=w)    # in place: one temporary of the block's size
-        r, curv, slope = np.einsum("ai,kai->ki", w, self.tables[1:])
+        """(r_t, r_t') on the grid, over the first K letters, from the
+        expansion nearest t: within its _remainder at t of the sums."""
+        t0, M, *_ = self._expansion(t)
+        r, curv, slope = functools.reduce(lambda v, m: v * (t - t0) + m,
+                                          M[::-1])     # Horner in t - t0
         return r, t * curv + slope - r * self.dlog_h
 
     def envelope(self, t):
         """(min r_t - slack, max r_t + slack): r_t over all of I."""
         r, dr = self.ratio(t)
-        slack = self.dx * float(np.max(np.abs(dr)))
+        widen_r, widen_dr = self._remainder(self._expansion(t), t)
+        slack = self.dx * (float(np.max(np.abs(dr))) + widen_dr) + widen_r
         return float(r.min()) - slack, float(r.max()) + slack
 
-    def bracket(self, t0):
+    def bracket(self):
         """Roots of log lower = 0 and log upper = 0 near t0, rounded out.
 
         The lower bound's root is at most the dimension of the full system
@@ -265,9 +327,9 @@ class _OperatorBounds:
         (a poor test function) on the negative side instead of at log 0.
         """
         env = functools.cache(self.envelope)    # once per t for both
-        lo = _crossing(lambda t: env(t)[0] - 1.0, t0)
+        lo = _crossing(lambda t: env(t)[0] - 1.0, self.t0)
         hi = _crossing(lambda t: (env(t)[1] + self.ifs.tail_bound(
-            self.K, t) * self.spread) - 1.0, t0)
+            self.K, t) * self.spread) - 1.0, self.t0)
         return lo - _BRACKET_XTOL, hi + _BRACKET_XTOL
 
 
@@ -355,7 +417,8 @@ def hausdorff_dimension(obj, K=None, Nc=32, root_tol=1e-8, with_bracket=True):
         raise InvariantViolation(f"Bowen root {hd} outside (0, 1)")
 
     if with_bracket:
-        lo, hi = _OperatorBounds(ifs, K, _eigenfunction(pm, hd)).bracket(hd)
+        lo, hi = _OperatorBounds(ifs, K, _eigenfunction(pm, hd),
+                                 hd).bracket()
         if not lo - root_tol <= hd <= hi + root_tol:
             raise InvariantViolation(
                 f"Bowen root {hd:.12f} outside the operator bracket "

@@ -7,9 +7,12 @@ presentation's letters by plain bisection on its E, independent of the
 package's bisection-Newton solver and of its G-iteration;
 letter_stream_on_E steps G on E's full series, where the package steps
 it on G's own short series. gauss_bary_weights gives scipy's barycentric
-interpolator the exact weights of the Chebyshev-Gauss nodes.
+interpolator the exact weights of the Chebyshev-Gauss nodes. GaussE2
+and AffineGeometric are IFSs of known dimension with the engine's IFS
+protocol, reading a series q on their interval with numpy's chebval.
 """
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 
 def _crit_iterate(c, n):
@@ -146,3 +149,77 @@ def letter_stream_on_E(ps, K, x):
 # Reference constants for the quadratic (ell = 2) fixed point.
 ALPHA_2 = -2.5029078750958928
 HD_2 = 0.53804514358
+
+
+class _SeriesReader:
+    """The IFS protocol's letter_jets over a per-letter jet function: item
+    a ends with q(psi_a x) for a series q on the interval, or a stack of
+    them as columns, as chebval reads q at s = 2u - 1 (shape (columns,
+    points) for a stack)."""
+
+    def letter_jets(self, K, x, nder=1, q=None):
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.interval
+        for a in range(1, K + 1):
+            jets = self._jets(a, x, nder)
+            if q is not None:
+                jets.append(chebval(2.0 * (jets[0] - lo) / (hi - lo) - 1.0,
+                                    np.asarray(q)))
+            yield tuple(jets)
+
+
+class GaussE2(_SeriesReader):
+    """E_2 = {1 / (1 + x), 1 / (2 + x)} on [1/3, 1], the continued
+    fractions with digits 1 and 2: a finite alphabet, so a zero tail. Its
+    dimension is 0.5312805062772051416... (Jenkinson and Pollicott,
+    Adv. Math. 325 (2018))."""
+
+    interval = (1.0 / 3.0, 1.0)
+    Kmax = 2
+    DIMENSION = 0.5312805062772051416
+
+    def _jets(self, a, x, nder):
+        # d^n/dx^n (a + x)^-1 = (-1)^n n! (a + x)^-(n + 1)
+        y = 1.0 / (a + x)
+        jets, fact = [y], 1.0
+        for n in range(1, nder + 1):
+            fact *= -n
+            jets.append(fact * y ** (n + 1))
+        return jets
+
+    def tail_bound(self, K, t):
+        return 0.0
+
+
+class AffineGeometric(_SeriesReader):
+    """psi_k(x) = 1 - b^(k - 1) + a b^k x on [0, 1], k = 1..Kmax: ratios
+    r_k = a b^k, image k inside [1 - b^(k - 1), 1 - b^k], disjoint as
+    a b < 1 - b. Letters beyond K weigh exactly
+    sum_{k > K} r_k^t = (a b^(K + 1))^t / (1 - b^t), and the dimension of
+    the infinite system is the root of (a b)^t = 1 - b^t."""
+
+    interval = (0.0, 1.0)
+
+    def __init__(self, a=0.5, b=0.6, Kmax=64):
+        if not 0.0 < b < 1.0 or not 0.0 < a * b < 1.0 - b:
+            raise ValueError(f"images overlap or leave I: a={a}, b={b}")
+        self.a, self.b, self.Kmax = a, b, Kmax
+
+    def _jets(self, k, x, nder):
+        r = self.a * self.b ** k
+        return [1.0 - self.b ** (k - 1) + r * x, np.full_like(x, r),
+                *(np.zeros_like(x) for _ in range(nder - 1))]
+
+    def tail_bound(self, K, t):
+        return (self.a * self.b ** (K + 1)) ** t / (1.0 - self.b ** t)
+
+    def dimension(self):
+        """The root of (a b)^t = 1 - b^t, by bisection on (0, 1]."""
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (self.a * self.b) ** mid > 1.0 - self.b ** mid:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)

@@ -788,10 +788,10 @@ def test_operator_bracket_holds_for_any_positive_test_function(pm2, tstar2):
     flat = _test_function([1.0], pm2.ifs.interval)
     wobbled = _test_function(chebmul(eigen[:, 0], [1.0, 0.0, 0.0, 0.1]),
                              pm2.ifs.interval)
-    t_lo, t_hi = _OperatorBounds(pm2.ifs, pm2.K, eigen).bracket(tstar2)
+    t_lo, t_hi = _OperatorBounds(pm2.ifs, pm2.K, eigen, tstar2).bracket()
     assert t_lo <= tstar2 <= t_hi
     for h in (flat, wobbled):
-        lo_h, hi_h = _OperatorBounds(pm2.ifs, pm2.K, h).bracket(tstar2)
+        lo_h, hi_h = _OperatorBounds(pm2.ifs, pm2.K, h, tstar2).bracket()
         assert lo_h <= tstar2 <= hi_h
         assert hi_h - lo_h > t_hi - t_lo
 
@@ -809,20 +809,20 @@ def test_operator_bracket_slack_covers_a_finer_grid(ell, monkeypatch):
     ifs = build_presentation(build_system(solve_ell(ell)))
     res = hausdorff_dimension(ifs, with_bracket=False)
     h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
-    low, high = _OperatorBounds(ifs, res.K, h).envelope(res.hd)
+    low, high = _OperatorBounds(ifs, res.K, h, res.hd).envelope(res.hd)
     monkeypatch.setattr(feigdim.dimension, "_BRACKET_NX",
                         4 * (_BRACKET_NX - 1) + 1)
-    r, _ = _OperatorBounds(ifs, res.K, h).ratio(res.hd)
+    r, _ = _OperatorBounds(ifs, res.K, h, res.hd).ratio(res.hd)
     assert len(r) == 4 * (_BRACKET_NX - 1) + 1
     assert low <= float(r.min()) and float(r.max()) <= high
 
 
-def _bracket_per_crossing(bounds, t0):
+def _bracket_per_crossing(bounds):
     """_OperatorBounds.bracket with each crossing evaluating the envelope
     afresh at every t it reads: the reference for the shared evaluations."""
-    lo = _crossing(lambda t: bounds.envelope(t)[0] - 1.0, t0)
+    lo = _crossing(lambda t: bounds.envelope(t)[0] - 1.0, bounds.t0)
     hi = _crossing(lambda t: (bounds.envelope(t)[1] + bounds.ifs.tail_bound(
-        bounds.K, t) * bounds.spread) - 1.0, t0)
+        bounds.K, t) * bounds.spread) - 1.0, bounds.t0)
     return lo - _BRACKET_XTOL, hi + _BRACKET_XTOL
 
 
@@ -836,10 +836,10 @@ def test_operator_bracket_reads_each_envelope_once(ell):
     h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
     counts = []
     for bracket in (_OperatorBounds.bracket, _bracket_per_crossing):
-        bounds = _OperatorBounds(ifs, res.K, h)
+        bounds = _OperatorBounds(ifs, res.K, h, res.hd)
         ratio, calls = _counted(bounds.ratio)
         bounds.ratio = ratio
-        counts.append((bracket(bounds, res.hd), calls))
+        counts.append((bracket(bounds), calls))
     (got, calls), (want, ref_calls) = counts
     assert got == want
     assert len(set(calls)) == len(calls)
@@ -873,21 +873,152 @@ def test_operator_bracket_tables_match_a_per_letter_loop(ell):
     # at most eps (3 m sum|c_j| + 4 sum j^2 |c_j|) apart (as for the Moran
     # metric q), which the tables carry divided by h(x) and times d2/d1
     # (curv) or psi' (slope), plus 4 eps of each entry for the roundoff of
-    # their own products and quotients
+    # their own products and quotients. The folded moments M_n sum those
+    # entries with the weights L^n / n! |psi'|^t0, so they are apart by at
+    # most the weighted sums of those scales plus the roundoff of the
+    # weighted products and of two sums over K letters, (2 K + 1) eps of
+    # the sum of the terms' magnitudes
     ifs = build_presentation(build_system(solve_ell(ell)))
     res = hausdorff_dimension(ifs, with_bracket=False)
     h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
-    bounds = _OperatorBounds(ifs, res.K, h)
+    bounds = _OperatorBounds(ifs, res.K, h, res.hd)
     (logd, *want, d1), hx = _per_letter_bracket_tables(ifs, res.K, h)
     eps, j = np.finfo(float).eps, np.arange(len(h))[:, None]
     beta = eps * (3 * len(h) * np.sum(np.abs(h), axis=0)
                   + 4 * np.sum(j * j * np.abs(h), axis=0))
     scales = (beta[0], beta[0] * np.abs(want[1] / want[0]), beta[1] * d1)
-    assert bounds.tables.shape == (4, res.K, _BRACKET_NX)
-    assert np.array_equal(bounds.tables[0], logd)
-    for table, ref, scale in zip(bounds.tables[1:], want, scales):
-        assert np.all(np.abs(table - ref)
-                      <= scale / hx + 4 * eps * np.abs(ref))
+    [(t0, M, _, l_max)] = bounds.expansions
+    assert t0 == res.hd and M.shape == (3, 3, _BRACKET_NX)
+    assert l_max == np.max(np.abs(logd))
+    w = np.exp(t0 * logd)
+    for n in range(3):
+        for row, ref, scale in zip(M[n], want, scales):
+            terms = np.abs(w * ref)
+            tol = (np.sum(np.abs(w) * (scale / hx + 4 * eps * np.abs(ref)),
+                          axis=0) + (2 * res.K + 1) * eps * terms.sum(axis=0))
+            assert np.all(np.abs(row - np.sum(w * ref, axis=0)) <= tol)
+        w = w * logd / (n + 1)
+
+
+def _stream_bracket_tables(bounds):
+    """The (4, K, grid) block of log|psi'|, h(psi x) / h(x), curv and
+    slope that the letter stream gives bounds, one letter at a time."""
+    tables = np.empty((4, bounds.K, _BRACKET_NX))
+    for a, (_, d1, d2, (hval, dhval)) in enumerate(
+            bounds.ifs.letter_jets(bounds.K, bounds.x, 2, bounds.h)):
+        tables[:, a] = (np.log(np.abs(d1)), hval / bounds.hx,
+                        d2 / d1 * hval / bounds.hx, d1 * dhval / bounds.hx)
+    return tables
+
+
+class _ExactBounds(_OperatorBounds):
+    """_OperatorBounds with r_t and r_t' summed over the letters at every
+    t, from the stream's whole (4, K, grid) block: the exact per-t
+    bracket, whose envelopes carry no remainder."""
+
+    def __init__(self, ifs, K, h, t0):
+        super().__init__(ifs, K, h, t0)
+        self.tables = _stream_bracket_tables(self)
+
+    def ratio(self, t):
+        w = np.exp(t * self.tables[0])
+        r, curv, slope = np.einsum("ai,kai->ki", w, self.tables[1:])
+        return r, t * curv + slope - r * self.dlog_h
+
+    def _remainder(self, expansion, t):
+        return 0.0, 0.0
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_operator_bracket_expansion_matches_an_exact_per_letter_pass(
+        ell, monkeypatch):
+    # r_t, r_t' from the expansion about the Bowen root t0, never
+    # re-expanded, against the letters summed at t: apart by at most the
+    # remainder the envelope carries plus roundoff, eps (2 K + 8 + 2 |t L|)
+    # of each term's magnitude (exp of a rounded t L, the weights'
+    # products and two sums over K letters), propagated into r_t'. At
+    # |t - t0| = 8^j 1e-8 the truncation passes that roundoff from j = 4
+    # on, so j runs to 5
+    monkeypatch.setattr(feigdim.dimension, "_TAYLOR_TOL", np.inf)
+    ifs = build_presentation(build_system(solve_ell(ell)))
+    res = hausdorff_dimension(ifs, with_bracket=False)
+    h = _eigenfunction(build_pressure_model(ifs, K=res.K), res.hd)
+    bounds = _OperatorBounds(ifs, res.K, h, res.hd)
+    tables = _stream_bracket_tables(bounds)
+    eps, logd, rows = np.finfo(float).eps, tables[0], tables[1:]
+    steps = 8.0 ** np.arange(6) * 1e-8
+    for t in np.concatenate([res.hd - steps, res.hd + steps]):
+        r, dr = bounds.ratio(t)
+        widen_r, widen_dr = bounds._remainder(bounds.expansions[0], t)
+        assert 0.0 < widen_r + bounds.dx * widen_dr
+        w = np.exp(t * logd)
+        want_r, curv, slope = np.sum(w * rows, axis=1)
+        want_dr = t * curv + slope - want_r * bounds.dlog_h
+        tol_r, tol_curv, tol_slope = eps * np.sum(
+            w * np.abs(rows) * (2 * res.K + 8 + 2 * np.abs(t * logd)), axis=1)
+        tol_dr = (abs(t) * tol_curv + tol_slope + tol_r * np.abs(bounds.dlog_h)
+                  + 2 * eps * (abs(t * curv) + abs(slope)
+                               + abs(want_r * bounds.dlog_h)))
+        assert np.all(np.abs(r - want_r) <= widen_r + tol_r)
+        assert np.all(np.abs(dr - want_dr) <= widen_dr + tol_dr)
+    assert len(bounds.expansions) == 1
+
+
+def test_operator_bracket_re_expands_to_the_exact_per_t_bracket(pm2, tstar2):
+    # a flat h puts the ell-2 crossings about 2e-2 from t0, the wobbled
+    # eigenvector and a row placed to root_tol 1e-3 farther than the
+    # expansion about t0 reaches: each re-expands about the t it reads and
+    # keeps the exact per-t bracket, each end within 1e-15
+    eigen = _eigenfunction(pm2, tstar2)
+    flat = _test_function([1.0], pm2.ifs.interval)
+    wobbled = _test_function(chebmul(eigen[:, 0], [1.0, 0.0, 0.0, 0.1]),
+                             pm2.ifs.interval)
+    for h in (flat, wobbled):
+        bounds = _OperatorBounds(pm2.ifs, pm2.K, h, tstar2)
+        got = bounds.bracket()
+        want = _ExactBounds(pm2.ifs, pm2.K, h, tstar2).bracket()
+        assert len(bounds.expansions) > 1
+        assert np.all(np.abs(np.subtract(got, want)) <= 1e-15)
+    ps = pm2.ifs
+    res = hausdorff_dimension(ps, root_tol=1e-3)
+    h = _eigenfunction(build_pressure_model(ps, K=res.K), res.hd)
+    lo, hi = _ExactBounds(ps, res.K, h, res.hd).bracket()
+    assert abs(res.hd_lo - min(lo, res.hd)) <= 1e-15
+    assert abs(res.hd_hi - max(hi, res.hd)) <= 1e-15
+
+
+@pytest.mark.parametrize("ell", [2, 8, 20])
+def test_default_row_streams_its_bracket_once(ell, monkeypatch):
+    # one second-order stream folded about the Bowen root serves every t
+    # of both crossings, and np.exp reads each letter's grid once, in
+    # 32-letter chunks (the (4, K, grid) block read K x 1001 values per t:
+    # 10, 12 and 13 times at ell 2, 8 and 20)
+    ps = build_presentation(build_system(solve_ell(ell)))
+    expand, exp = _OperatorBounds._expand, np.exp
+    centres, sizes = [], []
+
+    def counting_expand(bounds, t0):
+        centres.append(t0)
+        return expand(bounds, t0)
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(_OperatorBounds, "_expand", counting_expand)
+    monkeypatch.setattr(np, "exp", counting_exp)
+    res = hausdorff_dimension(ps)
+    assert centres == [res.hd]
+    assert sum(sizes) == res.K * _BRACKET_NX
+    assert max(sizes) <= 32 * _BRACKET_NX
+
+
+def test_certified_row_holds_no_letters_by_grid_table():
+    # at ell 20 (K = 209) a (4, K, 1001) block is 6.7 MB, and a row that
+    # held one peaked at 10.0-10.6 MB; folding 32 letters at a time keeps
+    # the row's peak near 4.5 MB
+    sys = build_system(solve_ell(20))
+    assert _traced_peak_mb(hausdorff_dimension, sys) <= 6.5
 
 
 def test_operator_bracket_rejects_sign_changing_test_function(pm2):
@@ -895,7 +1026,7 @@ def test_operator_bracket_rejects_sign_changing_test_function(pm2):
     lo, hi = pm2.ifs.interval
     h = _test_function([0.0, 0.5 * (hi - lo)], pm2.ifs.interval)
     with pytest.raises(EigenvectorSignFailure):
-        _OperatorBounds(pm2.ifs, pm2.K, h)
+        _OperatorBounds(pm2.ifs, pm2.K, h, 0.5)
 
 
 @pytest.mark.parametrize("ell", [2, 8, 20])
